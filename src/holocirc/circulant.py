@@ -63,9 +63,23 @@ def max_degree(config: Optional[dict] = None) -> int:
     DEFAULT_MAX_DEGREE."""
     value = os.environ.get("HOLOCIRC_MAX_DEGREE")
     if value:
-        return int(value)
+        return integer_setting(value, "HOLOCIRC_MAX_DEGREE")
     cfg = load_config() if config is None else config
-    return int(cfg.get("max_degree", DEFAULT_MAX_DEGREE))
+    return integer_setting(cfg.get("max_degree", DEFAULT_MAX_DEGREE), "config max_degree")
+
+
+def integer_setting(value: object, name: str) -> int:
+    """A bound read from the environment or the config file, as an int:
+    an int, or a string that spells one.  Anything else raises a
+    ValueError that names the setting and the bad value."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 _SCOPED_BOUND: ContextVar[Optional[float]] = ContextVar("degree_bound", default=None)
@@ -163,14 +177,22 @@ def aut_G_S(circ: Circulant) -> tuple[int, ...]:
 def automorphism_group(
     circ: Circulant, degree_bound: Optional[float] = None
 ) -> AutResult:
-    """Exact automorphism group by point-stabilizer chain.
+    """Exact automorphism group by individualisation and refinement along
+    the point-stabilizer chain.
 
-    At chain level k the orbit of vertex k under the stabilizer of
-    0..k-1 is grown from known generators; each still-missing candidate
-    image is settled by a backtracking search seeded with iterated
-    neighborhood-refinement colors.  The order is the product of orbit
-    sizes; the returned generators are the found coset representatives
-    (a strong generating set), seeded with the affine symmetries.
+    Level k keeps one colouring: the coarsest equitable colouring with
+    0..k-1 individualised, which every automorphism fixing 0..k-1
+    preserves.  The orbit of k under that stabilizer is grown from known
+    generators; only the vertices c of k's cell can join it.  The domain
+    colouring (k individualised, refined once per level) is matched
+    against c's colouring, and c is dropped when their cell sizes differ;
+    otherwise a backtracking search settles it.  The domain colouring is
+    the next level's colouring, and every colouring is refined from its
+    parent level rather than from scratch.  Once a level colouring is
+    discrete the remaining stabilizer is trivial and the chain stops.
+    The order is the product of orbit sizes; the returned generators are
+    the found coset representatives (a strong generating set), seeded
+    with the affine symmetries.
 
     The vertex bound is ``degree_bound``, else the one set by
     using_degree_bound(), else max_degree().
@@ -182,6 +204,7 @@ def automorphism_group(
     if n > bound:
         raise DegreeBoundError(f"{n} vertices exceeds the bound {bound}")
     adj = circ.adjacency
+    nbrs = [[(g + s) % n for s in circ.conn] for g in range(n)]
     mults = aut_G_S(circ)
 
     gens: list[tuple[int, ...]] = [
@@ -190,18 +213,23 @@ def automorphism_group(
     gens += [tuple(g * m % n for g in range(n)) for m in mults if m != 1]
 
     order = 1
+    level = [0] * n  # a circulant is vertex-transitive: one cell
     for k in range(n):
+        if len(set(level)) == n:
+            break  # discrete: only the identity fixes 0..k-1
+        dom = _individualise(nbrs, level, k)
         local = [g for g in gens if all(g[j] == j for j in range(k))]
         orbit = _orbit_of(k, local, n)
-        for c in range(n):
-            if c in orbit:
+        for c in range(k + 1, n):
+            if c in orbit or level[c] != level[k]:
                 continue
-            found = _search_automorphism(adj, n, k, c)
+            found = _search_automorphism(adj, nbrs, level, dom, k, c)
             if found is not None:
                 gens.append(found)
                 local.append(found)
                 orbit = _orbit_of(k, local, n)
         order *= len(orbit)
+        level = dom
     perms = tuple(Perm(g) for g in gens)
     return AutResult(order, perms, order == n * len(mults))
 
@@ -219,46 +247,58 @@ def _orbit_of(point: int, gens: list[tuple[int, ...]], n: int) -> set[int]:
     return orbit
 
 
-def _wl_colors(adj: tuple[int, ...], n: int, seeds: list[int]) -> list[int]:
-    """Iterated neighborhood refinement from individualized seeds."""
-    colors = [0] * n
-    for i, v in enumerate(seeds):
-        colors[v] = i + 1
+def _individualise(
+    nbrs: list[list[int]], colors: list[int], v: int
+) -> list[int]:
+    """``colors`` with v moved to a cell of its own, then refined."""
+    seeded = list(colors)
+    seeded[v] = max(colors) + 1  # a name no cell has
+    return _refine(nbrs, seeded)
 
-    def canon(cs: list[int]) -> list[int]:
-        first: dict[int, int] = {}
-        return [first.setdefault(c, len(first)) for c in cs]
 
+def _refine(nbrs: list[list[int]], colors: list[int]) -> list[int]:
+    """The coarsest equitable colouring finer than ``colors``.
+
+    Each round splits cells by the sorted colours of their neighbours
+    and renames the cells by the sorted order of these signatures, so
+    the names are canonical: an automorphism carrying one seeded
+    colouring to another carries the refinements name for name.  The
+    number of cells only grows, and the colouring is equitable once it
+    stops growing."""
+    cells = len(set(colors))
     while True:
-        sigs = []
-        for v in range(n):
-            row = adj[v]
-            neigh = []
-            while row:
-                b = row & -row
-                neigh.append(colors[b.bit_length() - 1])
-                row ^= b
-            sigs.append((colors[v], tuple(sorted(neigh))))
-        order = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [order[s] for s in sigs]
-        if canon(new) == canon(colors):
-            return new
-        colors = new
+        sigs = [
+            (colors[v], tuple(sorted([colors[w] for w in row])))
+            for v, row in enumerate(nbrs)
+        ]
+        names = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        if len(names) == cells:
+            return colors
+        colors = [names[s] for s in sigs]
+        cells = len(names)
 
 
 def _search_automorphism(
-    adj: tuple[int, ...], n: int, k: int, c: int
+    adj: tuple[int, ...],
+    nbrs: list[list[int]],
+    level: list[int],
+    dom_colors: list[int],
+    k: int,
+    c: int,
 ) -> Optional[tuple[int, ...]]:
-    """One automorphism fixing 0..k-1 pointwise with k -> c, or None."""
-    if c < k:
-        return None  # c is already the image of the fixed prefix
+    """One automorphism fixing 0..k-1 pointwise with k -> c, or None.
+
+    ``level`` is the level colouring (0..k-1 individualised) and
+    ``dom_colors`` its refinement with k individualised."""
+    n = len(adj)
+    im_colors = _individualise(nbrs, level, c)
+    if sorted(im_colors) != sorted(dom_colors):
+        return None  # cell sizes differ, so no automorphism matches them
     full = (1 << n) - 1
     img = list(range(k)) + [-1] * (n - k)
     img[k] = c
     used = ((1 << k) - 1) | (1 << c)
 
-    dom_colors = _wl_colors(adj, n, list(range(k + 1)))
-    im_colors = _wl_colors(adj, n, list(range(k)) + [c])
     color_mask: dict[int, int] = {}
     for u in range(n):
         color_mask[im_colors[u]] = color_mask.get(im_colors[u], 0) | (1 << u)

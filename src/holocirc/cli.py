@@ -46,13 +46,20 @@ def _resolve_bounds(args: argparse.Namespace) -> None:
         args.max_degree, args.max_hol_width = inf, FORCED_MAX_HOL_WIDTH
     else:
         args.max_degree = circ_mod.max_degree(config)
-        args.max_hol_width = int(config.get("max_hol_width", DEFAULT_MAX_HOL_WIDTH))
+        args.max_hol_width = circ_mod.integer_setting(
+            config.get("max_hol_width", DEFAULT_MAX_HOL_WIDTH), "config max_hol_width"
+        )
 
 
 def _parse_range(text: str) -> tuple[int, int]:
+    """``A..B`` or ``A``; a reversed range would check nothing, so it is
+    a usage error."""
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return int(lo), int(hi)
+        lo, hi = int(lo), int(hi)
+        if lo > hi:
+            raise ValueError(f"reversed range {text!r}: {lo} > {hi}")
+        return lo, hi
     value = int(text)
     return value, value
 

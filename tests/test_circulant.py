@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -22,6 +24,8 @@ from holocirc.circulant import (
     theta_witness_2part,
     theta_witness_p_odd,
     w_subgroups,
+    _individualise,
+    _refine,
 )
 from holocirc.permgroup import StabChain
 
@@ -90,6 +94,65 @@ def test_aut_generators_generate_stated_order():
         res = automorphism_group(c)
         chain = StabChain(8, res.generators)
         assert chain.order() == res.order
+
+
+def test_aut_generators_generate_stated_order_whole_census():
+    for n in range(2, 13):
+        for mask in range(census_size(n)):
+            res = automorphism_group(build(n, connection_set(n, mask)))
+            assert StabChain(n, res.generators).order() == res.order, (n, mask)
+
+
+def test_level_colourings_refine_incrementally_to_the_from_scratch_partition():
+    # each level refines the one above; it must reach the same coarsest
+    # equitable partition as refining 0..k individualised from one cell
+    def cells(colors):
+        out = {}
+        for v, c in enumerate(colors):
+            out.setdefault(c, []).append(v)
+        return sorted(out.values())
+
+    for n in range(2, 13):
+        for mask in range(census_size(n)):
+            conn = connection_set(n, mask)
+            nbrs = [[(g + s) % n for s in conn] for g in range(n)]
+            level = [0] * n
+            for k in range(n):
+                level = _individualise(nbrs, level, k)
+                seeded = [0] * n
+                for i in range(k + 1):
+                    seeded[i] = i + 1
+                assert cells(level) == cells(_refine(nbrs, seeded)), (n, mask, k)
+
+
+# sha256 of the sorted-key NDJSON of every census up to Z_16, as the
+# from-scratch refinement search produced it: any change to the
+# automorphism search that moves one byte of a scan fails here.
+CENSUS_SHA256 = {
+    2: "e13300c4b8706e15d016ae382a281dc9f79f8598db8500b8bd1ffb49eb19da19",
+    3: "512ec5a913588485c676a61146c9fb1f81b8d5c74e66fe5f1e9c974c733c7652",
+    4: "d8e1eaa12a0f4d2265482d00d290e3bcf5fd6d0b18a2d18b38699ed22fad7411",
+    5: "6d4ec33f14b228979a84157175d1c1ccbaac4d1f13994f09fdd1d79998a6385d",
+    6: "fc25e5f3347cd758fd307496cf165de24b490727ef095c1a0307813cb173482d",
+    7: "ac1e498eee0dd6a3071e1b083bcaeeaddc78d4f5c0f31bcb89f3f492d37f29a3",
+    8: "6a01c355bdc16c513896a196cf5928b714f8bd3863a54386c53a846908242485",
+    9: "836d8c0dd09c0cba5d3f066c00af3dd968711f65a25cae082d9a1bb98b193d26",
+    10: "7866f6a6a3ac45d9c336457eb75ed382ff2fde5112240999cf5d3832f3733bcd",
+    11: "573cc30f684376af27cb0c718b96b60f0a0da2e8fdde80e12cbc5b821e1dd9e8",
+    12: "cf24a2ebb69ec819f2316b719e6c9b0279e07f24acec6b733f96a283695ff9a4",
+    13: "8af986e6e916fb8f8aa628b9f8a4c29f9fb14b655f062f9153fd5865b5e16b28",
+    14: "06abe8411cc67d48cf0fe9835c775fea44ad7a8e9f82cb5e33ff9fd9f35d5a13",
+    15: "68d9fa4ef071351ddbf3dd437c4808cfb63db8e63fb2ad6844031f7b302249b2",
+    16: "56a5623507d9a0f591d84a6f3da1cf024653674b3f7b416cfa14ae995f3d6fdf",
+}
+
+
+def test_census_bytes_pinned():
+    for n, want in CENSUS_SHA256.items():
+        digest = hashlib.sha256()
+        for record in scan_range(n, 0, census_size(n)):
+            digest.update((json.dumps(record, sort_keys=True) + "\n").encode())
+        assert digest.hexdigest() == want, n
 
 
 def test_aut_order_invariant_under_relabeling():

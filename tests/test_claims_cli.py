@@ -176,6 +176,33 @@ def test_cli_missing_config_is_usage_error(tmp_path):
     assert proc.stdout == ""
 
 
+def test_cli_reversed_range_is_usage_error():
+    # a reversed range checks nothing, so it must not pass or print records
+    for argv, message in (
+        (("verify", "lem-3.4", "--n", "9..3"), "reversed range '9..3': 9 > 3"),
+        (("classify", "--n", "5..3"), "reversed range '5..3': 5 > 3"),
+    ):
+        proc = run_cli(*argv)
+        assert proc.returncode == 2, (argv, proc.stderr)
+        assert proc.stderr.splitlines() == [f"usage error: {message}"]
+        assert proc.stdout == ""
+
+
+def test_cli_non_integer_bound_names_its_source(tmp_path):
+    proc = run_cli("scan", "--modulus", "8", env={"HOLOCIRC_MAX_DEGREE": "abc"})
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        "usage error: HOLOCIRC_MAX_DEGREE must be an integer, got 'abc'"
+    ]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"max_degree": 3.5}))
+    proc = run_cli("scan", "--modulus", "8", env={"HOLOCIRC_CONFIG": str(cfg)})
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        "usage error: config max_degree must be an integer, got 3.5"
+    ]
+
+
 def test_cli_scan_ndjson_deterministic(tmp_path):
     a = tmp_path / "a.ndjson"
     b = tmp_path / "b.ndjson"
