@@ -405,9 +405,8 @@ def nnn_verdict(circ: Circulant, aut: Optional[AutResult] = None) -> NnnVerdict:
     if not is_normal_cayley(circ, aut):
         return NnnVerdict(False, (), False, False, None)
     n = circ.n
-    elements = [
-        AffineMap(n, t, m) for t in range(n) for m in aut_G_S(circ)
-    ]
+    mults = aut_G_S(circ)
+    elements = [AffineMap(n, t, m) for t in range(n) for m in mults]
     copies = []
     for gen, elems in cyclic_regular_affine_subgroups(n, elements):
         normal_h = all(
@@ -594,9 +593,8 @@ def abelian_regular_scan(
         if not is_normal_cayley(circ, aut):
             out.append(AbelianScanRecord(tuple(sorted(circ.conn)), False, 0, (), True, False))
             continue
-        elements = [
-            AffineMap(n, t, m) for t in range(n) for m in aut_G_S(circ)
-        ]
+        mults = aut_G_S(circ)
+        elements = [AffineMap(n, t, m) for t in range(n) for m in mults]
         subs = _abelian_regular_subgroups(n, elements)
         indices = tuple(
             sorted(n // _translation_subgroup_order(h, n) for h in subs)

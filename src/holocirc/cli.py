@@ -100,6 +100,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     params: dict = {}
     if args.n is not None:
         lo, hi = _parse_range(args.n)
+        if lo < claims.MIN_WIDTH:
+            raise ValueError(
+                f"--n {args.n!r} starts below {claims.MIN_WIDTH}, the smallest width "
+                "with a normal form"
+            )
         cap = args.max_hol_width
         if hi > cap:
             print(f"width {hi} exceeds bound {cap} (use --force)", file=sys.stderr)

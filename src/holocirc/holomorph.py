@@ -143,12 +143,28 @@ class HolElem2:
         return (g + self.alpha) * self.multiplier % self.modulus
 
     def then(self, other: "HolElem2") -> "HolElem2":
-        if other.n != self.n:
+        """Compose in normal form: the x- and y-exponents add, and the
+        second translation is pulled through the first automorphism,
+        alpha = alpha1 + alpha2 * (-1)**beta1 * 5**(-gamma1)."""
+        n = self.n
+        if other.n != n:
             raise ValueError("modulus mismatch")
-        return HolElem2.from_affine(self.to_affine().then(other.to_affine()))
+        u = _inverse_multiplier(n, self.beta, self.gamma)
+        return _reduced(
+            n,
+            (self.alpha + other.alpha * u) % (1 << n),
+            self.beta ^ other.beta,
+            (self.gamma + other.gamma) % (1 << (n - 2)),
+        )
 
     def inverse(self) -> "HolElem2":
-        return HolElem2.from_affine(self.to_affine().inverse())
+        n = self.n
+        return _reduced(
+            n,
+            -self.alpha * self.multiplier % (1 << n),
+            self.beta,
+            -self.gamma % (1 << (n - 2)),
+        )
 
     def is_identity(self) -> bool:
         return self.alpha == 0 and self.beta == 0 and self.gamma == 0
@@ -158,6 +174,25 @@ class HolElem2:
 
     def __str__(self) -> str:
         return format_element(self)
+
+
+def _reduced(n: int, alpha: int, beta: int, gamma: int) -> HolElem2:
+    """A HolElem2 from exponents already reduced, without the
+    constructor's validation (most of the cost of a product)."""
+    h = object.__new__(HolElem2)
+    fields = h.__dict__
+    fields["n"] = n
+    fields["alpha"] = alpha
+    fields["beta"] = beta
+    fields["gamma"] = gamma
+    return h
+
+
+@lru_cache(maxsize=1 << 12)
+def _inverse_multiplier(n: int, beta: int, gamma: int) -> int:
+    """(-1)**beta * 5**(-gamma) mod 2**n, the inverse automorphism part."""
+    u = pow5(-gamma, n)
+    return (-u if beta else u) % (1 << n)
 
 
 HolElement = Union[HolElem2, AffineMap]

@@ -322,23 +322,37 @@ def cyclic_regular_affine_subgroups(
     return [(gen, elems) for elems, gen in found.items()]
 
 
+class _PairArith:
+    """Pairs (t, m), m odd, of the holomorph of Z_{2^n}, composed over one
+    table of unit inverses; the exhaustive engine tabulates the product."""
+
+    def __init__(self, n: int):
+        self.n = n
+        mod = self.mod = 1 << n
+        self.inv_unit = [pow(m, -1, mod) if m & 1 else 0 for m in range(mod)]
+        self.elements = [(t, m) for t in range(mod) for m in range(1, mod, 2)]
+
+    def then(self, a, b):
+        mod = self.mod
+        return ((a[0] + b[0] * self.inv_unit[a[1]]) % mod, a[1] * b[1] % mod)
+
+    def inverse(self, a):
+        return ((-a[0] * a[1]) % self.mod, self.inv_unit[a[1]])
+
+
 # exhaustive engine (widths 3..5)
 
 
-class _HolTable:
+class _HolTable(_PairArith):
     """Integer-indexed multiplication table of the holomorph of Z_{2^n}.
 
     Element id = t * 2^(n-1) + (m >> 1) over pairs (t, m) with m odd.
     """
 
     def __init__(self, n: int):
-        self.n = n
-        mod = self.mod = 1 << n
+        super().__init__(n)
+        mod, inv_unit = self.mod, self.inv_unit
         half = self.half = 1 << (n - 1)
-        self.elements = [(t, m) for t in range(mod) for m in range(1, mod, 2)]
-        inv_unit = [0] * mod
-        for m in range(1, mod, 2):
-            inv_unit[m] = pow(m, -1, mod)
         size = len(self.elements)
         mul = []
         for t1, m1 in self.elements:
@@ -352,9 +366,7 @@ class _HolTable:
                     j += 1
             mul.append(row)
         self.mul = mul
-        self.inv = [
-            (-t * m) % mod * half + (inv_unit[m] >> 1) for t, m in self.elements
-        ]
+        self.inv = [self.id_of(*self.inverse(e)) for e in self.elements]
         self.identity = 0  # (t=0, m=1)
         self.fpf = [self._fixed_point_free(t, m) for t, m in self.elements]
         self.act0 = [t * m % mod for t, m in self.elements]
@@ -383,8 +395,8 @@ class _HolTable:
             frontier = nxt
         return frozenset(elems)
 
-    def id_of_affine(self, aff: AffineMap) -> int:
-        return aff.t * self.half + (aff.m >> 1)
+    def id_of(self, t: int, m: int) -> int:
+        return t * self.half + (m >> 1)
 
 
 def _semiregular_subgroup_levels(
@@ -496,7 +508,7 @@ def _canonical_rep_sets(
     out: list[tuple[frozenset[int], int, list[RegularType]]] = []
     for rt in representative_types(n):
         gen_ids = [
-            table.id_of_affine(h.to_affine())
+            table.id_of(h.alpha, h.multiplier)
             for h in representative_generators(rt, n)
         ]
         rep_set = table.closure_ids(gen_ids)
@@ -517,28 +529,18 @@ def _canonical_rep_sets(
 
 def _enumerate_structured(n: int) -> list[ClassificationRecord]:
     mod = 1 << n
+    arith = _PairArith(n)
     found = _structured_regular_sets(n)
     reps = _affine_rep_sets(n)
-    hol = [(t, m) for t in range(mod) for m in range(1, mod, 2)]
-    inv_unit = [0] * mod
-    for m in range(1, mod, 2):
-        inv_unit[m] = pow(m, -1, mod)
-
-    def then(a, b):
-        return ((a[0] + b[0] * inv_unit[a[1]]) % mod, a[1] * b[1] % mod)
-
-    def inv(a):
-        return ((-a[0] * a[1]) % mod, inv_unit[a[1]])
-
     records = []
     for sub, gens in sorted(found.items(), key=lambda kv: sorted(kv[0])):
         matches = []
         for rep_set, types in reps:
             if len(rep_set) != len(sub):
                 continue
-            for w in hol:
-                wi = inv(w)
-                if all(then(then(wi, g), w) in rep_set for g in gens):
+            for w in arith.elements:
+                wi = arith.inverse(w)
+                if all(arith.then(arith.then(wi, g), w) in rep_set for g in gens):
                     matches.append((types, w))
                     break
         if len(matches) != 1:
@@ -583,15 +585,10 @@ def _structured_regular_sets(n: int) -> dict[frozenset, tuple]:
     """Regular subgroups found by searching the viable generator shapes:
     a cyclic core of translations extended by one semiregular element,
     or by a flip together with an even-translation twist."""
-    mod = 1 << n
+    arith = _PairArith(n)
+    mod, then = arith.mod, arith.then
     gamma_mod = 1 << (n - 2)
-    inv_unit = [0] * mod
-    for m in range(1, mod, 2):
-        inv_unit[m] = pow(m, -1, mod)
     ident = (0, 1)
-
-    def then(a, b):
-        return ((a[0] + b[0] * inv_unit[a[1]]) % mod, a[1] * b[1] % mod)
 
     def cycle(h):
         out = [ident]
@@ -649,20 +646,20 @@ def _structured_regular_sets(n: int) -> dict[frozenset, tuple]:
                 gens = [ax, (eps % mod, m5)]
                 if s < n:
                     gens.append((step % mod, 1))
-                elems = _bounded_closure(gens, then, ident, mod)
+                elems = _bounded_closure(gens, arith, mod)
                 if elems is not None:
                     record(elems, tuple(gens))
     return found
 
 
-def _bounded_closure(gens, then, ident, bound):
-    elems = {ident}
-    frontier = [ident]
+def _bounded_closure(gens, arith: _PairArith, bound: int):
+    elems = {(0, 1)}
+    frontier = [(0, 1)]
     while frontier:
         nxt = []
         for e in frontier:
             for g in gens:
-                f = then(e, g)
+                f = arith.then(e, g)
                 if f not in elems:
                     if len(elems) >= bound:
                         return None

@@ -188,6 +188,41 @@ def test_cli_reversed_range_is_usage_error():
         assert proc.stdout == ""
 
 
+def test_cli_width_below_3_is_usage_error():
+    # widths 1 and 2 have no normal form: lem-3.3 used to pass having
+    # compared nothing, lem-3.4 died on a negative shift count
+    for claim_id in ("lem-3.3", "lem-3.4", "thm-3.14"):
+        proc = run_cli("verify", claim_id, "--n", "1..2")
+        assert proc.returncode == 2, (claim_id, proc.stderr)
+        assert proc.stderr.splitlines() == [
+            "usage error: --n '1..2' starts below 3, the smallest width with a normal form"
+        ]
+        assert proc.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "claim_id, params, key",
+    [
+        ("lem-3.3", {"n": (1, 2)}, "comparisons"),
+        ("lem-3.3", {"n": (6, 6), "samples": 0}, "comparisons"),
+        ("lem-3.4", {"n": (1, 2)}, "elements"),
+        ("lem-3.5", {"n": (1, 2)}, "elements"),
+        ("thm-3.14", {"n": (1, 2)}, "elements"),
+        ("thm-3.4-normality", {"n": (1, 2)}, "cyclic_subgroups"),
+    ],
+)
+def test_claim_that_checked_nothing_fails(claim_id, params, key):
+    report = claims.run_claim(claim_id, params)
+    assert report.status == "fail"
+    assert report.evidence == [{key: 0, "why": "nothing was checked"}]
+
+
+def test_conj_normal_form_claim_counts_elements():
+    report = claims.run_claim("lem-3.5", {"n": (3, 4)})
+    assert report.status == "pass"
+    assert report.evidence == [{"elements": 32 + 128}]
+
+
 def test_cli_non_integer_bound_names_its_source(tmp_path):
     proc = run_cli("scan", "--modulus", "8", env={"HOLOCIRC_MAX_DEGREE": "abc"})
     assert proc.returncode == 2

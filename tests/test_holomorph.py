@@ -69,6 +69,8 @@ def test_compose_examples():
 def test_compose_modulus_mismatch():
     with pytest.raises(ValueError):
         compose(HolElem2(4, 1, 0, 0), HolElem2(5, 1, 0, 0))
+    with pytest.raises(ValueError):
+        HolElem2(5, 3, 1, 2).inverse().then(HolElem2(4, 3, 1, 2))
 
 
 def test_compose_matches_pointwise_permutation_composition():
@@ -105,6 +107,66 @@ def test_compose_associative_randomized(n, data):
 
     h1, h2, h3 = elem(), elem(), elem()
     assert compose(compose(h1, h2), h3) == compose(h1, compose(h2, h3))
+
+
+def affine_then(h1, h2):
+    """The reference product: compose as affine maps, then recover the
+    normal form by a discrete log base 5."""
+    return HolElem2.from_affine(h1.to_affine().then(h2.to_affine()))
+
+
+def affine_inverse(h):
+    return HolElem2.from_affine(h.to_affine().inverse())
+
+
+def random_element(rng, n):
+    return HolElem2(n, rng.randrange(1 << n), rng.randrange(2), rng.randrange(1 << (n - 2)))
+
+
+def assert_reduced(h, n):
+    assert h.n == n
+    assert 0 <= h.alpha < 1 << n
+    assert h.beta in (0, 1)
+    assert 0 <= h.gamma < 1 << (n - 2)
+    built = HolElem2(n, h.alpha, h.beta, h.gamma)
+    assert h == built and hash(h) == hash(built)
+
+
+def test_normal_form_then_matches_affine_route_exhaustive():
+    for n in (3, 4, 5):
+        elems = all_elements(n)
+        affs = [h.to_affine() for h in elems]
+        for h1, a1 in zip(elems, affs):
+            inv = h1.inverse()
+            assert inv == affine_inverse(h1)
+            assert_reduced(inv, n)
+            for h2, a2 in zip(elems, affs):
+                assert h1.then(h2) == HolElem2.from_affine(a1.then(a2))
+
+
+@pytest.mark.parametrize("n", [8, 20, 24])
+def test_normal_form_then_matches_affine_route_sampled(n):
+    # widths 20 and 24 are past the discrete-log table, so the reference
+    # route recovers gamma by Hensel lifting there
+    rng = random.Random(n)
+    for _ in range(400):
+        h1, h2 = random_element(rng, n), random_element(rng, n)
+        prod = h1.then(h2)
+        assert prod == affine_then(h1, h2)
+        assert_reduced(prod, n)
+        inv = h1.inverse()
+        assert inv == affine_inverse(h1)
+        assert_reduced(inv, n)
+        assert h1.then(inv).is_identity() and inv.then(h1).is_identity()
+
+
+def test_normal_form_products_are_reduced():
+    # the largest exponents, so every sum has to wrap
+    for n in (3, 6, 24):
+        top = HolElem2(n, -1, 1, -1)
+        for h in (top.then(top), top.inverse(), top.then(top.inverse())):
+            assert_reduced(h, n)
+        assert top.then(top.inverse()) == HolElem2.identity(n)
 
 
 def test_power_examples():
