@@ -20,7 +20,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .holomorph import AffineMap, crt_decompose
 from .permgroup import Perm
@@ -697,19 +697,55 @@ def scan_record(n: int, mask: int, degree_bound: Optional[float] = None) -> dict
             "normal_copy": [normal_gen.t, normal_gen.m],
             "non_normal_copy": [bad_gen.t, bad_gen.m],
         }
+    return _census_record(
+        circ,
+        mask,
+        {
+            "aut_order": aut.order,
+            "normal": verdict.is_normal_for_GR,
+            "within_holomorph": aut.within_holomorph,
+            "nnn": verdict.nnn,
+            "witnesses": witnesses,
+        },
+    )
+
+
+def _census_record(circ: Circulant, mask: int, aut_fields: dict) -> dict:
+    """A census record: the fields read off the connection set itself,
+    and from ``aut_fields`` those that need the automorphism group."""
     return {
-        "n": n,
+        "n": circ.n,
         "mask": mask,
         "S": sorted(circ.conn),
-        "aut_order": aut.order,
-        "normal": verdict.is_normal_for_GR,
-        "within_holomorph": aut.within_holomorph,
+        "aut_order": aut_fields["aut_order"],
+        "normal": aut_fields["normal"],
+        "within_holomorph": aut_fields["within_holomorph"],
         "w_subgroups": w_subgroups(circ),
-        "nnn": verdict.nnn,
-        "witnesses": witnesses,
+        "nnn": aut_fields["nnn"],
+        "witnesses": aut_fields["witnesses"],
         "connected": circ.is_connected(),
         "degenerate": circ.is_degenerate(),
     }
+
+
+def _multiplier_orbit_key(n: int) -> Callable[[int], int]:
+    """The map from a census mask to the least mask of uS over the units
+    u of Z_n, where S is the mask's connection set: two masks share a key
+    exactly when their sets lie in one Z_n^* orbit."""
+    orbits = pair_orbits(n)
+    index = {s: i for i, orbit in enumerate(orbits) for s in orbit}
+    # a unit permutes the inverse pairs; u and -u permute them alike
+    actions = {
+        tuple(1 << index[orbit[0] * u % n] for orbit in orbits)
+        for u in range(1, n)
+        if gcd(u, n) == 1
+    }
+
+    def key(mask: int) -> int:
+        members = [i for i in range(len(orbits)) if mask >> i & 1]
+        return min(sum(action[i] for i in members) for action in actions)
+
+    return key
 
 
 def scan_range(
@@ -719,10 +755,27 @@ def scan_range(
     connected_only: bool = False,
     degree_bound: Optional[float] = None,
 ) -> list[dict]:
-    """Scan one contiguous mask range (a shard) in census order."""
+    """Scan one contiguous mask range (a shard) in census order.
+
+    Multiplying by a unit u maps Cay(Z_n, S) isomorphically onto
+    Cay(Z_n, uS) and normalises the translations, so the automorphism
+    order, normality, holomorph containment and the nnn verdict are the
+    same on each Z_n^* orbit of connection sets.  The first mask of an
+    orbit met in the range is scanned in full; a later one copies those
+    fields from it and computes the rest.  A record with nnn true is
+    never copied, since its witness depends on the labelling.
+    """
+    key_of = _multiplier_orbit_key(n)
+    firsts: dict[int, dict] = {}
     out = []
     for mask in range(start, stop):
-        record = scan_record(n, mask, degree_bound)
+        key = key_of(mask)
+        first = firsts.get(key)
+        if first is None or first["nnn"]:
+            record = scan_record(n, mask, degree_bound)
+            firsts.setdefault(key, record)
+        else:
+            record = _census_record(build(n, connection_set(n, mask)), mask, first)
         if connected_only and not record["connected"]:
             continue
         out.append(record)

@@ -47,6 +47,7 @@ class Claim:
     claim_id: str
     description: str
     runner: Callable[[dict], tuple[str, list, dict]]
+    flags: tuple[str, ...] = ()  # the ``verify`` flags the runner reads
 
 
 def run_claim(claim_id: str, params: Optional[dict] = None) -> VerificationReport:
@@ -141,18 +142,17 @@ def _range_param(params: dict, key: str, default: tuple[int, int]) -> tuple[int,
 
 
 def _run_pow5_congruences(params: dict) -> tuple[str, list, dict]:
-    n_max = params.get("n", 20)
-    if isinstance(n_max, tuple):
-        n_max = n_max[1]
+    lo, hi = _range_param(params, "n", (3, 20))
     bad = []
-    for n in range(3, n_max + 1):
+    checked = 0
+    for n in _widths(lo, hi):
         for t in range(n - 2):
+            checked += 1
             v = nt.pow5(1 << t, n)
             if v % (1 << (t + 2)) != 1 or v % (1 << (t + 3)) == 1:
                 bad.append({"n": n, "t": t, "value": v})
-    status = "fail" if bad else "pass"
-    evidence = bad or [{"checked": f"n in 3..{n_max}, t in 0..n-3, both congruences"}]
-    return status, evidence, {"n_max": n_max}
+    status, evidence = _counted(bad, "powers", checked)
+    return status, evidence, {"n": (lo, hi)}
 
 
 def _run_sum_valuations(params: dict) -> tuple[str, list, dict]:
@@ -258,8 +258,10 @@ def _run_conj_normal_form(params: dict) -> tuple[str, list, dict]:
 def _run_point_stabilizer(params: dict) -> tuple[str, list, dict]:
     lo, hi = _range_param(params, "n", (3, 6))
     bad = []
-    for n in range(lo, hi + 1):
+    checked = 0
+    for n in _widths(lo, hi):
         for g in range(1 << n):
+            checked += 1
             g1, g2 = hol.point_stabilizer(g, n)
             sub = closure([g1.as_perm(), g2.as_perm()], degree=1 << n)
             got = {
@@ -273,7 +275,8 @@ def _run_point_stabilizer(params: dict) -> tuple[str, list, dict]:
             }
             if got != want or sub.order != 1 << (n - 1):
                 bad.append({"n": n, "g": g, "order": sub.order})
-    return ("fail" if bad else "pass"), bad or [{"range": (lo, hi)}], {"n": (lo, hi)}
+    status, evidence = _counted(bad, "points", checked)
+    return status, evidence, {"n": (lo, hi)}
 
 
 def _run_semiregular_classification(params: dict) -> tuple[str, list, dict]:
@@ -580,51 +583,61 @@ REGISTRY: dict[str, Claim] = {
             "lem-3.1",
             "double congruence for 2-power exponents of 5 mod 2^n",
             _run_pow5_congruences,
+            ("n",),
         ),
         Claim(
             "lem-3.2",
             "2-adic valuations of the geometric and alternating 5-power sums",
             _run_sum_valuations,
+            ("samples", "seed"),
         ),
         Claim(
             "lem-3.3",
             "closed-form powers agree with repeated composition",
             _run_power_closed_form,
+            ("n", "samples", "seed"),
         ),
         Claim(
             "lem-3.4",
             "closed-form element orders agree with brute-force orders",
             _run_order_closed_form,
+            ("n",),
         ),
         Claim(
             "lem-3.5",
             "conjugation brings the translation part to its 2-part, with witness",
             _run_conj_normal_form,
+            ("n",),
         ),
         Claim(
             "lem-3.10",
             "two stated generators span each point stabilizer, order 2^(n-1)",
             _run_point_stabilizer,
+            ("n",),
         ),
         Claim(
             "thm-3.14",
             "closed-form semiregularity matches orbit-based semiregularity",
             _run_semiregular_classification,
+            ("n",),
         ),
         Claim(
             "thm-1.4",
             "regular subgroups all match one canonical representative, with witness",
             _run_regular_classification,
+            ("n",),
         ),
         Claim(
             "thm-3.4-normality",
             "cyclic regular subgroups normal in the holomorph iff translations or maximal twist",
             _run_cyclic_normality,
+            ("n",),
         ),
         Claim(
             "cor-3.4",
             "a normal graph with a non-normal cyclic copy admits the quarter-twist multiplier",
             _run_nnn_multiplier_corollary,
+            ("modulus",),
         ),
         Claim(
             "lem-lex",
@@ -650,11 +663,13 @@ REGISTRY: dict[str, Claim] = {
             "lem-2.4-theta",
             "odd-prime coset-twist witnesses verify whenever their multiplier survives",
             _run_theta_odd,
+            ("modulus",),
         ),
         Claim(
             "lem-2.6-2power",
             "abelian regular subgroups meet the translations at 2-power index",
             _run_index_2power,
+            ("modulus",),
         ),
         Claim(
             "thm-2.7-unique",
@@ -670,11 +685,13 @@ REGISTRY: dict[str, Claim] = {
             "thm-4.3-theta",
             "2-part coset-twist witnesses verify whenever their multiplier survives",
             _run_theta_2part,
+            ("modulus",),
         ),
         Claim(
             "thm-1.3-scan",
             "full census: no circulant is normal and non-normal for cyclic copies",
             _run_nnn_scan,
+            ("modulus",),
         ),
     ]
 }

@@ -2,10 +2,10 @@
 
 Three subcommands: ``verify`` runs registered claims over flag-chosen
 ranges, ``classify`` emits the regular-subgroup classification as JSON,
-and ``scan`` streams one NDJSON record per inverse-closed connection
-set.  Identical invocations produce byte-identical record streams
-(deterministic ordering, no timestamps inside records; runtimes go to
-stderr).
+and ``scan`` writes one NDJSON record per inverse-closed connection
+set once the scan is done.  Identical invocations produce
+byte-identical record streams (deterministic ordering, no timestamps
+inside records; runtimes go to stderr).
 
 Exit codes: 0 all passed, 1 verification failure, 2 usage error,
 3 resource bound exceeded (override with --force).
@@ -35,6 +35,8 @@ EXIT_BOUND = 3
 
 DEFAULT_MAX_HOL_WIDTH = 8
 FORCED_MAX_HOL_WIDTH = 64
+
+VERIFY_FLAGS = ("n", "modulus", "samples", "seed")  # each claim reads some
 
 
 def _resolve_bounds(args: argparse.Namespace) -> None:
@@ -96,6 +98,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(f"unknown claim {args.claim!r}; known: {', '.join(claims.claim_ids())}",
               file=sys.stderr)
         return EXIT_USAGE
+    if args.claim != "all":
+        reads = claims.REGISTRY[args.claim].flags
+        unread = [
+            flag for flag in VERIFY_FLAGS
+            if getattr(args, flag) is not None and flag not in reads
+        ]
+        if unread:
+            raise ValueError(
+                f"claim {args.claim} does not read --{unread[0]}; it reads "
+                + (", ".join(f"--{flag}" for flag in reads) or "no flag")
+            )
 
     params: dict = {}
     if args.n is not None:
@@ -127,7 +140,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         failed = False
         records = []
         for claim_id in ids:
-            report = claims.run_claim(claim_id, params)
+            reads = claims.REGISTRY[claim_id].flags
+            report = claims.run_claim(
+                claim_id, {k: v for k, v in params.items() if k in reads}
+            )
             failed |= report.status == "fail"
             records.append(report.to_dict())
             print(

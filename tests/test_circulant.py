@@ -1,10 +1,12 @@
 import hashlib
 import itertools
 import json
+import math
 import random
 
 import pytest
 
+import holocirc.circulant as circulant
 from holocirc.circulant import (
     DegreeBoundError,
     abelian_regular_scan,
@@ -25,6 +27,7 @@ from holocirc.circulant import (
     theta_witness_p_odd,
     w_subgroups,
     _individualise,
+    _multiplier_orbit_key,
     _refine,
 )
 from holocirc.permgroup import StabChain
@@ -357,6 +360,62 @@ def test_scan_records_deterministic_and_sharded():
     connected = scan_range(9, 0, census_size(9), connected_only=True)
     assert all(r["connected"] for r in connected)
     assert len(connected) < len(full)
+
+
+def test_multiplier_orbit_key_is_least_unit_image():
+    for n in (9, 12, 16):
+        key = _multiplier_orbit_key(n)
+        mask_of = {connection_set(n, mask): mask for mask in range(census_size(n))}
+        units = [u for u in range(1, n) if math.gcd(u, n) == 1]
+        for conn, mask in mask_of.items():
+            least = min(mask_of[frozenset(s * u % n for s in conn)] for u in units)
+            assert key(mask) == least
+
+
+def test_scan_range_shards_concatenate_to_census():
+    # contiguous shards cut multiplier orbits, so a later member of an
+    # orbit may sit in a shard without its first member
+    total = census_size(16)
+    full = scan_range(16, 0, total)
+    for shards in (2, 3, 5, 7, 16):
+        pieces = [scan_range(16, *shard_bounds(total, i, shards)) for i in range(shards)]
+        assert [r for piece in pieces for r in piece] == full, shards
+
+
+def test_scan_range_equals_per_mask_records():
+    for n in (18, 20):
+        direct = [scan_record(n, mask) for mask in range(census_size(n))]
+        assert scan_range(n, 0, census_size(n)) == direct, n
+
+
+def test_scan_range_searches_once_per_orbit(monkeypatch):
+    # the 256 connection sets of Z_16 fall into 88 Z_16^* orbits
+    calls = []
+    search = circulant.automorphism_group
+
+    def counted(circ, degree_bound=None):
+        calls.append(circ.conn)
+        return search(circ, degree_bound)
+
+    monkeypatch.setattr(circulant, "automorphism_group", counted)
+    scan_range(16, 0, census_size(16))
+    assert len(calls) == 88
+
+
+def test_scan_range_never_copies_an_nnn_record(monkeypatch):
+    # the witness of an nnn record depends on the labelling, so every
+    # mask of its orbit is scanned in full
+    scanned = []
+    scan = circulant.scan_record
+
+    def nnn_everywhere(n, mask, degree_bound=None):
+        scanned.append(mask)
+        return dict(scan(n, mask, degree_bound), nnn=True)
+
+    monkeypatch.setattr(circulant, "scan_record", nnn_everywhere)
+    records = scan_range(12, 0, census_size(12))
+    assert scanned == list(range(census_size(12)))
+    assert all(r["nnn"] for r in records)
 
 
 def test_scan_record_fields():

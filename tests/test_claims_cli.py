@@ -209,12 +209,68 @@ def test_cli_width_below_3_is_usage_error():
         ("lem-3.5", {"n": (1, 2)}, "elements"),
         ("thm-3.14", {"n": (1, 2)}, "elements"),
         ("thm-3.4-normality", {"n": (1, 2)}, "cyclic_subgroups"),
+        ("lem-3.1", {"n": (1, 2)}, "powers"),
+        ("lem-3.10", {"n": (1, 2)}, "points"),
     ],
 )
 def test_claim_that_checked_nothing_fails(claim_id, params, key):
     report = claims.run_claim(claim_id, params)
     assert report.status == "fail"
     assert report.evidence == [{key: 0, "why": "nothing was checked"}]
+
+
+def test_cli_lem_3_1_checks_exactly_the_given_widths():
+    # it used to read only the top of the range and check widths 3..8
+    proc = run_cli("verify", "lem-3.1", "--n", "7..8")
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["parameters"] == {"n": [7, 8]}
+    assert report["evidence"] == [{"powers": 5 + 6}]  # t in 0..n-3 per width
+
+
+def test_cli_lem_3_2_rejects_n():
+    # lem-3.2 checks one fixed width; --n used to be ignored
+    proc = run_cli("verify", "lem-3.2", "--n", "7..8")
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        "usage error: claim lem-3.2 does not read --n; it reads --samples, --seed"
+    ]
+    assert proc.stdout == ""
+
+
+def test_cli_unread_samples_and_seed_are_usage_errors():
+    # only lem-3.2 and lem-3.3 draw samples; elsewhere the flags did nothing
+    for flag in ("--samples", "--seed"):
+        proc = run_cli("verify", "lem-3.10", "--n", "3", flag, "5")
+        assert proc.returncode == 2, (flag, proc.stderr)
+        assert proc.stderr.splitlines() == [
+            f"usage error: claim lem-3.10 does not read {flag}; it reads --n"
+        ]
+        assert proc.stdout == ""
+
+
+def test_verify_all_passes_each_claim_only_its_flags(monkeypatch):
+    seen = {}
+
+    def recorder(claim_id):
+        def runner(params):
+            seen[claim_id] = params
+            return "pass", [{"cases": 1}], params
+
+        return runner
+
+    registry = {
+        cid: claims.Claim(cid, "records its parameters", recorder(cid), flags)
+        for cid, flags in (("reads-n", ("n",)), ("reads-seed", ("samples", "seed")), ("reads-none", ()))
+    }
+    monkeypatch.setattr(claims, "REGISTRY", registry)
+    argv = ["verify", "all", "--n", "3..4", "--modulus", "8", "--samples", "5", "--seed", "7"]
+    assert main(argv) == 0
+    assert seen == {
+        "reads-n": {"n": (3, 4)},
+        "reads-seed": {"samples": 5, "seed": 7},
+        "reads-none": {},
+    }
 
 
 def test_conj_normal_form_claim_counts_elements():
@@ -267,6 +323,16 @@ def test_cli_scan_jobs_matches_serial(tmp_path):
     assert main(["scan", "--modulus", "8", "--out", str(serial)]) == 0
     assert main(["scan", "--modulus", "8", "--jobs", "2", "--out", str(parallel)]) == 0
     assert serial.read_bytes() == parallel.read_bytes()
+
+
+def test_cli_scan_16_jobs_matches_serial(tmp_path):
+    # the two workers cut the multiplier orbits of Z_16 differently from
+    # one serial scan, and the bytes must not depend on the cut
+    serial = tmp_path / "serial.ndjson"
+    parallel = tmp_path / "par.ndjson"
+    assert main(["scan", "--modulus", "16", "--out", str(serial)]) == 0
+    assert main(["scan", "--modulus", "16", "--jobs", "2", "--out", str(parallel)]) == 0
+    assert parallel.read_bytes() == serial.read_bytes()
 
 
 def test_cli_scan_connected_only(tmp_path):
