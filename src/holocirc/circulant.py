@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Callable, Iterable, Iterator, Optional
 
-from .holomorph import AffineMap, crt_decompose
+from .holomorph import AffineMap, Pair, PairArith, crt_decompose
 from .permgroup import Perm
 from .regular_classify import cyclic_regular_affine_subgroups
 
@@ -365,12 +365,12 @@ def _is_translation_perm(p: Perm, n: int) -> bool:
 
 @dataclass(frozen=True)
 class CyclicCopy:
-    """One cyclic regular subgroup of the automorphism group."""
+    """One cyclic regular subgroup of the automorphism group, with the
+    affine pair (t, m) of the first generator met."""
 
-    generator: AffineMap
+    generator: Pair
     normal_in_aut: bool
     is_translation_group: bool
-    conjugate_to_translations: bool
 
 
 @dataclass(frozen=True)
@@ -379,17 +379,18 @@ class NnnVerdict:
 
     ``nnn`` is true when the graph is normal for the translations while
     some other cyclic regular subgroup of the automorphism group is
-    non-normal in it.  ``nnn_nonconjugate`` additionally demands that
-    the non-normal copy not be conjugate to the translations inside the
-    automorphism group (both flags are reported; neither implies a
-    stance on which reading of "another copy" is canonical).
+    non-normal in it.  No separate "not conjugate to the translations"
+    reading is needed: Z_n^* is abelian, so conjugating a copy by an
+    automorphism keeps its multiplier, and a copy is conjugate to the
+    translations only if it is the translation group itself.  The
+    witness is the pair of generators (translation by 1, the first
+    non-normal copy).
     """
 
     is_normal_for_GR: bool
     regular_cyclic: tuple[CyclicCopy, ...]
     nnn: bool
-    nnn_nonconjugate: bool
-    witness: Optional[tuple[AffineMap, AffineMap]]
+    witness: Optional[tuple[Pair, Pair]]
 
 
 def nnn_verdict(circ: Circulant, aut: Optional[AutResult] = None) -> NnnVerdict:
@@ -397,39 +398,29 @@ def nnn_verdict(circ: Circulant, aut: Optional[AutResult] = None) -> NnnVerdict:
 
     A normal graph pins its automorphism group to the affine maps whose
     multiplier preserves S, so the cyclic regular subgroups can be
-    enumerated exactly there; each is tested for normality by
-    conjugation with the full (affine) automorphism group.
+    enumerated exactly there.  The group is generated by the translation
+    (1, 1) and the multipliers (0, u), u in aut_G_S, so a copy is normal
+    exactly when conjugating its generator by each of these lands in it.
     """
     if aut is None:
         aut = automorphism_group(circ)
     if not is_normal_cayley(circ, aut):
-        return NnnVerdict(False, (), False, False, None)
+        return NnnVerdict(False, (), False, None)
     n = circ.n
     mults = aut_G_S(circ)
-    elements = [AffineMap(n, t, m) for t in range(n) for m in mults]
+    pairs = PairArith(n)
+    conjugators = [(1, 1)] + [(0, u) for u in mults]
+    elements = [(t, m) for t in range(n) for m in mults]
     copies = []
     for gen, elems in cyclic_regular_affine_subgroups(n, elements):
-        normal_h = all(
-            w.inverse().then(gen).then(w) in elems for w in elements
+        normal = all(
+            pairs.then(pairs.then(pairs.inverse(w), gen), w) in elems
+            for w in conjugators
         )
-        is_gr = all(e.is_translation() for e in elems)
-        conj_gr = is_gr or _conjugate_to_translations(gen, elements, n)
-        copies.append(CyclicCopy(gen, normal_h, is_gr, conj_gr))
-    bad = [c for c in copies if not c.normal_in_aut]
-    bad_noncj = [c for c in bad if not c.conjugate_to_translations]
-    witness = None
-    if bad:
-        witness = (AffineMap.translation(n, 1), bad[0].generator)
-    return NnnVerdict(True, tuple(copies), bool(bad), bool(bad_noncj), witness)
-
-
-def _conjugate_to_translations(
-    gen: AffineMap, ambient: list[AffineMap], n: int
-) -> bool:
-    for w in ambient:
-        if w.inverse().then(gen).then(w).is_translation():
-            return True
-    return False
+        copies.append(CyclicCopy(gen, normal, gen[1] == 1))
+    bad = [c.generator for c in copies if not c.normal_in_aut]
+    witness = ((1, 1), bad[0]) if bad else None
+    return NnnVerdict(True, tuple(copies), bool(bad), witness)
 
 
 def w_subgroups(circ: Circulant) -> list[int]:
@@ -594,11 +585,8 @@ def abelian_regular_scan(
             out.append(AbelianScanRecord(tuple(sorted(circ.conn)), False, 0, (), True, False))
             continue
         mults = aut_G_S(circ)
-        elements = [AffineMap(n, t, m) for t in range(n) for m in mults]
-        subs = _abelian_regular_subgroups(n, elements)
-        indices = tuple(
-            sorted(n // _translation_subgroup_order(h, n) for h in subs)
-        )
+        subs = _abelian_regular_subgroups(n, [(t, m) for t in range(n) for m in mults])
+        indices = tuple(sorted(n // sum(m == 1 for _t, m in h) for h in subs))
         verdict = nnn_verdict(circ, aut)
         out.append(
             AbelianScanRecord(
@@ -614,45 +602,25 @@ def abelian_regular_scan(
 
 
 def _abelian_regular_subgroups(
-    n: int, elements: list[AffineMap]
-) -> list[frozenset[AffineMap]]:
+    n: int, elements: list[Pair]
+) -> list[frozenset[Pair]]:
     """Abelian transitive subgroups of order n generated by at most two
-    of the given affine maps (two generators suffice: an abelian group
+    of the given affine pairs (two generators suffice: an abelian group
     of order not divisible by 8 has rank at most two)."""
-    ident = AffineMap.identity(n)
+    pairs = PairArith(n)
+    ident = pairs.identity
     found = set()
-    pool = [e for e in elements if not e.is_identity()]
+    pool = [e for e in elements if e != ident]
     for i, h1 in enumerate(pool):
         for h2 in [ident, *pool[i:]]:
-            if h1.then(h2) != h2.then(h1):
+            if pairs.then(h1, h2) != pairs.then(h2, h1):
                 continue
-            elems = _bounded_affine_closure([h1, h2], n)
+            elems = pairs.closure([h1, h2], n)
             if elems is None or len(elems) != n:
                 continue
-            if len({e.act(0) for e in elems}) == n:
-                found.add(frozenset(elems))
-    return sorted(found, key=lambda s: sorted((e.t, e.m) for e in s))
-
-
-def _bounded_affine_closure(gens, n) -> Optional[set[AffineMap]]:
-    elems = {AffineMap.identity(n)}
-    frontier = list(elems)
-    while frontier:
-        nxt = []
-        for e in frontier:
-            for g in gens:
-                f = e.then(g)
-                if f not in elems:
-                    if len(elems) >= n:
-                        return None
-                    elems.add(f)
-                    nxt.append(f)
-        frontier = nxt
-    return elems
-
-
-def _translation_subgroup_order(elems: frozenset[AffineMap], n: int) -> int:
-    return sum(1 for e in elems if e.is_translation())
+            if len({t * m % n for t, m in elems}) == n:
+                found.add(elems)
+    return sorted(found, key=sorted)
 
 
 # census machinery: connection sets indexed by inverse-pair orbits
@@ -693,10 +661,7 @@ def scan_record(n: int, mask: int, degree_bound: Optional[float] = None) -> dict
     witnesses = None
     if verdict.witness is not None:
         normal_gen, bad_gen = verdict.witness
-        witnesses = {
-            "normal_copy": [normal_gen.t, normal_gen.m],
-            "non_normal_copy": [bad_gen.t, bad_gen.m],
-        }
+        witnesses = {"normal_copy": list(normal_gen), "non_normal_copy": list(bad_gen)}
     return _census_record(
         circ,
         mask,
@@ -765,6 +730,8 @@ def scan_range(
     fields from it and computes the rest.  A record with nnn true is
     never copied, since its witness depends on the labelling.
     """
+    if n < 2:
+        raise ValueError(f"modulus must be >= 2, got {n}")
     key_of = _multiplier_orbit_key(n)
     firsts: dict[int, dict] = {}
     out = []

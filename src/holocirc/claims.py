@@ -129,6 +129,12 @@ def _counted(bad: list, key: str, checked: int) -> tuple[str, list]:
     return "pass", [{key: checked}]
 
 
+def _census(n: int) -> list[dict]:
+    """The full census of Z_n, one automorphism search per multiplier
+    orbit (circulant.scan_range)."""
+    return circ_mod.scan_range(n, 0, circ_mod.census_size(n))
+
+
 def _range_param(params: dict, key: str, default: tuple[int, int]) -> tuple[int, int]:
     value = params.get(key)
     if value is None:
@@ -191,7 +197,8 @@ def _run_sum_valuations(params: dict) -> tuple[str, list, dict]:
 def _run_power_closed_form(params: dict) -> tuple[str, list, dict]:
     lo, hi = _range_param(params, "n", (3, 8))
     samples = params.get("samples", 2000)
-    rng = random.Random(params.get("seed", DEFAULT_SEED))
+    seed = params.get("seed", DEFAULT_SEED)
+    rng = random.Random(seed)
     bad = []
     checked = 0
     for n in range(max(lo, 3), min(hi, 5) + 1):
@@ -216,7 +223,7 @@ def _run_power_closed_form(params: dict) -> tuple[str, list, dict]:
             if hol.power(h, r) != acc:
                 bad.append({"n": n, "h": str(h), "r": r})
     status, evidence = _counted(bad, "comparisons", checked)
-    return status, evidence, {"n": (lo, hi), "samples": samples}
+    return status, evidence, {"n": (lo, hi), "samples": samples, "seed": seed}
 
 
 def _run_order_closed_form(params: dict) -> tuple[str, list, dict]:
@@ -360,13 +367,11 @@ def _run_nnn_multiplier_corollary(params: dict) -> tuple[str, list, dict]:
     needed = pow(5, 1 << (k - 4), n)
     antecedents = 0
     bad = []
-    for mask in range(circ_mod.census_size(n)):
-        c = circ_mod.build(n, circ_mod.connection_set(n, mask))
-        verdict = circ_mod.nnn_verdict(c)
-        if verdict.nnn:
+    for record in _census(n):
+        if record["nnn"]:
             antecedents += 1
-            if needed not in circ_mod.aut_G_S(c):
-                bad.append({"S": sorted(c.conn)})
+            if needed not in circ_mod.aut_G_S(circ_mod.build(n, record["S"])):
+                bad.append({"S": record["S"]})
     evidence = bad or [
         {"census": circ_mod.census_size(n), "nnn_graphs": antecedents, "multiplier": needed}
     ]
@@ -557,8 +562,7 @@ def _run_no_nnn_below_8(params: dict) -> tuple[str, list, dict]:
     for n in moduli:
         if n % 8 == 0:
             return "skipped", [{"why": f"modulus {n} divisible by 8"}], {"moduli": tuple(moduli)}
-        for mask in range(circ_mod.census_size(n)):
-            record = circ_mod.scan_record(n, mask)
+        for record in _census(n):
             total += 1
             if record["nnn"]:
                 bad.append({"n": n, "S": record["S"]})
@@ -567,11 +571,11 @@ def _run_no_nnn_below_8(params: dict) -> tuple[str, list, dict]:
 
 def _run_nnn_scan(params: dict) -> tuple[str, list, dict]:
     n = params.get("modulus", 8)
-    bad = []
-    for mask in range(circ_mod.census_size(n)):
-        record = circ_mod.scan_record(n, mask)
-        if record["nnn"]:
-            bad.append({"n": n, "S": record["S"], "mask": mask})
+    bad = [
+        {"n": n, "S": record["S"], "mask": record["mask"]}
+        for record in _census(n)
+        if record["nnn"]
+    ]
     evidence = bad or [{"modulus": n, "census": circ_mod.census_size(n), "nnn_graphs": 0}]
     return ("fail" if bad else "pass"), evidence, {"modulus": n}
 

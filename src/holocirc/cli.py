@@ -66,12 +66,27 @@ def _parse_range(text: str) -> tuple[int, int]:
     return value, value
 
 
-def _parse_shard(text: str) -> tuple[int, int]:
-    a, b = text.split("/", 1)
-    shard, shards = int(a), int(b)
-    if shards < 1 or not 0 <= shard < shards:
-        raise ValueError(f"bad shard {text!r}")
+def _shard(text: str) -> tuple[int, int]:
+    """``--shard A/B``: shard A of B, 0 <= A < B."""
+    try:
+        a, b = text.split("/")
+        shard, shards = int(a), int(b)
+    except ValueError:
+        shard = shards = 0
+    if not 0 <= shard < shards:
+        raise argparse.ArgumentTypeError(f"expected A/B with 0 <= A < B, got {text!r}")
     return shard, shards
+
+
+def _jobs(text: str) -> int:
+    """``--jobs N``: a worker count of at least 1."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+    return jobs
 
 
 def _emit(records: list[dict], fmt: str, out) -> None:
@@ -222,7 +237,7 @@ def cmd_graph(args: argparse.Namespace) -> int:
         "w_subgroups": circ_mod.w_subgroups(circ),
         "regular_cyclic_subgroups": [
             {
-                "generator": [c.generator.t, c.generator.m],
+                "generator": list(c.generator),
                 "normal_in_aut": c.normal_in_aut,
                 "is_translation_group": c.is_translation_group,
             }
@@ -248,7 +263,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
         print(f"modulus {n} exceeds bound {cap} (use --force)", file=sys.stderr)
         return EXIT_BOUND
     total = circ_mod.census_size(n)
-    shard, shards = _parse_shard(args.shard) if args.shard else (0, 1)
+    shard, shards = args.shard
     start, stop = circ_mod.shard_bounds(total, shard, shards)
 
     t0 = time.perf_counter()
@@ -319,14 +334,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_scan = sub.add_parser("scan", help="census scan of one modulus")
     p_scan.add_argument("--modulus", type=int, required=True)
-    p_scan.add_argument("--shard", help="A/B: contiguous shard A of B")
+    p_scan.add_argument(
+        "--shard", type=_shard, default=(0, 1), help="A/B: contiguous shard A of B"
+    )
     p_scan.add_argument("--connected-only", action="store_true")
     p_scan.set_defaults(func=cmd_scan)
 
     for p in (p_verify, p_classify, p_graph, p_scan):
         p.add_argument("--format", choices=("json", "ndjson", "text"), default="ndjson")
         p.add_argument("--out", help="write records to this path instead of stdout")
-        p.add_argument("--jobs", type=int, default=1, help="worker processes")
+        p.add_argument("--jobs", type=_jobs, default=1, help="worker processes")
         p.add_argument(
             "--force", action="store_true", help="override configured resource bounds"
         )

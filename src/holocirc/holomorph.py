@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gcd
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .numtheory import pow5, geom_series, alt_sum
 from .permgroup import Perm, PermSubgroup, closure
@@ -88,6 +88,52 @@ class AffineMap:
 
     def as_perm(self) -> Perm:
         return Perm((g + self.t) * self.m % self.n for g in range(self.n))
+
+
+Pair = tuple[int, int]
+
+
+class PairArith:
+    """The affine maps of Z_n as plain (t, m) pairs, reduced mod n with m
+    a unit, composed by the law above over one table of unit inverses.
+    Nothing is validated: inputs come from reduced pairs."""
+
+    identity: Pair = (0, 1)
+
+    def __init__(self, n: int):
+        self.n = n
+        units = [m for m in range(1, n) if gcd(m, n) == 1]
+        self.inv_unit = [0] * n
+        for m in units:
+            self.inv_unit[m] = pow(m, -1, n)
+        self.elements = [(t, m) for t in range(n) for m in units]  # by (t, m)
+
+    def then(self, a: Pair, b: Pair) -> Pair:
+        n = self.n
+        return ((a[0] + b[0] * self.inv_unit[a[1]]) % n, a[1] * b[1] % n)
+
+    def inverse(self, a: Pair) -> Pair:
+        return (-a[0] * a[1] % self.n, self.inv_unit[a[1]])
+
+    def closure(
+        self, gens: Sequence[Pair], bound: Optional[int] = None
+    ) -> Optional[frozenset[Pair]]:
+        """The subgroup generated by ``gens``, grown breadth-first from the
+        identity; None as soon as it has more than ``bound`` elements."""
+        elems = {self.identity}
+        frontier = [self.identity]
+        while frontier:
+            nxt = []
+            for e in frontier:
+                for g in gens:
+                    f = self.then(e, g)
+                    if f not in elems:
+                        if bound is not None and len(elems) >= bound:
+                            return None
+                        elems.add(f)
+                        nxt.append(f)
+            frontier = nxt
+        return frozenset(elems)
 
 
 @dataclass(frozen=True)

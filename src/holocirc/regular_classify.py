@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Optional, Sequence
 
-from .holomorph import AffineMap, HolElem2, conj_normal_form, pow5
+from .holomorph import AffineMap, HolElem2, Pair, PairArith, conj_normal_form, pow5
 from .permgroup import (
     IsoType,
     Perm,
@@ -295,63 +295,48 @@ def enumerate_regular_subgroups(n: int) -> list[ClassificationRecord]:
 
 
 def cyclic_regular_affine_subgroups(
-    n: int, elements: Sequence[AffineMap]
-) -> list[tuple[AffineMap, frozenset[AffineMap]]]:
-    """All cyclic regular subgroups of a set of affine maps of Z_n,
-    returned as (generator, element set), deduplicated.
+    n: int, elements: Sequence[Pair]
+) -> list[tuple[Pair, frozenset[Pair]]]:
+    """All cyclic regular subgroups generated by one of the given affine
+    pairs (t, m) of Z_n, as (first generator met, element set).
 
     An affine map generates a regular cyclic group exactly when it is a
     single n-cycle, i.e. when 0 has a full orbit under it.
     """
-    found: dict[frozenset[AffineMap], AffineMap] = {}
+    pairs = PairArith(n)
+    found: dict[frozenset[Pair], Pair] = {}
+    covered: set[Pair] = set()
     for h in elements:
-        g, steps = h.act(0), 1
+        if h in covered:
+            continue  # a power of an n-cycle met before
+        t, m = h
+        g, steps = t * m % n, 1
         while g != 0:
-            g = h.act(g)
+            g = (g + t) * m % n
             steps += 1
         if steps != n:
             continue
-        cyc = [AffineMap.identity(n)]
-        cur = h
-        while not cur.is_identity():
-            cyc.append(cur)
-            cur = cur.then(h)
-        key = frozenset(cyc)
-        if key not in found:
-            found[key] = h
+        cyc = pairs.closure([h])
+        found[cyc] = h
+        covered |= cyc
     return [(gen, elems) for elems, gen in found.items()]
-
-
-class _PairArith:
-    """Pairs (t, m), m odd, of the holomorph of Z_{2^n}, composed over one
-    table of unit inverses; the exhaustive engine tabulates the product."""
-
-    def __init__(self, n: int):
-        self.n = n
-        mod = self.mod = 1 << n
-        self.inv_unit = [pow(m, -1, mod) if m & 1 else 0 for m in range(mod)]
-        self.elements = [(t, m) for t in range(mod) for m in range(1, mod, 2)]
-
-    def then(self, a, b):
-        mod = self.mod
-        return ((a[0] + b[0] * self.inv_unit[a[1]]) % mod, a[1] * b[1] % mod)
-
-    def inverse(self, a):
-        return ((-a[0] * a[1]) % self.mod, self.inv_unit[a[1]])
 
 
 # exhaustive engine (widths 3..5)
 
 
-class _HolTable(_PairArith):
+class _HolTable:
     """Integer-indexed multiplication table of the holomorph of Z_{2^n}.
 
     Element id = t * 2^(n-1) + (m >> 1) over pairs (t, m) with m odd.
     """
 
     def __init__(self, n: int):
-        super().__init__(n)
-        mod, inv_unit = self.mod, self.inv_unit
+        self.n = n
+        mod = self.mod = 1 << n
+        pairs = PairArith(mod)
+        inv_unit = pairs.inv_unit
+        self.elements = pairs.elements
         half = self.half = 1 << (n - 1)
         size = len(self.elements)
         mul = []
@@ -366,7 +351,7 @@ class _HolTable(_PairArith):
                     j += 1
             mul.append(row)
         self.mul = mul
-        self.inv = [self.id_of(*self.inverse(e)) for e in self.elements]
+        self.inv = [self.id_of(*pairs.inverse(e)) for e in self.elements]
         self.identity = 0  # (t=0, m=1)
         self.fpf = [self._fixed_point_free(t, m) for t, m in self.elements]
         self.act0 = [t * m % mod for t, m in self.elements]
@@ -379,21 +364,6 @@ class _HolTable(_PairArith):
     def affine(self, i: int) -> AffineMap:
         t, m = self.elements[i]
         return AffineMap(self.mod, t, m)
-
-    def closure_ids(self, gen_ids: Sequence[int]) -> frozenset[int]:
-        elems = {self.identity}
-        frontier = [self.identity]
-        while frontier:
-            nxt = []
-            for e in frontier:
-                row = self.mul[e]
-                for g in gen_ids:
-                    f = row[g]
-                    if f not in elems:
-                        elems.add(f)
-                        nxt.append(f)
-            frontier = nxt
-        return frozenset(elems)
 
     def id_of(self, t: int, m: int) -> int:
         return t * self.half + (m >> 1)
@@ -471,12 +441,15 @@ def _enumerate_full(n: int) -> list[ClassificationRecord]:
     if not found:
         return []
     table = found[0][2]
-    canon = _canonical_rep_sets(n, table)
+    canon = [
+        (len(rep_set), sum(1 << table.id_of(t, m) for t, m in rep_set), types)
+        for rep_set, types in _canonical_rep_sets(n)
+    ]
     records = []
     for sub, gens, _ in found:
         matches = []
-        for rep_set, rep_mask, types in canon:
-            if len(rep_set) != len(sub):
+        for rep_order, rep_mask, types in canon:
+            if rep_order != len(sub):
                 continue
             w = _find_conjugator_ids(table, gens, rep_mask)
             if w is not None:
@@ -501,26 +474,21 @@ def _enumerate_full(n: int) -> list[ClassificationRecord]:
     return records
 
 
-def _canonical_rep_sets(
-    n: int, table: _HolTable
-) -> list[tuple[frozenset[int], int, list[RegularType]]]:
-    """Representative element-id sets, with coinciding families merged."""
-    out: list[tuple[frozenset[int], int, list[RegularType]]] = []
+def _canonical_rep_sets(n: int) -> list[tuple[frozenset[Pair], list[RegularType]]]:
+    """The representatives as pair sets, the closures of their literal
+    generators, with coinciding families merged."""
+    pairs = PairArith(1 << n)
+    out: list[tuple[frozenset[Pair], list[RegularType]]] = []
     for rt in representative_types(n):
-        gen_ids = [
-            table.id_of(h.alpha, h.multiplier)
-            for h in representative_generators(rt, n)
-        ]
-        rep_set = table.closure_ids(gen_ids)
-        for prev_set, _mask, types in out:
-            if prev_set == rep_set:
+        rep_set = pairs.closure(
+            [(h.alpha, h.multiplier) for h in representative_generators(rt, n)]
+        )
+        for prev, types in out:
+            if prev == rep_set:
                 types.append(rt)
                 break
         else:
-            mask = 0
-            for e in rep_set:
-                mask |= 1 << e
-            out.append((rep_set, mask, [rt]))
+            out.append((rep_set, [rt]))
     return out
 
 
@@ -529,9 +497,9 @@ def _canonical_rep_sets(
 
 def _enumerate_structured(n: int) -> list[ClassificationRecord]:
     mod = 1 << n
-    arith = _PairArith(n)
+    arith = PairArith(mod)
     found = _structured_regular_sets(n)
-    reps = _affine_rep_sets(n)
+    reps = _canonical_rep_sets(n)
     records = []
     for sub, gens in sorted(found.items(), key=lambda kv: sorted(kv[0])):
         matches = []
@@ -563,41 +531,13 @@ def _enumerate_structured(n: int) -> list[ClassificationRecord]:
     return records
 
 
-def _affine_rep_sets(n: int) -> list[tuple[frozenset, list[RegularType]]]:
-    out: list[tuple[frozenset, list[RegularType]]] = []
-    for rt in representative_types(n):
-        rec = representative(rt, n)
-        assert rec.subgroup.elements is not None
-        rep_set = frozenset(
-            (a.t, a.m)
-            for a in (affine_from_perm(p) for p in rec.subgroup.elements)
-        )
-        for prev, types in out:
-            if prev == rep_set:
-                types.append(rt)
-                break
-        else:
-            out.append((rep_set, [rt]))
-    return out
-
-
 def _structured_regular_sets(n: int) -> dict[frozenset, tuple]:
     """Regular subgroups found by searching the viable generator shapes:
     a cyclic core of translations extended by one semiregular element,
     or by a flip together with an even-translation twist."""
-    arith = _PairArith(n)
-    mod, then = arith.mod, arith.then
+    mod = 1 << n
+    arith = PairArith(mod)
     gamma_mod = 1 << (n - 2)
-    ident = (0, 1)
-
-    def cycle(h):
-        out = [ident]
-        cur = h
-        while cur != ident:
-            out.append(cur)
-            cur = then(cur, h)
-        return out
-
     found: dict[frozenset, tuple] = {}
 
     def record(elems, gens):
@@ -622,7 +562,7 @@ def _structured_regular_sets(n: int) -> dict[frozenset, tuple]:
     singles.append((1, 1))  # the plain translation generator
 
     for h in singles:
-        cyc = cycle(h)
+        cyc = arith.closure([h])
         for s in range(1, n + 1):
             step = 1 << s
             if s < n:
@@ -646,27 +586,10 @@ def _structured_regular_sets(n: int) -> dict[frozenset, tuple]:
                 gens = [ax, (eps % mod, m5)]
                 if s < n:
                     gens.append((step % mod, 1))
-                elems = _bounded_closure(gens, arith, mod)
+                elems = arith.closure(gens, mod)
                 if elems is not None:
                     record(elems, tuple(gens))
     return found
-
-
-def _bounded_closure(gens, arith: _PairArith, bound: int):
-    elems = {(0, 1)}
-    frontier = [(0, 1)]
-    while frontier:
-        nxt = []
-        for e in frontier:
-            for g in gens:
-                f = arith.then(e, g)
-                if f not in elems:
-                    if len(elems) >= bound:
-                        return None
-                    elems.add(f)
-                    nxt.append(f)
-        frontier = nxt
-    return elems
 
 
 def _check_n(n: int) -> None:

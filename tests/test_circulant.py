@@ -8,6 +8,7 @@ import pytest
 
 import holocirc.circulant as circulant
 from holocirc.circulant import (
+    AutResult,
     DegreeBoundError,
     abelian_regular_scan,
     aut_G_S,
@@ -30,7 +31,12 @@ from holocirc.circulant import (
     _multiplier_orbit_key,
     _refine,
 )
-from holocirc.permgroup import StabChain
+from holocirc.holomorph import AffineMap, holomorph_group
+from holocirc.permgroup import StabChain, closure, is_normal_in
+from holocirc.regular_classify import (
+    enumerate_regular_subgroups,
+    is_normal_cyclic_regular_in_hol,
+)
 
 
 def brute_aut_order(circ):
@@ -295,6 +301,64 @@ def test_nnn_verdict_structure():
     # non-normal graph short-circuits
     verdict = nnn_verdict(build(8, {1, 3, 5, 7}))
     assert not verdict.is_normal_for_GR and not verdict.nnn
+
+
+def _copy_elements(n, copy):
+    return closure([AffineMap(n, *copy.generator).as_perm()], degree=n).elements
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_copy_normality_in_full_affine_group(k):
+    # No normal circulant has a non-normal copy, so the census never
+    # exercises a "not normal" answer.  The verdict reads the automorphism
+    # group only through its generators and aut_G_S; the empty set on
+    # Z_{2^k} has every unit as multiplier, so with the holomorph as its
+    # group the verdict tests the copies of the full affine group, where
+    # the twists below the maximal one are not normal.
+    n = 1 << k
+    hol = holomorph_group(n)
+    aut = AutResult(hol.order, hol.generators, True)
+    verdict = nnn_verdict(build(n, []), aut)
+    cyclic = {
+        rec.subgroup.elements: rec
+        for rec in enumerate_regular_subgroups(k)
+        if rec.iso.kind == "cyclic"
+    }
+    copies = {_copy_elements(n, c): c for c in verdict.regular_cyclic}
+    assert copies.keys() == cyclic.keys()
+    for elements, copy in copies.items():
+        rec = cyclic[elements]
+        assert copy.normal_in_aut == is_normal_in(rec.subgroup, hol)
+        assert copy.normal_in_aut == is_normal_cyclic_regular_in_hol(rec.rtype, k)
+        assert copy.is_translation_group == (rec.rtype.kind == "translations")
+    bad = [c.generator for c in verdict.regular_cyclic if not c.normal_in_aut]
+    # twisted_cyclic(t) is normal only at t = k - 3, so Z_8 has no bad copy
+    assert verdict.nnn == bool(bad) == (k > 3)
+    assert verdict.witness == (((1, 1), bad[0]) if bad else None)
+
+
+def test_copies_of_normal_circulants_match_perm_level_brute_route():
+    # brute route: the n-cycles of the closure of the automorphism
+    # generators, each cyclic group tested with permgroup.is_normal_in
+    normal = 0
+    for n in range(3, 17):
+        for mask in range(census_size(n)):
+            circ = build(n, connection_set(n, mask))
+            aut = automorphism_group(circ)
+            if not is_normal_cayley(circ, aut):
+                continue
+            normal += 1
+            group = closure(aut.generators, degree=n)
+            brute = {}
+            for p in group.elements:
+                if p.cycle_lengths() == [n]:
+                    sub = closure([p], degree=n)
+                    brute.setdefault(sub.elements, is_normal_in(sub, group))
+            verdict = nnn_verdict(circ, aut)
+            got = {_copy_elements(n, c): c.normal_in_aut for c in verdict.regular_cyclic}
+            assert len(got) == len(verdict.regular_cyclic), (n, mask)
+            assert got == brute, (n, mask)
+    assert normal == 596
 
 
 def test_nnn_census_small():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -6,6 +7,7 @@ import sys
 import pytest
 
 import holocirc
+import holocirc.circulant as circulant
 from holocirc import claims
 from holocirc.cli import main
 
@@ -382,3 +384,101 @@ def test_cli_graph_command(tmp_path):
     # invalid connection set (not inverse-closed) is a usage error
     assert main(["graph", "--modulus", "8", "--set", "1,2"]) == 2
     assert main(["graph", "--modulus", "64", "--set", "1,63"]) == 3
+
+
+# sha256 of the concatenated stdout of `graph --modulus n --set S` over the
+# census of Z_n in mask order, captured before the verdict moved to int
+# pairs; it pins the order of the copies and their first-met generators
+GRAPH_CENSUS_SHA256 = {
+    3: "3fd055c1c03e786efe3fd45b8876c3c7084cce91e4c72d734e4ed4103d57cbd6",
+    4: "a73f8530b923619527c92d6ba2c735c75d10c22a5ef301dcc82e90902f7769db",
+    5: "f4df8c8328a584e6244e6a241a895893d541473c2a85fb8eefbee052a7be36d9",
+    6: "09769c8e8a6aadeeb4e630607fad598b23af9aca742d5d6e0745d663f475389d",
+    7: "5c6506da8283cd4d6dd657f623ca673f92501d54ffcc9491cee7540a06fee2dc",
+    8: "b301b159b543c380aeadbc212c1e12c501652ee54cf5a8e69733b052d851dfd5",
+    9: "ba4c97a6480ed6d7aaedaf5db19094742cd8b2d105946712b68474d961f0ccca",
+    10: "7823ff798755fac2fe052a11e3d28ff719186bc2126ac95ed5f8c5d3f37bb2e7",
+    11: "f5d0baca33ab9247b29af0a33a2524e6f6096ab2f7f9690834001e3557e618d0",
+    12: "d9544f60c39b7fb8fb3f49c9fb9392821620548dfff0a0272852820555f55484",
+    13: "49702ca180f296c927629aa355dab1b1a1a45c6452580331c6be294e6e77dcce",
+    14: "eea186c73e2f4ba71610b96060f910337cd00d8c3650f06a2ab5ca376a4a6a07",
+    15: "ee37cd834496eb784d8cc34c8febfb8127b907d5feb79736563deb2489dfbe69",
+    16: "213c81853e474432bb85ab6942e328f0c7936b35269dc12a74f7784e3c732d15",
+}
+
+
+def test_cli_graph_output_pinned(capsys):
+    digests = {}
+    for n in GRAPH_CENSUS_SHA256:
+        h = hashlib.sha256()
+        for mask in range(circulant.census_size(n)):
+            conn = sorted(circulant.connection_set(n, mask))
+            assert main(["graph", "--modulus", str(n), "--set", ",".join(map(str, conn))]) == 0
+            h.update(capsys.readouterr().out.encode())
+        digests[n] = h.hexdigest()
+    assert digests == GRAPH_CENSUS_SHA256
+
+
+@pytest.mark.parametrize("claim_id", ["thm-1.3-scan", "cor-3.4"])
+def test_census_claims_search_once_per_orbit(monkeypatch, claim_id):
+    # the 256 connection sets of Z_16 fall into 88 Z_16^* orbits; the
+    # claims used to search every mask
+    calls = []
+    search = circulant.automorphism_group
+
+    def counted(circ, degree_bound=None):
+        calls.append(circ.conn)
+        return search(circ, degree_bound)
+
+    monkeypatch.setattr(circulant, "automorphism_group", counted)
+    assert main(["verify", claim_id, "--modulus", "16"]) == 0
+    assert len(calls) == 88
+
+
+def test_lem_3_3_report_reproduces_from_its_parameters(monkeypatch):
+    # a closed form that is wrong for odd r makes the evidence list the
+    # sampled cases, so it shows which seed drew them
+    power = claims.hol.power
+    monkeypatch.setattr(
+        claims.hol, "power", lambda h, r: power(h, r + 1) if r & 1 else power(h, r)
+    )
+    report = claims.run_claim("lem-3.3", {"n": (6, 6), "samples": 5, "seed": 7})
+    assert report.status == "fail"
+    assert report.parameters == {"n": (6, 6), "samples": 5, "seed": 7}
+    again = claims.run_claim("lem-3.3", report.parameters)
+    assert again.to_dict() == report.to_dict()
+    other = claims.run_claim("lem-3.3", {"n": (6, 6), "samples": 5})
+    assert other.parameters["seed"] == claims.DEFAULT_SEED
+    assert other.evidence != report.evidence
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["scan", "--modulus", "8", "--jobs", "0"], "--jobs"),
+        (["scan", "--modulus", "8", "--jobs", "-2"], "--jobs"),
+        (["verify", "lem-3.1", "--jobs", "0"], "--jobs"),
+        (["scan", "--modulus", "8", "--shard", "abc"], "--shard"),
+        (["scan", "--modulus", "8", "--shard", "1/x"], "--shard"),
+        (["scan", "--modulus", "8", "--shard", "2/2"], "--shard"),
+    ],
+)
+def test_cli_bad_jobs_or_shard_is_usage_error(capsys, argv, flag):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"argument {flag}:" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["scan", "--modulus", "1"], ["scan", "--modulus", "0"], ["verify", "thm-1.3-scan", "--modulus", "1"]],
+)
+def test_cli_census_modulus_below_2_is_usage_error(capsys, argv):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("usage error: modulus must be >= 2, got ")
+
+
+def test_cli_jobs_1_accepted_by_verify_and_classify():
+    assert main(["verify", "lem-3.1", "--n", "3", "--jobs", "1"]) == 0
+    assert main(["classify", "--n", "3", "--jobs", "1"]) == 0

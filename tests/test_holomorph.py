@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from holocirc.holomorph import (
     AffineMap,
     HolElem2,
+    PairArith,
     act,
     centralizer_in_aut,
     compose,
@@ -48,6 +49,31 @@ def test_affine_composition_law():
     for g in range(16):
         assert ab.act(g) == b.act(a.act(g))
     assert a.then(a.inverse()).is_identity()
+
+
+@pytest.mark.parametrize("n", [2, 8, 9, 12, 15, 16])
+def test_pair_arith_matches_affine_maps(n):
+    pairs = PairArith(n)
+    maps = holomorph_elements(n)
+    assert pairs.elements == [(a.t, a.m) for a in maps]
+    for a in maps:
+        inv = a.inverse()
+        assert pairs.inverse((a.t, a.m)) == (inv.t, inv.m)
+        for b in maps:
+            ab = a.then(b)
+            assert pairs.then((a.t, a.m), (b.t, b.m)) == (ab.t, ab.m)
+
+
+def test_pair_closure_matches_perm_closure_and_honours_its_bound():
+    n = 12
+    pairs = PairArith(n)
+    for gens in ([], [(1, 1)], [(0, 5)], [(3, 7)], [(1, 1), (0, 5)], [(2, 7), (4, 1)]):
+        group = pairs.closure(gens)
+        perms = closure([AffineMap(n, *g).as_perm() for g in gens], degree=n)
+        assert {AffineMap(n, *e).as_perm() for e in group} == perms.elements, gens
+        assert pairs.closure(gens, len(group)) == group
+        if len(group) > 1:
+            assert pairs.closure(gens, len(group) - 1) is None
 
 
 def test_hol_elem_requires_width_3():

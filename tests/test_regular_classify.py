@@ -4,6 +4,7 @@ from holocirc.holomorph import HolElem2, holomorph_group
 from holocirc.permgroup import closure, is_normal_in, is_regular
 from holocirc.regular_classify import (
     RegularType,
+    _canonical_rep_sets,
     _enumerate_structured,
     _structured_regular_sets,
     affine_from_perm,
@@ -194,6 +195,18 @@ def test_structured_is_subset_and_covers_classes():
             w.inverse().then(p).then(w) for p in rec.subgroup.elements
         )
         assert conj == rep.subgroup.elements
+
+
+def test_canonical_rep_sets_are_the_representatives():
+    # the pair closures of the literal generators against the Perm-level
+    # groups that representative() builds and checks
+    for n in range(3, 9):
+        want: dict = {}
+        for rt in representative_types(n):
+            perms = representative(rt, n).subgroup.elements
+            elems = frozenset((a.t, a.m) for a in map(affine_from_perm, perms))
+            want.setdefault(elems, []).append(rt)
+        assert _canonical_rep_sets(n) == list(want.items()), n
 
 
 def test_enumeration_range_errors():
