@@ -1,9 +1,11 @@
 """Command-line surface.
 
-Three subcommands: ``verify`` runs registered claims over flag-chosen
+Four subcommands: ``verify`` runs registered claims over flag-chosen
 ranges, ``classify`` emits the regular-subgroup classification as JSON,
-and ``scan`` writes one NDJSON record per inverse-closed connection
-set once the scan is done.  Identical invocations produce
+``graph`` analyses one circulant, and ``scan`` writes one NDJSON record
+per inverse-closed connection set once the scan is done.  Every command
+writes its records to one stream, stdout or ``--out``, opened before any
+work starts.  Identical invocations produce
 byte-identical record streams (deterministic ordering, no timestamps
 inside records; runtimes go to stderr).
 
@@ -21,8 +23,9 @@ import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from math import inf
-from typing import Optional
+from typing import Iterator, Optional, TextIO
 
 from . import circulant as circ_mod
 from . import claims
@@ -89,7 +92,23 @@ def _jobs(text: str) -> int:
     return jobs
 
 
-def _emit(records: list[dict], fmt: str, out) -> None:
+@contextmanager
+def _opened(path: Optional[str], flag: str) -> Iterator[TextIO]:
+    """The stream a command writes to: stdout when ``path`` is None, else
+    ``path`` opened for writing and closed afterwards.  A path that cannot
+    be opened is a usage error naming the flag and the path."""
+    if path is None:
+        yield sys.stdout
+        return
+    try:
+        fh = open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot open {flag} {path!r}: {exc.strerror}") from None
+    with fh:
+        yield fh
+
+
+def _emit(records: list[dict], fmt: str, out: TextIO) -> None:
     if fmt == "json":
         out.write(json.dumps(records, indent=2, sort_keys=True) + "\n")
     elif fmt == "ndjson":
@@ -104,7 +123,7 @@ def _as_text(record: dict) -> str:
     return " ".join(f"{k}={json.dumps(v, sort_keys=True)}" for k, v in record.items())
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
     if args.claim == "all":
         ids = claims.claim_ids()
     elif args.claim in claims.REGISTRY:
@@ -139,6 +158,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             return EXIT_BOUND
         params["n"] = (lo, hi)
     if args.modulus is not None:
+        if args.modulus < 2:
+            raise ValueError(f"modulus must be >= 2, got {args.modulus}")
         cap = args.max_degree
         if args.modulus > cap:
             print(f"modulus {args.modulus} exceeds bound {cap} (use --force)",
@@ -150,30 +171,25 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.seed is not None:
         params["seed"] = args.seed
 
-    out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    try:
-        failed = False
-        records = []
-        for claim_id in ids:
-            reads = claims.REGISTRY[claim_id].flags
-            report = claims.run_claim(
-                claim_id, {k: v for k, v in params.items() if k in reads}
-            )
-            failed |= report.status == "fail"
-            records.append(report.to_dict())
-            print(
-                f"[{report.status}] {claim_id}: {claims.REGISTRY[claim_id].description}"
-                f" ({report.runtime:.2f}s)",
-                file=sys.stderr,
-            )
-        _emit(records, args.format, out)
-        return EXIT_FAIL if failed else EXIT_OK
-    finally:
-        if args.out:
-            out.close()
+    failed = False
+    records = []
+    for claim_id in ids:
+        reads = claims.REGISTRY[claim_id].flags
+        report = claims.run_claim(
+            claim_id, {k: v for k, v in params.items() if k in reads}
+        )
+        failed |= report.status == "fail"
+        records.append(report.to_dict())
+        print(
+            f"[{report.status}] {claim_id}: {claims.REGISTRY[claim_id].description}"
+            f" ({report.runtime:.2f}s)",
+            file=sys.stderr,
+        )
+    _emit(records, args.format, out)
+    return EXIT_FAIL if failed else EXIT_OK
 
 
-def cmd_classify(args: argparse.Namespace) -> int:
+def cmd_classify(args: argparse.Namespace, out: TextIO) -> int:
     lo, hi = _parse_range(args.n)
     if lo < 3 or hi > rc.STRUCTURED_ENUM_MAX_N:
         print(
@@ -187,15 +203,15 @@ def cmd_classify(args: argparse.Namespace) -> int:
         return EXIT_BOUND
     records = []
     for n in range(lo, hi + 1):
-        reps = [r.to_dict() | {"role": "representative"} for r in rc.representatives(n)]
-        records.extend(reps)
+        reps = rc.representatives(n)
+        records.extend(r.to_dict() | {"role": "representative"} for r in reps)
         if n <= rc.FULL_ENUM_MAX_N:
             found = [
                 r.to_dict() | {"role": "enumerated"}
                 for r in rc.enumerate_regular_subgroups(n)
             ]
             records.extend(found)
-        coincidences = rc.representative_coincidences(n)
+        coincidences = rc.representative_coincidences(reps)
         if coincidences:
             records.append(
                 {
@@ -204,16 +220,11 @@ def cmd_classify(args: argparse.Namespace) -> int:
                     "types": [[t.label() for t in grp] for grp in coincidences],
                 }
             )
-    out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    try:
-        _emit(records, args.format, out)
-    finally:
-        if args.out:
-            out.close()
+    _emit(records, args.format, out)
     return EXIT_OK
 
 
-def cmd_graph(args: argparse.Namespace) -> int:
+def cmd_graph(args: argparse.Namespace, out: TextIO) -> int:
     n = args.modulus
     cap = args.max_degree
     if n > cap:
@@ -222,7 +233,7 @@ def cmd_graph(args: argparse.Namespace) -> int:
     conn = [int(tok) for tok in args.set.split(",") if tok.strip()] if args.set else []
     circ = circ_mod.build(n, conn)
     if args.edges:
-        with open(args.edges, "w", encoding="utf-8") as fh:
+        with _opened(args.edges, "--edges") as fh:
             for u, v in circ.edges():
                 fh.write(f"{u} {v}\n")
     aut = circ_mod.automorphism_group(circ, cap)
@@ -247,16 +258,11 @@ def cmd_graph(args: argparse.Namespace) -> int:
         "connected": circ.is_connected(),
         "degenerate": circ.is_degenerate(),
     }
-    out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    try:
-        _emit([record], args.format, out)
-    finally:
-        if args.out:
-            out.close()
+    _emit([record], args.format, out)
     return EXIT_OK
 
 
-def cmd_scan(args: argparse.Namespace) -> int:
+def cmd_scan(args: argparse.Namespace, out: TextIO) -> int:
     n = args.modulus
     cap = args.max_degree
     if n > cap:
@@ -283,12 +289,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
         records = circ_mod.scan_range(n, start, stop, args.connected_only, cap)
     records.sort(key=lambda r: r["mask"])
 
-    out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    try:
-        _emit(records, args.format, out)
-    finally:
-        if args.out:
-            out.close()
+    _emit(records, args.format, out)
     print(
         f"scanned {stop - start} connection sets on Z_{n} in "
         f"{time.perf_counter() - t0:.2f}s",
@@ -340,10 +341,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--connected-only", action="store_true")
     p_scan.set_defaults(func=cmd_scan)
 
+    for p in (p_verify, p_classify, p_scan):
+        p.add_argument("--jobs", type=_jobs, default=1, help="worker processes")
     for p in (p_verify, p_classify, p_graph, p_scan):
         p.add_argument("--format", choices=("json", "ndjson", "text"), default="ndjson")
         p.add_argument("--out", help="write records to this path instead of stdout")
-        p.add_argument("--jobs", type=_jobs, default=1, help="worker processes")
         p.add_argument(
             "--force", action="store_true", help="override configured resource bounds"
         )
@@ -358,8 +360,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         _resolve_bounds(args)
-        with circ_mod.using_degree_bound(args.max_degree):
-            return args.func(args)
+        with circ_mod.using_degree_bound(args.max_degree), _opened(
+            args.out, "--out"
+        ) as out:
+            return args.func(args, out)
     except circ_mod.DegreeBoundError as exc:
         print(f"resource bound: {exc}", file=sys.stderr)
         return EXIT_BOUND

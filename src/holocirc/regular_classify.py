@@ -13,7 +13,8 @@ extensions inside the (2-group) holomorph, pruned only by brute-force
 fixed-point-freeness, which every subgroup of a regular group must
 satisfy.  Widths 6..8 switch to a structured search over the generator
 shapes that can carry a regular subgroup; widths 3..5 stay fully
-exhaustive.
+exhaustive.  Both engines give the subgroups as sets of (t, m) pairs,
+and one matcher conjugates every find onto its representative.
 """
 
 from __future__ import annotations
@@ -255,12 +256,15 @@ def representatives(n: int) -> list[ClassificationRecord]:
     return [representative(rt, n) for rt in representative_types(n)]
 
 
-def representative_coincidences(n: int) -> list[list[RegularType]]:
-    """Groups of distinct family tags realized by the same subgroup
-    (this happens only at n = 3, where the direct-product and
-    quasidihedral representatives coincide)."""
+def representative_coincidences(
+    records: Sequence[ClassificationRecord],
+) -> list[list[RegularType]]:
+    """Groups of distinct family tags among the given representative
+    records that are realized by the same subgroup (this happens only at
+    n = 3, where the direct-product and quasidihedral representatives
+    coincide)."""
     seen: dict[frozenset[Perm], list[RegularType]] = {}
-    for rec in representatives(n):
+    for rec in records:
         key = rec.subgroup.elements
         assert key is not None
         seen.setdefault(key, []).append(rec.rtype)
@@ -288,10 +292,77 @@ def enumerate_regular_subgroups(n: int) -> list[ClassificationRecord]:
     """
     _check_n(n)
     if n <= FULL_ENUM_MAX_N:
-        return _enumerate_full(n)
+        return _classify_sets(n, regular_subgroup_sets(n))
     if n <= STRUCTURED_ENUM_MAX_N:
-        return _enumerate_structured(n)
+        return _classify_sets(n, _structured_regular_sets(n))
     raise ValueError(f"enumeration supports widths 3..{STRUCTURED_ENUM_MAX_N}")
+
+
+def _classify_sets(
+    n: int, found: dict[frozenset[Pair], tuple[Pair, ...]]
+) -> list[ClassificationRecord]:
+    """Match each found subgroup, in order of its sorted pairs, to the one
+    canonical representative it is conjugate to, by the first conjugator
+    w in (t, m) order, and build its record.
+
+    Conjugation keeps every multiplier (w^-1 (t, m) w has multiplier m,
+    the units being abelian), so a representative whose multiplier set
+    differs is skipped before the search.
+    """
+    mod = 1 << n
+    arith = PairArith(mod)
+    reps = [
+        (rep_set, {m for _, m in rep_set}, types)
+        for rep_set, types in _canonical_rep_sets(n)
+    ]
+    records = []
+    for sub, gens in sorted(found.items(), key=lambda kv: sorted(kv[0])):
+        mults = {m for _, m in sub}
+        matches = []
+        for rep_set, rep_mults, types in reps:
+            if len(rep_set) != len(sub) or rep_mults != mults:
+                continue
+            for w in arith.elements:
+                wi = arith.inverse(w)
+                if all(arith.then(arith.then(wi, g), w) in rep_set for g in gens):
+                    matches.append((types, w))
+                    break
+        if len(matches) != 1:
+            raise RuntimeError(
+                f"subgroup matched {len(matches)} canonical representatives"
+            )
+        types, w = matches[0]
+        perms = frozenset(AffineMap(mod, t, m).as_perm() for t, m in sub)
+        gen_perms = [AffineMap(mod, t, m).as_perm() for t, m in gens]
+        subgroup = from_elements(perms, gen_perms)
+        records.append(
+            ClassificationRecord(
+                subgroup,
+                types[0],
+                iso_type(subgroup),
+                intersection_with_translations(subgroup),
+                AffineMap(mod, *w).as_perm(),
+            )
+        )
+    return records
+
+
+def _canonical_rep_sets(n: int) -> list[tuple[frozenset[Pair], list[RegularType]]]:
+    """The representatives as pair sets, the closures of their literal
+    generators, with coinciding families merged."""
+    pairs = PairArith(1 << n)
+    out: list[tuple[frozenset[Pair], list[RegularType]]] = []
+    for rt in representative_types(n):
+        rep_set = pairs.closure(
+            [(h.alpha, h.multiplier) for h in representative_generators(rt, n)]
+        )
+        for prev, types in out:
+            if prev == rep_set:
+                types.append(rt)
+                break
+        else:
+            out.append((rep_set, [rt]))
+    return out
 
 
 def cyclic_regular_affine_subgroups(
@@ -337,7 +408,7 @@ class _HolTable:
         pairs = PairArith(mod)
         inv_unit = pairs.inv_unit
         self.elements = pairs.elements
-        half = self.half = 1 << (n - 1)
+        half = 1 << (n - 1)
         size = len(self.elements)
         mul = []
         for t1, m1 in self.elements:
@@ -351,22 +422,14 @@ class _HolTable:
                     j += 1
             mul.append(row)
         self.mul = mul
-        self.inv = [self.id_of(*pairs.inverse(e)) for e in self.elements]
+        self.inv = [t * half + (m >> 1) for t, m in map(pairs.inverse, self.elements)]
         self.identity = 0  # (t=0, m=1)
         self.fpf = [self._fixed_point_free(t, m) for t, m in self.elements]
-        self.act0 = [t * m % mod for t, m in self.elements]
 
     def _fixed_point_free(self, t: int, m: int) -> bool:
         if t == 0 and m == 1:
             return False  # the identity fixes everything
         return all((g + t) * m % self.mod != g for g in range(self.mod))
-
-    def affine(self, i: int) -> AffineMap:
-        t, m = self.elements[i]
-        return AffineMap(self.mod, t, m)
-
-    def id_of(self, t: int, m: int) -> int:
-        return t * self.half + (m >> 1)
 
 
 def _semiregular_subgroup_levels(
@@ -412,123 +475,21 @@ def _semiregular_subgroup_levels(
 
 def regular_subgroup_sets(
     n: int, prune_semiregular: bool = True
-) -> list[tuple[frozenset[int], tuple[int, ...], _HolTable]]:
-    """All regular subgroups at width n <= 5 as id-sets with generators."""
+) -> dict[frozenset[Pair], tuple[Pair, ...]]:
+    """All regular subgroups at width n <= 5 as pair sets with generators."""
     if not 3 <= n <= FULL_ENUM_MAX_N:
         raise ValueError(f"full enumeration supports widths 3..{FULL_ENUM_MAX_N}")
     table = _HolTable(n)
-    top = _semiregular_subgroup_levels(table, prune_semiregular)[-1]
-    out = []
-    for sub, gens in sorted(top.items(), key=lambda kv: sorted(kv[0])):
-        if len({table.act0[e] for e in sub}) == table.mod:
-            out.append((sub, gens, table))
-    return out
-
-
-def _find_conjugator_ids(
-    table: _HolTable, gens: Sequence[int], target_mask: int
-) -> Optional[int]:
-    mul, inv = table.mul, table.inv
-    for w in range(len(table.elements)):
-        wi = inv[w]
-        if all(target_mask >> mul[mul[wi][g]][w] & 1 for g in gens):
-            return w
-    return None
-
-
-def _enumerate_full(n: int) -> list[ClassificationRecord]:
-    found = regular_subgroup_sets(n)
-    if not found:
-        return []
-    table = found[0][2]
-    canon = [
-        (len(rep_set), sum(1 << table.id_of(t, m) for t, m in rep_set), types)
-        for rep_set, types in _canonical_rep_sets(n)
-    ]
-    records = []
-    for sub, gens, _ in found:
-        matches = []
-        for rep_order, rep_mask, types in canon:
-            if rep_order != len(sub):
-                continue
-            w = _find_conjugator_ids(table, gens, rep_mask)
-            if w is not None:
-                matches.append((types, w))
-        if len(matches) != 1:
-            raise RuntimeError(
-                f"subgroup matched {len(matches)} canonical representatives"
-            )
-        types, w = matches[0]
-        perms = frozenset(table.affine(e).as_perm() for e in sub)
-        gen_perms = [table.affine(g).as_perm() for g in gens]
-        subgroup = from_elements(perms, gen_perms)
-        records.append(
-            ClassificationRecord(
-                subgroup,
-                types[0],
-                iso_type(subgroup),
-                intersection_with_translations(subgroup),
-                table.affine(w).as_perm(),
-            )
-        )
-    return records
-
-
-def _canonical_rep_sets(n: int) -> list[tuple[frozenset[Pair], list[RegularType]]]:
-    """The representatives as pair sets, the closures of their literal
-    generators, with coinciding families merged."""
-    pairs = PairArith(1 << n)
-    out: list[tuple[frozenset[Pair], list[RegularType]]] = []
-    for rt in representative_types(n):
-        rep_set = pairs.closure(
-            [(h.alpha, h.multiplier) for h in representative_generators(rt, n)]
-        )
-        for prev, types in out:
-            if prev == rep_set:
-                types.append(rt)
-                break
-        else:
-            out.append((rep_set, [rt]))
+    elements = table.elements
+    out = {}
+    for sub, gens in _semiregular_subgroup_levels(table, prune_semiregular)[-1].items():
+        pairs = frozenset(elements[e] for e in sub)
+        if len({t * m % table.mod for t, m in pairs}) == table.mod:
+            out[pairs] = tuple(elements[g] for g in gens)
     return out
 
 
 # structured engine (widths 6..8)
-
-
-def _enumerate_structured(n: int) -> list[ClassificationRecord]:
-    mod = 1 << n
-    arith = PairArith(mod)
-    found = _structured_regular_sets(n)
-    reps = _canonical_rep_sets(n)
-    records = []
-    for sub, gens in sorted(found.items(), key=lambda kv: sorted(kv[0])):
-        matches = []
-        for rep_set, types in reps:
-            if len(rep_set) != len(sub):
-                continue
-            for w in arith.elements:
-                wi = arith.inverse(w)
-                if all(arith.then(arith.then(wi, g), w) in rep_set for g in gens):
-                    matches.append((types, w))
-                    break
-        if len(matches) != 1:
-            raise RuntimeError(
-                f"subgroup matched {len(matches)} canonical representatives"
-            )
-        types, w = matches[0]
-        perms = frozenset(AffineMap(mod, t, m).as_perm() for t, m in sub)
-        gen_perms = [AffineMap(mod, t, m).as_perm() for t, m in gens]
-        subgroup = from_elements(perms, gen_perms)
-        records.append(
-            ClassificationRecord(
-                subgroup,
-                types[0],
-                iso_type(subgroup),
-                intersection_with_translations(subgroup),
-                AffineMap(mod, w[0], w[1]).as_perm(),
-            )
-        )
-    return records
 
 
 def _structured_regular_sets(n: int) -> dict[frozenset, tuple]:

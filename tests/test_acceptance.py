@@ -181,7 +181,7 @@ def test_criterion_4_regular_classification():
         # n-2 twisted-cyclic types, plus translations and the four
         # two-generator families (modular only exists for n >= 4)
         assert len(recs) == (6 if n == 3 else (n - 2) + 6)
-    coincidences = representative_coincidences(3)
+    coincidences = representative_coincidences(representatives(3))
     assert [[t.kind for t in g] for g in coincidences] == [
         ["direct_product", "quasidihedral"]
     ]

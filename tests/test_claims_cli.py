@@ -482,3 +482,48 @@ def test_cli_census_modulus_below_2_is_usage_error(capsys, argv):
 def test_cli_jobs_1_accepted_by_verify_and_classify():
     assert main(["verify", "lem-3.1", "--n", "3", "--jobs", "1"]) == 0
     assert main(["classify", "--n", "3", "--jobs", "1"]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "cor-3.4", "--modulus", "0"],
+        ["verify", "cor-3.4", "--modulus", "-16"],
+        ["verify", "lem-2.4-theta", "--modulus", "0"],
+        ["verify", "thm-4.3-theta", "--modulus", "1"],
+    ],
+)
+def test_cli_verify_modulus_below_2_is_usage_error(capsys, argv):
+    # not a shift-count error, and not a "skipped" report with exit 0
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"usage error: modulus must be >= 2, got {argv[-1]}\n"
+    assert captured.out == ""
+
+
+def test_cli_graph_rejects_jobs(capsys):
+    assert main(["graph", "--modulus", "8", "--set", "1,7", "--jobs", "4"]) == 2
+    captured = capsys.readouterr()
+    assert "unrecognized arguments: --jobs 4" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["scan", "--modulus", "8"], "--out"),
+        (["classify", "--n", "3"], "--out"),
+        (["verify", "lem-3.1"], "--out"),
+        (["graph", "--modulus", "8", "--set", "1,7"], "--out"),
+        (["graph", "--modulus", "8", "--set", "1,7", "--out", os.devnull], "--edges"),
+    ],
+)
+def test_cli_unopenable_output_is_usage_error(capsys, tmp_path, argv, flag):
+    path = str(tmp_path / "missing" / "records")
+    assert main([*argv, flag, path]) == 2
+    captured = capsys.readouterr()
+    # one line, before any claim report or scan summary reaches stderr
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"usage error: cannot open {flag} {path!r}")
+    assert captured.out == ""
+    assert not (tmp_path / "missing").exists()

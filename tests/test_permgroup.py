@@ -116,7 +116,8 @@ def test_regular_iff_semiregular_and_transitive_over_all_subgroups():
     seen = 0
     for level in levels:
         for ids in level:
-            sub = from_elements(table.affine(i).as_perm() for i in ids)
+            pairs = (table.elements[i] for i in ids)
+            sub = from_elements(AffineMap(8, t, m).as_perm() for t, m in pairs)
             assert is_regular(sub) == (is_semiregular(sub) and is_transitive(sub))
             seen += 1
     assert seen > 50  # the lattice is not trivial

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from holocirc.holomorph import HolElem2, holomorph_group
@@ -5,7 +8,6 @@ from holocirc.permgroup import closure, is_normal_in, is_regular
 from holocirc.regular_classify import (
     RegularType,
     _canonical_rep_sets,
-    _enumerate_structured,
     _structured_regular_sets,
     affine_from_perm,
     enumerate_regular_subgroups,
@@ -134,10 +136,10 @@ def test_twisted_intersections():
 
 
 def test_representative_coincidences_only_at_3():
-    grp = representative_coincidences(3)
+    grp = representative_coincidences(representatives(3))
     assert [[t.kind for t in g] for g in grp] == [["direct_product", "quasidihedral"]]
     for n in (4, 5, 6):
-        assert representative_coincidences(n) == []
+        assert representative_coincidences(representatives(n)) == []
 
 
 def test_counts_are_stable():
@@ -171,20 +173,15 @@ def test_intersection_is_conjugation_invariant_fact():
 
 
 def test_prune_loses_no_regular_subgroup():
-    pruned = {s for s, g, t in regular_subgroup_sets(3, prune_semiregular=True)}
-    unpruned = {s for s, g, t in regular_subgroup_sets(3, prune_semiregular=False)}
-    assert pruned == unpruned
+    pruned = regular_subgroup_sets(3, prune_semiregular=True)
+    unpruned = regular_subgroup_sets(3, prune_semiregular=False)
+    assert set(pruned) == set(unpruned)
 
 
 def test_structured_is_subset_and_covers_classes():
     for n in (4, 5):
-        full = regular_subgroup_sets(n)
-        table = full[0][2]
-        full_sets = {
-            frozenset(table.elements[e] for e in s) for s, g, t in full
-        }
-        assert set(_structured_regular_sets(n)) <= full_sets
-    recs = _enumerate_structured(6)
+        assert set(_structured_regular_sets(n)) <= set(regular_subgroup_sets(n))
+    recs = enumerate_regular_subgroups(6)
     found = {r.rtype.label() for r in recs}
     want = {t.label() for t in representative_types(6)}
     assert found == want
@@ -263,3 +260,17 @@ def test_record_serialization():
     assert d["generators"] == ["a^2", "a*x*y^2"]
     assert d["intersection_with_translations"] == "a^2"
     assert d["n"] == 4
+
+
+@pytest.mark.parametrize(
+    "n, digest",
+    [
+        (6, "ee5e74f321df723f858dda6e11f889325de5702f334586b91d165312175573c9"),
+        (7, "1de7a600c17599685d6520da253992789d27471557c92bffe7a61199a8a3e5a6"),
+    ],
+)
+def test_structured_records_pinned(n, digest):
+    # records, generators and witnesses of the structured engine, which
+    # the classify golden file (widths 3..5 enumerated) does not cover
+    text = json.dumps([r.to_dict() for r in enumerate_regular_subgroups(n)], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
