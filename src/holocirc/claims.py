@@ -87,8 +87,8 @@ def brute_order(h: hol.HolElem2) -> int:
 def brute_semiregular(h: hol.HolElem2) -> bool:
     """All cycles of the permutation share one length."""
     mod = h.modulus
-    aff = h.to_affine()
-    images = [aff.act(g) for g in range(mod)]
+    alpha, m = h.alpha, h.multiplier
+    images = [(g + alpha) * m % mod for g in range(mod)]
     seen = [False] * mod
     length = None
     for start in range(mod):
@@ -181,8 +181,13 @@ def _run_sum_valuations(params: dict) -> tuple[str, list, dict]:
         rhs = (1 - nt.pow5(-k * j, width)) % mod
         if lhs != rhs:
             bad.append({"sum": "identity", "k": k, "j": j})
-    status = "fail" if bad else "pass"
-    evidence = bad or [{"samples": samples, "width": width, "truncated": truncated}]
+    if bad:
+        status, evidence = "fail", bad
+    elif samples < 1:
+        status, evidence = "fail", [{"samples": 0, "why": "nothing was checked"}]
+    else:
+        status = "pass"
+        evidence = [{"samples": samples, "width": width, "truncated": truncated}]
     return status, evidence, {"samples": samples, "width": width, "seed": params.get("seed", DEFAULT_SEED)}
 
 
@@ -259,19 +264,17 @@ def _run_point_stabilizer(params: dict) -> tuple[str, list, dict]:
     bad = []
     checked = 0
     for n in _widths(lo, hi):
-        for g in range(1 << n):
+        mod = 1 << n
+        elements = [(h.alpha, h.multiplier) for h in _all_elements(n)]
+        for g in range(mod):
             checked += 1
             g1, g2 = hol.point_stabilizer(g, n)
-            sub = closure([g1.as_perm(), g2.as_perm()], degree=1 << n)
+            sub = closure([g1.as_perm(), g2.as_perm()], degree=mod)
             got = {
                 (a.t, a.m)
                 for a in (rc.affine_from_perm(p) for p in sub.elements)
             }
-            want = {
-                (h.alpha, h.multiplier)
-                for h in _all_elements(n)
-                if h.act(g) == g
-            }
+            want = {(a, m) for a, m in elements if (g + a) * m % mod == g}
             if got != want or sub.order != 1 << (n - 1):
                 bad.append({"n": n, "g": g, "order": sub.order})
     status, evidence = _counted(bad, "points", checked)

@@ -81,15 +81,16 @@ def _shard(text: str) -> tuple[int, int]:
     return shard, shards
 
 
-def _jobs(text: str) -> int:
-    """``--jobs N``: a worker count of at least 1."""
+def _at_least_one(text: str) -> int:
+    """``--jobs N`` or ``--samples N``: a count of at least 1 (no worker
+    or no sample would do nothing)."""
     try:
-        jobs = int(text)
+        count = int(text)
     except ValueError:
-        jobs = 0
-    if jobs < 1:
+        count = 0
+    if count < 1:
         raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
-    return jobs
+    return count
 
 
 @contextmanager
@@ -317,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("claim", help="claim id, or 'all'")
     p_verify.add_argument("--n", help="width or width range, e.g. 4 or 3..5")
     p_verify.add_argument("--modulus", type=int, help="graph modulus for scan claims")
-    p_verify.add_argument("--samples", type=int, help="randomized sample count")
+    p_verify.add_argument("--samples", type=_at_least_one, help="randomized sample count")
     p_verify.add_argument("--seed", type=int, help="randomized seed")
     p_verify.set_defaults(func=cmd_verify)
 
@@ -342,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.set_defaults(func=cmd_scan)
 
     for p in (p_verify, p_classify, p_scan):
-        p.add_argument("--jobs", type=_jobs, default=1, help="worker processes")
+        p.add_argument("--jobs", type=_at_least_one, default=1, help="worker processes")
     for p in (p_verify, p_classify, p_graph, p_scan):
         p.add_argument("--format", choices=("json", "ndjson", "text"), default="ndjson")
         p.add_argument("--out", help="write records to this path instead of stdout")

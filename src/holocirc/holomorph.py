@@ -16,15 +16,16 @@ such presentation and stay in plain ``AffineMap`` coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import gcd
 from typing import Optional, Sequence, Union
 
 from .numtheory import pow5, geom_series, alt_sum
-from .permgroup import Perm, PermSubgroup, closure
+from .permgroup import Perm, PermSubgroup, _perm, closure
 
-# Multiplier discrete logs base 5 use a cached table up to this width and
-# bitwise Hensel lifting beyond it (a table for large n would not fit).
+# Multiplier discrete logs base 5 and the unit tables of HolElem2 are
+# cached per width up to this width; beyond it the log is found by bitwise
+# Hensel lifting and the unit by a power (a table for large n would not fit).
 _DLOG_TABLE_MAX = 16
 
 
@@ -60,13 +61,15 @@ class AffineMap:
         return (g + self.t) * self.m % self.n
 
     def then(self, other: "AffineMap") -> "AffineMap":
-        if other.n != self.n:
+        n = self.n
+        if other.n != n:
             raise ValueError("modulus mismatch")
-        m_inv = pow(self.m, -1, self.n)
-        return AffineMap(self.n, self.t + other.t * m_inv, self.m * other.m)
+        m_inv = pow(self.m, -1, n)
+        return _affine(n, (self.t + other.t * m_inv) % n, self.m * other.m % n)
 
     def inverse(self) -> "AffineMap":
-        return AffineMap(self.n, -self.t * self.m, pow(self.m, -1, self.n))
+        n = self.n
+        return _affine(n, -self.t * self.m % n, pow(self.m, -1, n))
 
     def pow(self, r: int) -> "AffineMap":
         if r < 0:
@@ -87,7 +90,19 @@ class AffineMap:
         return self.m == 1
 
     def as_perm(self) -> Perm:
-        return Perm((g + self.t) * self.m % self.n for g in range(self.n))
+        n, t, m = self.n, self.t, self.m
+        return _perm(tuple([(g + t) * m % n for g in range(n)]))
+
+
+def _affine(n: int, t: int, m: int) -> AffineMap:
+    """An AffineMap from t and a unit m already reduced mod n, without the
+    constructor's validation."""
+    a = object.__new__(AffineMap)
+    fields = a.__dict__
+    fields["n"] = n
+    fields["t"] = t
+    fields["m"] = m
+    return a
 
 
 Pair = tuple[int, int]
@@ -136,29 +151,62 @@ class PairArith:
         return frozenset(elems)
 
 
-@dataclass(frozen=True)
-class HolElem2:
+class _Slots:
+    """The storage of a HolElem2.  ``_reduced`` assigns the fields on a
+    bare _Slots, where no ``__setattr__`` guard applies, and then switches
+    the object's class to HolElem2: cheaper than going round the guard
+    once per field."""
+
+    __slots__ = ("n", "alpha", "beta", "gamma")
+
+
+class HolElem2(_Slots):
     """Normal form a^alpha * x^beta * y^gamma in the holomorph of Z_{2^n}.
 
     The represented permutation sends g to (g + alpha) * (-1)**beta *
     5**gamma mod 2**n.  Requires n >= 3 (the unit group of Z_4 and Z_2
-    is not <-1> x <5>).
+    is not <-1> x <5>).  An immutable value: equality and hash are those
+    of (n, alpha, beta, gamma).  The constructor validates and reduces;
+    products and inverses are built reduced by ``_reduced``.
     """
 
-    n: int
-    alpha: int
-    beta: int
-    gamma: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n < 3:
+    def __new__(cls, n: int, alpha: int, beta: int, gamma: int) -> "HolElem2":
+        if n < 3:
             raise ValueError(
-                f"normal form needs exponent >= 3, got {self.n}; "
+                f"normal form needs exponent >= 3, got {n}; "
                 "use AffineMap for widths 1 and 2"
             )
-        object.__setattr__(self, "alpha", self.alpha % (1 << self.n))
-        object.__setattr__(self, "beta", self.beta % 2)
-        object.__setattr__(self, "gamma", self.gamma % (1 << (self.n - 2)))
+        return _reduced(n, alpha % (1 << n), beta % 2, gamma % (1 << (n - 2)))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not HolElem2:
+            return NotImplemented
+        return (self.n, self.alpha, self.beta, self.gamma) == (
+            other.n,
+            other.alpha,
+            other.beta,
+            other.gamma,
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.alpha, self.beta, self.gamma))
+
+    def __repr__(self) -> str:
+        return (
+            f"HolElem2(n={self.n}, alpha={self.alpha}, "
+            f"beta={self.beta}, gamma={self.gamma})"
+        )
+
+    def __reduce__(self):
+        return HolElem2, (self.n, self.alpha, self.beta, self.gamma)
 
     @classmethod
     def identity(cls, n: int) -> "HolElem2":
@@ -177,16 +225,18 @@ class HolElem2:
     def modulus(self) -> int:
         return 1 << self.n
 
-    @cached_property
+    @property
     def multiplier(self) -> int:
-        u = pow5(self.gamma, self.n)
-        return (-u if self.beta else u) % self.modulus
+        n = self.n
+        if n <= _DLOG_TABLE_MAX:
+            return _UNIT_TABLES[n][0][self.beta << (n - 2) | self.gamma]
+        return _signed_pow5(n, self.beta, self.gamma)
 
     def to_affine(self) -> AffineMap:
-        return AffineMap(self.modulus, self.alpha, self.multiplier)
+        return _affine(self.modulus, self.alpha, self.multiplier)
 
     def act(self, g: int) -> int:
-        return (g + self.alpha) * self.multiplier % self.modulus
+        return (g + self.alpha) * self.multiplier % (1 << self.n)
 
     def then(self, other: "HolElem2") -> "HolElem2":
         """Compose in normal form: the x- and y-exponents add, and the
@@ -195,12 +245,16 @@ class HolElem2:
         n = self.n
         if other.n != n:
             raise ValueError("modulus mismatch")
-        u = _inverse_multiplier(n, self.beta, self.gamma)
+        beta, gamma = self.beta, self.gamma
+        if n <= _DLOG_TABLE_MAX:
+            u = _UNIT_TABLES[n][1][beta << (n - 2) | gamma]
+        else:
+            u = _signed_pow5(n, beta, -gamma)
         return _reduced(
             n,
             (self.alpha + other.alpha * u) % (1 << n),
-            self.beta ^ other.beta,
-            (self.gamma + other.gamma) % (1 << (n - 2)),
+            beta ^ other.beta,
+            (gamma + other.gamma) % (1 << (n - 2)),
         )
 
     def inverse(self) -> "HolElem2":
@@ -225,20 +279,38 @@ class HolElem2:
 def _reduced(n: int, alpha: int, beta: int, gamma: int) -> HolElem2:
     """A HolElem2 from exponents already reduced, without the
     constructor's validation (most of the cost of a product)."""
-    h = object.__new__(HolElem2)
-    fields = h.__dict__
-    fields["n"] = n
-    fields["alpha"] = alpha
-    fields["beta"] = beta
-    fields["gamma"] = gamma
+    h = object.__new__(_Slots)
+    h.n = n
+    h.alpha = alpha
+    h.beta = beta
+    h.gamma = gamma
+    h.__class__ = HolElem2
     return h
 
 
-@lru_cache(maxsize=1 << 12)
-def _inverse_multiplier(n: int, beta: int, gamma: int) -> int:
-    """(-1)**beta * 5**(-gamma) mod 2**n, the inverse automorphism part."""
-    u = pow5(-gamma, n)
+def _signed_pow5(n: int, beta: int, e: int) -> int:
+    """(-1)**beta * 5**e mod 2**n."""
+    u = pow5(e, n)
     return (-u if beta else u) % (1 << n)
+
+
+class _UnitTableCache(dict):
+    """Width n -> the lists of (-1)**beta * 5**gamma and of its inverse
+    (-1)**beta * 5**(-gamma) mod 2**n, both indexed by
+    beta << (n - 2) | gamma.  Built on first use, for widths up to
+    _DLOG_TABLE_MAX only; wider widths compute the power."""
+
+    def __missing__(self, n: int) -> tuple[list[int], list[int]]:
+        exps = range(1 << (n - 2))
+        tables = (
+            [_signed_pow5(n, b, g) for b in (0, 1) for g in exps],
+            [_signed_pow5(n, b, -g) for b in (0, 1) for g in exps],
+        )
+        self[n] = tables
+        return tables
+
+
+_UNIT_TABLES = _UnitTableCache()
 
 
 HolElement = Union[HolElem2, AffineMap]

@@ -24,7 +24,11 @@ class NotSubgroupError(ValueError):
 
 
 class Perm:
-    """An immutable permutation of {0..n-1}, stored by its image tuple."""
+    """An immutable permutation of {0..n-1}, stored by its image tuple.
+
+    The constructor checks that the images form a bijection; products,
+    inverses and the identity are bijections by construction and are
+    built by ``_perm`` without the check."""
 
     __slots__ = ("images", "_hash")
 
@@ -37,7 +41,7 @@ class Perm:
 
     @classmethod
     def identity(cls, degree: int) -> "Perm":
-        return cls(range(degree))
+        return _perm(tuple(range(degree)))
 
     @property
     def degree(self) -> int:
@@ -48,14 +52,13 @@ class Perm:
 
     def then(self, other: "Perm") -> "Perm":
         """The permutation 'apply self, then other'."""
-        oi = other.images
-        return Perm(oi[i] for i in self.images)
+        return _perm(tuple(map(other.images.__getitem__, self.images)))
 
     def inverse(self) -> "Perm":
         inv = [0] * len(self.images)
         for i, j in enumerate(self.images):
             inv[j] = i
-        return Perm(inv)
+        return _perm(tuple(inv))
 
     def conjugated_by(self, w: "Perm") -> "Perm":
         """w^-1 * self * w (left-to-right application order)."""
@@ -98,6 +101,15 @@ class Perm:
 
     def __repr__(self) -> str:
         return f"Perm{self.images}"
+
+
+def _perm(images: tuple[int, ...]) -> Perm:
+    """A Perm from an image tuple known to be a bijection, without the
+    constructor's check (most of the cost of a product)."""
+    p = object.__new__(Perm)
+    p.images = images
+    p._hash = hash(images)
+    return p
 
 
 class StabChain:

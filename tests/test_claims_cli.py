@@ -213,6 +213,7 @@ def test_cli_width_below_3_is_usage_error():
         ("thm-3.4-normality", {"n": (1, 2)}, "cyclic_subgroups"),
         ("lem-3.1", {"n": (1, 2)}, "powers"),
         ("lem-3.10", {"n": (1, 2)}, "points"),
+        ("lem-3.2", {"samples": 0}, "samples"),
     ],
 )
 def test_claim_that_checked_nothing_fails(claim_id, params, key):
@@ -468,6 +469,33 @@ def test_cli_bad_jobs_or_shard_is_usage_error(capsys, argv, flag):
     captured = capsys.readouterr()
     assert f"argument {flag}:" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("count", ["0", "-5", "x"])
+def test_cli_samples_below_1_is_usage_error(capsys, count):
+    # lem-3.2 used to draw no sample and report pass
+    assert main(["verify", "lem-3.2", "--samples", count]) == 2
+    captured = capsys.readouterr()
+    assert "argument --samples: expected an integer of at least 1" in captured.err
+    assert captured.out == ""
+
+
+# sha256 of the `verify <id> --format ndjson` stdout of the claims whose
+# brute-force routes read reduced elements directly, as computed before
+# those routes were reworked
+CLAIM_DIGESTS = {
+    "lem-3.3": "b288bcef146d0650af093b3255ea9ad8785f84b85932136ef78fcaa0cf83637b",
+    "lem-3.4": "328a3d13f973488921ba8db868c6540a827feddbd14cc1937519b46754e19311",
+    "lem-3.10": "2c817e44c5b0e69eecf76003355df434a260fba8abb23b007218ed6e999dc046",
+    "thm-3.14": "bca83ebb935b9fee6d604be5b1150daa487263e6eee9a717f84ee39c537ab94a",
+}
+
+
+@pytest.mark.parametrize("claim_id", sorted(CLAIM_DIGESTS))
+def test_claim_reports_pinned(capsys, claim_id):
+    assert main(["verify", claim_id, "--format", "ndjson"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == CLAIM_DIGESTS[claim_id]
 
 
 @pytest.mark.parametrize(

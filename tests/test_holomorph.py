@@ -1,9 +1,11 @@
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from holocirc import holomorph
 from holocirc.holomorph import (
     AffineMap,
     HolElem2,
@@ -20,6 +22,7 @@ from holocirc.holomorph import (
     order,
     parse_element,
     point_stabilizer,
+    pow5,
     power,
 )
 from holocirc.permgroup import closure
@@ -193,6 +196,72 @@ def test_normal_form_products_are_reduced():
         for h in (top.then(top), top.inverse(), top.then(top.inverse())):
             assert_reduced(h, n)
         assert top.then(top.inverse()) == HolElem2.identity(n)
+
+
+def _trusted_pairs():
+    """Every pair at widths 3 and 4; 2,000 seeded pairs at widths 5..7
+    and at 20 and 24, which are past the unit tables."""
+    for n in (3, 4):
+        elems = all_elements(n)
+        yield n, [(h1, h2) for h1 in elems for h2 in elems]
+    for n in (5, 6, 7, 20, 24):
+        rng = random.Random(1000 + n)
+        yield n, [(random_element(rng, n), random_element(rng, n)) for _ in range(2000)]
+
+
+def test_trusted_products_and_inverses_equal_validated_elements():
+    for n, pairs in _trusted_pairs():
+        for h1, h2 in pairs:
+            for h in (h1.then(h2), h1.inverse()):
+                assert type(h) is HolElem2
+                assert_reduced(h, n)
+
+
+def test_multiplier_matches_pow5_route():
+    for n in (3, 4, 5, 8, 16, 17, 20, 24):
+        mod = 1 << n
+        rng = random.Random(n)
+        elems = all_elements(n) if n <= 5 else [random_element(rng, n) for _ in range(500)]
+        for h in elems:
+            want = (-1) ** h.beta * pow5(h.gamma, n) % mod
+            assert h.multiplier == want
+            assert h.inverse().multiplier * want % mod == 1
+            assert h.to_affine() == AffineMap(mod, h.alpha, want)
+
+
+def test_hol_elem_is_immutable_and_slotted():
+    h = HolElem2(5, 3, 1, 2)
+    for name in ("n", "alpha", "beta", "gamma"):
+        with pytest.raises(AttributeError):
+            setattr(h, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(h, name)
+    with pytest.raises(AttributeError):
+        h.extra = 1
+    assert not hasattr(h, "__dict__")
+    assert (h.n, h.alpha, h.beta, h.gamma) == (5, 3, 1, 2)
+    assert pickle.loads(pickle.dumps(h)) == h
+    assert h != (5, 3, 1, 2) and h != HolElem2(6, 3, 1, 2)
+
+
+def test_no_unit_table_above_width_16():
+    for n in (8, 16, 17, 20, 24):
+        h = HolElem2(n, 3, 1, 5)
+        h.then(h).inverse().act(1)
+    assert all(n <= 16 for n in holomorph._UNIT_TABLES)
+    assert 16 in holomorph._UNIT_TABLES and 17 not in holomorph._UNIT_TABLES
+
+
+def test_trusted_affine_products_equal_validated_maps():
+    for n in (2, 8, 12):
+        maps = holomorph_elements(n)
+        for a in maps:
+            # the constructor reduces, so equality means already reduced
+            inv = a.inverse()
+            assert inv == AffineMap(n, inv.t, inv.m)
+            for b in maps:
+                ab = a.then(b)
+                assert ab == AffineMap(n, ab.t, ab.m)
 
 
 def test_power_examples():

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from holocirc.holomorph import AffineMap, holomorph_group
+from holocirc.holomorph import AffineMap, holomorph_elements, holomorph_group
 from holocirc.permgroup import (
     NotSubgroupError,
     Perm,
@@ -44,8 +44,9 @@ def cocycle_group(nhalf, e, c):
 
 
 def test_perm_validation_and_basics():
-    with pytest.raises(ValueError):
-        Perm([0, 0, 1])
+    for images in ([0, 0, 1], [0, 0], [1, 2]):
+        with pytest.raises(ValueError):
+            Perm(images)
     p = Perm([1, 2, 0, 3])
     assert p.order() == 3
     assert p.then(p.inverse()).is_identity()
@@ -214,3 +215,34 @@ def test_iso_type_is_conjugation_invariant():
             wi = w.inverse()
             conj = from_elements(wi.then(p).then(w) for p in sub.elements)
             assert iso_type(conj) == tag
+
+
+def _assert_validated(p):
+    """p equals, and hashes like, the Perm its images validate to."""
+    built = Perm(list(p.images))
+    assert type(p.images) is tuple
+    assert p == built and hash(p) == hash(built)
+
+
+def test_trusted_perm_results_equal_validated_perms():
+    rng = random.Random(5)
+    for degree in (1, 2, 5, 8, 16):
+        _assert_validated(Perm.identity(degree))
+        assert Perm.identity(degree) == Perm(range(degree))
+        for _ in range(200):
+            p = Perm(rng.sample(range(degree), degree))
+            q = Perm(rng.sample(range(degree), degree))
+            pq = p.then(q)
+            _assert_validated(pq)
+            assert pq.images == tuple(q.images[i] for i in p.images)
+            inv = p.inverse()
+            _assert_validated(inv)
+            assert p.then(inv).is_identity() and inv.then(p).is_identity()
+
+
+def test_affine_as_perm_equals_validated_perm():
+    for n in (2, 8, 12, 16):
+        for a in holomorph_elements(n):
+            p = a.as_perm()
+            _assert_validated(p)
+            assert p == Perm((g + a.t) * a.m % n for g in range(n))
