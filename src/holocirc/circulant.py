@@ -16,15 +16,19 @@ from __future__ import annotations
 
 import json
 import os
+from collections import deque
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from math import gcd
-from typing import Callable, Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
 
 from .holomorph import AffineMap, Pair, PairArith, crt_decompose
 from .permgroup import Perm
 from .regular_classify import cyclic_regular_affine_subgroups
+
+if TYPE_CHECKING:
+    from concurrent.futures import Executor
 
 DEFAULT_MAX_DEGREE = 32
 
@@ -693,10 +697,16 @@ def _census_record(circ: Circulant, mask: int, aut_fields: dict) -> dict:
     }
 
 
-def _multiplier_orbit_key(n: int) -> Callable[[int], int]:
-    """The map from a census mask to the least mask of uS over the units
-    u of Z_n, where S is the mask's connection set: two masks share a key
-    exactly when their sets lie in one Z_n^* orbit."""
+SCAN_CHUNK = 32  # masks per task of a parallel scan
+
+# the record fields that are the same on a whole Z_n^* orbit, nnn last
+_AUT_FIELDS = ("aut_order", "normal", "within_holomorph", "nnn")
+_UNSET = dict.fromkeys(_AUT_FIELDS + ("witnesses",))
+
+
+def _multiplier_orbit(n: int) -> Callable[[int], set[int]]:
+    """The map from a census mask to the masks of uS over the units u of
+    Z_n, where S is the mask's connection set: its Z_n^* orbit."""
     orbits = pair_orbits(n)
     index = {s: i for i, orbit in enumerate(orbits) for s in orbit}
     # a unit permutes the inverse pairs; u and -u permute them alike
@@ -706,11 +716,18 @@ def _multiplier_orbit_key(n: int) -> Callable[[int], int]:
         if gcd(u, n) == 1
     }
 
-    def key(mask: int) -> int:
+    def orbit(mask: int) -> set[int]:
         members = [i for i in range(len(orbits)) if mask >> i & 1]
-        return min(sum(action[i] for i in members) for action in actions)
+        return {sum(action[i] for i in members) for action in actions}
 
-    return key
+    return orbit
+
+
+def _multiplier_orbit_key(n: int) -> Callable[[int], int]:
+    """The map from a census mask to the least mask of its Z_n^* orbit:
+    two masks share a key exactly when their sets lie in one orbit."""
+    orbit = _multiplier_orbit(n)
+    return lambda mask: min(orbit(mask))
 
 
 def scan_range(
@@ -719,34 +736,120 @@ def scan_range(
     stop: int,
     connected_only: bool = False,
     degree_bound: Optional[float] = None,
-) -> list[dict]:
-    """Scan one contiguous mask range (a shard) in census order.
+    jobs: int = 1,
+) -> Iterator[dict]:
+    """Scan one contiguous mask range (a shard), yielding each record in
+    census order as soon as it is known.
 
     Multiplying by a unit u maps Cay(Z_n, S) isomorphically onto
     Cay(Z_n, uS) and normalises the translations, so the automorphism
     order, normality, holomorph containment and the nnn verdict are the
-    same on each Z_n^* orbit of connection sets.  The first mask of an
-    orbit met in the range is scanned in full; a later one copies those
+    same on each Z_n^* orbit of connection sets.  The least mask of an
+    orbit inside the range is scanned in full; a later one copies those
     fields from it and computes the rest.  A record with nnn true is
     never copied, since its witness depends on the labelling.
+
+    With ``jobs`` above 1 a pool of that many worker processes scans
+    chunks of SCAN_CHUNK masks.  Orbit membership is decided against the
+    whole range, so each orbit is still searched once, and the records
+    come out in the same order with the same bytes.  Close the iterator
+    to stop the workers early.
     """
     if n < 2:
         raise ValueError(f"modulus must be >= 2, got {n}")
-    key_of = _multiplier_orbit_key(n)
-    firsts: dict[int, dict] = {}
-    out = []
-    for mask in range(start, stop):
-        key = key_of(mask)
-        first = firsts.get(key)
-        if first is None or first["nnn"]:
+    return _scan(n, start, stop, connected_only, degree_bound, jobs)
+
+
+def _scan(
+    n: int,
+    start: int,
+    stop: int,
+    connected_only: bool,
+    degree_bound: Optional[float],
+    jobs: int,
+) -> Iterator[dict]:
+    if jobs == 1 or stop - start <= SCAN_CHUNK:
+        entries = _scan_chunk(n, start, stop, start, stop, degree_bound)
+        yield from _merge(n, entries, connected_only, degree_bound)
+        return
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
+    tasks = (
+        (n, start, stop, lo, min(lo + SCAN_CHUNK, stop), degree_bound)
+        for lo in range(start, stop, SCAN_CHUNK)
+    )
+    pool = ProcessPoolExecutor(jobs, mp_context=get_context("spawn"))
+    try:
+        # a bounded window of chunks in flight keeps memory flat when the
+        # reader of the records is slower than the workers
+        entries = _in_order(pool, tasks, 4 * jobs)
+        yield from _merge(n, entries, connected_only, degree_bound)
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _in_order(
+    pool: Executor, tasks: Iterable[tuple], ahead: int
+) -> Iterator[tuple[dict, int, int]]:
+    """The entries of each task's chunk in task order, with at most
+    ``ahead`` tasks submitted to ``pool`` and not yet read."""
+    queued: deque = deque()
+    for task in tasks:
+        queued.append(pool.submit(_chunk_entries, task))
+        if len(queued) == ahead:
+            yield from queued.popleft().result()
+    while queued:
+        yield from queued.popleft().result()
+
+
+def _chunk_entries(task: tuple) -> list[tuple[dict, int, int]]:
+    return list(_scan_chunk(*task))
+
+
+def _scan_chunk(
+    n: int, start: int, stop: int, lo: int, hi: int, degree_bound: Optional[float]
+) -> Iterator[tuple[dict, int, int]]:
+    """The masks lo..hi-1 of the range start..stop-1, each as (record,
+    first, last), where first and last are the least and the greatest
+    member of the mask's Z_n^* orbit inside the range.  Only the first
+    member of an orbit gets the automorphism search; the record of any
+    other member leaves the fields of _AUT_FIELDS unset."""
+    orbit = _multiplier_orbit(n)
+    for mask in range(lo, hi):
+        inside = [m for m in orbit(mask) if start <= m < stop]
+        first, last = min(inside), max(inside)
+        if mask == first:
             record = scan_record(n, mask, degree_bound)
-            firsts.setdefault(key, record)
         else:
-            record = _census_record(build(n, connection_set(n, mask)), mask, first)
+            record = _census_record(build(n, connection_set(n, mask)), mask, _UNSET)
+        yield record, first, last
+
+
+def _merge(
+    n: int,
+    entries: Iterable[tuple[dict, int, int]],
+    connected_only: bool,
+    degree_bound: Optional[float],
+) -> Iterator[dict]:
+    """The records of _scan_chunk entries given in mask order, each later
+    member of an orbit completed from the orbit's first record.  Only the
+    copied fields of orbits with members still to come are kept."""
+    open_orbits: dict[int, tuple] = {}
+    for record, first, last in entries:
+        mask = record["mask"]
+        if mask == first:
+            if last != mask:
+                open_orbits[first] = tuple(record[f] for f in _AUT_FIELDS)
+        else:
+            fields = open_orbits.pop(first) if mask == last else open_orbits[first]
+            if fields[-1]:  # nnn
+                record = scan_record(n, mask, degree_bound)
+            else:
+                record.update(zip(_AUT_FIELDS, fields))
         if connected_only and not record["connected"]:
             continue
-        out.append(record)
-    return out
+        yield record
 
 
 def shard_bounds(total: int, shard: int, shards: int) -> tuple[int, int]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from . import circulant as circ_mod
 from . import holomorph as hol
@@ -121,9 +121,9 @@ def _counted(bad: list, key: str, checked: int) -> tuple[str, list]:
     return "pass", [{key: checked}]
 
 
-def _census(n: int) -> list[dict]:
-    """The full census of Z_n, one automorphism search per multiplier
-    orbit (circulant.scan_range)."""
+def _census(n: int) -> Iterator[dict]:
+    """The full census of Z_n as a stream of records, one automorphism
+    search per multiplier orbit (circulant.scan_range)."""
     return circ_mod.scan_range(n, 0, circ_mod.census_size(n))
 
 

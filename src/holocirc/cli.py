@@ -2,15 +2,17 @@
 
 Four subcommands: ``verify`` runs registered claims over flag-chosen
 ranges, ``classify`` emits the regular-subgroup classification as JSON,
-``graph`` analyses one circulant, and ``scan`` writes one NDJSON record
-per inverse-closed connection set once the scan is done.  Every command
-writes its records to one stream, stdout or ``--out``, opened before any
-work starts.  Identical invocations produce
-byte-identical record streams (deterministic ordering, no timestamps
-inside records; runtimes go to stderr).
+``graph`` analyses one circulant, and ``scan`` streams one NDJSON record
+per inverse-closed connection set, each written as soon as it is known.
+Every command writes its records to one stream, stdout or ``--out``,
+opened before any work starts, and flushes it after each record.
+Identical invocations produce byte-identical record streams
+(deterministic ordering, no timestamps inside records; runtimes go to
+stderr).
 
-Exit codes: 0 all passed, 1 verification failure, 2 usage error,
-3 resource bound exceeded (override with --force).
+Exit codes: 0 all passed, 1 verification failure or an output stream
+closed by its reader, 2 usage error, 3 resource bound exceeded
+(override with --force).
 
 Element notation used in reports: "a^3*x*y^2" means translate by 3,
 then negate, then multiply by 5^2; "1" is the identity.
@@ -20,12 +22,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from math import inf
-from typing import Iterator, Optional, TextIO
+from typing import Iterable, Iterator, Optional, TextIO
 
 from . import circulant as circ_mod
 from . import claims
@@ -109,15 +111,22 @@ def _opened(path: Optional[str], flag: str) -> Iterator[TextIO]:
         yield fh
 
 
-def _emit(records: list[dict], fmt: str, out: TextIO) -> None:
+def _emit(records: Iterable[dict], fmt: str, out: TextIO) -> None:
+    """Write each record as it arrives, and flush it.  The ``json`` array
+    has the bytes of ``json.dumps(records, indent=2, sort_keys=True)``."""
     if fmt == "json":
-        out.write(json.dumps(records, indent=2, sort_keys=True) + "\n")
-    elif fmt == "ndjson":
+        opening = "[\n"
         for record in records:
-            out.write(json.dumps(record, sort_keys=True) + "\n")
-    else:
-        for record in records:
-            out.write(_as_text(record) + "\n")
+            body = json.dumps(record, indent=2, sort_keys=True)
+            out.write(opening + "  " + body.replace("\n", "\n  "))
+            out.flush()
+            opening = ",\n"
+        out.write("[]\n" if opening == "[\n" else "\n]\n")
+        return
+    line = _as_text if fmt == "text" else (lambda r: json.dumps(r, sort_keys=True))
+    for record in records:
+        out.write(line(record) + "\n")
+        out.flush()
 
 
 def _as_text(record: dict) -> str:
@@ -274,34 +283,15 @@ def cmd_scan(args: argparse.Namespace, out: TextIO) -> int:
     start, stop = circ_mod.shard_bounds(total, shard, shards)
 
     t0 = time.perf_counter()
-    if args.jobs > 1 and stop - start > 1:
-        chunk_bounds = [
-            (start + (stop - start) * i // args.jobs,
-             start + (stop - start) * (i + 1) // args.jobs)
-            for i in range(args.jobs)
-        ]
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            chunks = pool.map(
-                _scan_chunk,
-                [(n, lo, hi, args.connected_only, cap) for lo, hi in chunk_bounds],
-            )
-        records = [record for chunk in chunks for record in chunk]
-    else:
-        records = circ_mod.scan_range(n, start, stop, args.connected_only, cap)
-    records.sort(key=lambda r: r["mask"])
-
-    _emit(records, args.format, out)
+    records = circ_mod.scan_range(n, start, stop, args.connected_only, cap, args.jobs)
+    with closing(records):
+        _emit(records, args.format, out)
     print(
         f"scanned {stop - start} connection sets on Z_{n} in "
         f"{time.perf_counter() - t0:.2f}s",
         file=sys.stderr,
     )
     return EXIT_OK
-
-
-def _scan_chunk(job: tuple) -> list[dict]:
-    n, lo, hi, connected_only, cap = job
-    return circ_mod.scan_range(n, lo, hi, connected_only, cap)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -371,6 +361,24 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        print("output closed by its reader; stopped early", file=sys.stderr)
+        if args.out is None:
+            _discard_stdout()
+        return EXIT_FAIL
+
+
+def _discard_stdout() -> None:
+    """Point the stdout descriptor at the null device, so that the
+    interpreter's last flush of the records still buffered for a closed
+    pipe neither fails nor prints a traceback."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return  # not a descriptor: nothing is flushed to a pipe at exit
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 if __name__ == "__main__":

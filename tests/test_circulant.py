@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+from concurrent.futures import Future
 
 import pytest
 
@@ -158,10 +159,11 @@ CENSUS_SHA256 = {
 
 def test_census_bytes_pinned():
     for n, want in CENSUS_SHA256.items():
-        digest = hashlib.sha256()
-        for record in scan_range(n, 0, census_size(n)):
-            digest.update((json.dumps(record, sort_keys=True) + "\n").encode())
-        assert digest.hexdigest() == want, n
+        for jobs in (1, 2):
+            digest = hashlib.sha256()
+            for record in scan_range(n, 0, census_size(n), jobs=jobs):
+                digest.update((json.dumps(record, sort_keys=True) + "\n").encode())
+            assert digest.hexdigest() == want, (n, jobs)
 
 
 def test_aut_order_invariant_under_relabeling():
@@ -416,12 +418,12 @@ def test_shard_bounds_partition():
 
 
 def test_scan_records_deterministic_and_sharded():
-    full = scan_range(9, 0, census_size(9))
-    again = scan_range(9, 0, census_size(9))
+    full = list(scan_range(9, 0, census_size(9)))
+    again = list(scan_range(9, 0, census_size(9)))
     assert full == again
     lo, hi = shard_bounds(census_size(9), 0, 2)
-    assert scan_range(9, lo, hi) == full[lo:hi]
-    connected = scan_range(9, 0, census_size(9), connected_only=True)
+    assert list(scan_range(9, lo, hi)) == full[lo:hi]
+    connected = list(scan_range(9, 0, census_size(9), connected_only=True))
     assert all(r["connected"] for r in connected)
     assert len(connected) < len(full)
 
@@ -440,16 +442,16 @@ def test_scan_range_shards_concatenate_to_census():
     # contiguous shards cut multiplier orbits, so a later member of an
     # orbit may sit in a shard without its first member
     total = census_size(16)
-    full = scan_range(16, 0, total)
+    full = list(scan_range(16, 0, total))
     for shards in (2, 3, 5, 7, 16):
-        pieces = [scan_range(16, *shard_bounds(total, i, shards)) for i in range(shards)]
+        pieces = [list(scan_range(16, *shard_bounds(total, i, shards))) for i in range(shards)]
         assert [r for piece in pieces for r in piece] == full, shards
 
 
 def test_scan_range_equals_per_mask_records():
     for n in (18, 20):
         direct = [scan_record(n, mask) for mask in range(census_size(n))]
-        assert scan_range(n, 0, census_size(n)) == direct, n
+        assert list(scan_range(n, 0, census_size(n))) == direct, n
 
 
 def test_scan_range_searches_once_per_orbit(monkeypatch):
@@ -462,8 +464,88 @@ def test_scan_range_searches_once_per_orbit(monkeypatch):
         return search(circ, degree_bound)
 
     monkeypatch.setattr(circulant, "automorphism_group", counted)
-    scan_range(16, 0, census_size(16))
+    list(scan_range(16, 0, census_size(16)))
     assert len(calls) == 88
+
+
+def _burnside_orbit_count(n):
+    """The number of Z_n^* orbits of census masks by Burnside's lemma: the
+    mean, over the distinct permutations of the inverse pairs by units,
+    of 2^(number of cycles)."""
+    pairs = pair_orbits(n)
+    where = {s: i for i, pair in enumerate(pairs) for s in pair}
+    actions = {
+        tuple(where[pair[0] * u % n] for pair in pairs)
+        for u in range(1, n)
+        if math.gcd(u, n) == 1
+    }
+    total = 0
+    for perm in actions:
+        seen, cycles = set(), 0
+        for i in range(len(perm)):
+            cycles += i not in seen
+            while i not in seen:
+                seen.add(i)
+                i = perm[i]
+        total += 2**cycles
+    assert total % len(actions) == 0
+    return total // len(actions)
+
+
+def test_orbit_keys_match_burnside_count():
+    assert _burnside_orbit_count(16) == 88
+    for n in range(2, 25):
+        key = _multiplier_orbit_key(n)
+        keys = {key(mask) for mask in range(census_size(n))}
+        assert len(keys) == _burnside_orbit_count(n), n
+
+
+@pytest.mark.parametrize("size", [1, 3, 64])
+def test_chunked_scan_searches_each_orbit_once(monkeypatch, size):
+    # whatever the chunk size, the chunks and the merge give the records
+    # of the range, with one automorphism search per orbit meeting it
+    n = 16
+    total = census_size(n)
+    expected = list(scan_range(n, 0, total))
+    mask_of = {connection_set(n, mask): mask for mask in range(total)}
+    key = _multiplier_orbit_key(n)
+    searched = []
+    search = circulant.automorphism_group
+
+    def counted(circ, degree_bound=None):
+        searched.append(mask_of[circ.conn])
+        return search(circ, degree_bound)
+
+    monkeypatch.setattr(circulant, "automorphism_group", counted)
+    for start, stop in ((0, total), (37, 201)):
+        searched.clear()
+        entries = itertools.chain.from_iterable(
+            circulant._scan_chunk(n, start, stop, lo, min(lo + size, stop), None)
+            for lo in range(start, stop, size)
+        )
+        assert list(circulant._merge(n, entries, False, None)) == expected[start:stop]
+        orbits = {key(mask) for mask in range(start, stop)}
+        assert sorted(key(mask) for mask in searched) == sorted(orbits)
+        if (start, stop) == (0, total):
+            assert len(searched) == _burnside_orbit_count(n)
+
+
+def test_in_order_keeps_a_bounded_window():
+    class Pool:
+        submitted = 0
+
+        def submit(self, fn, task):
+            self.submitted += 1
+            done = Future()
+            done.set_result([task])
+            return done
+
+    pool = Pool()
+    read = []
+    for entry in circulant._in_order(pool, range(10), 3):
+        read.append(entry)
+        assert pool.submitted - len(read) < 3
+    assert read == list(range(10))
 
 
 def test_scan_range_never_copies_an_nnn_record(monkeypatch):
@@ -477,7 +559,7 @@ def test_scan_range_never_copies_an_nnn_record(monkeypatch):
         return dict(scan(n, mask, degree_bound), nnn=True)
 
     monkeypatch.setattr(circulant, "scan_record", nnn_everywhere)
-    records = scan_range(12, 0, census_size(12))
+    records = list(scan_range(12, 0, census_size(12)))
     assert scanned == list(range(census_size(12)))
     assert all(r["nnn"] for r in records)
 

@@ -35,23 +35,27 @@ EXPECTED_CLAIMS = {
 }
 
 
-def run_cli(*argv, env=None):
-    """Run ``python -m holocirc.cli`` in a child that imports the same
-    holocirc as this test (installed or not) and sees no HOLOCIRC_*
-    variable of the calling shell, only those in ``env``."""
+def cli_env(env=None):
+    """An environment for a ``python -m holocirc.cli`` child that imports
+    the same holocirc as this test (installed or not) and sees no
+    HOLOCIRC_* variable of the calling shell, only those in ``env``."""
     child_env = {k: v for k, v in os.environ.items() if not k.startswith("HOLOCIRC_")}
     src = os.path.dirname(os.path.dirname(holocirc.__file__))
     child_env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, child_env.get("PYTHONPATH")) if p
     )
     child_env.update(env or {})
-    proc = subprocess.run(
+    return child_env
+
+
+def run_cli(*argv, env=None):
+    """Run ``python -m holocirc.cli`` in a child set up by cli_env."""
+    return subprocess.run(
         [sys.executable, "-m", "holocirc.cli", *argv],
         capture_output=True,
         text=True,
-        env=child_env,
+        env=cli_env(env),
     )
-    return proc
 
 
 def test_registry_is_complete():
@@ -328,14 +332,101 @@ def test_cli_scan_jobs_matches_serial(tmp_path):
     assert serial.read_bytes() == parallel.read_bytes()
 
 
+# sha256 of the Z_16 census, perfbench/golden/census16.ndjson
+CENSUS16_SHA256 = "56a5623507d9a0f591d84a6f3da1cf024653674b3f7b416cfa14ae995f3d6fdf"
+
+
 def test_cli_scan_16_jobs_matches_serial(tmp_path):
-    # the two workers cut the multiplier orbits of Z_16 differently from
-    # one serial scan, and the bytes must not depend on the cut
+    # every split deals whole orbits to the workers, and the bytes of
+    # the concatenated shards must not depend on the split
     serial = tmp_path / "serial.ndjson"
-    parallel = tmp_path / "par.ndjson"
     assert main(["scan", "--modulus", "16", "--out", str(serial)]) == 0
-    assert main(["scan", "--modulus", "16", "--jobs", "2", "--out", str(parallel)]) == 0
-    assert parallel.read_bytes() == serial.read_bytes()
+    assert hashlib.sha256(serial.read_bytes()).hexdigest() == CENSUS16_SHA256
+    for jobs in (1, 2, 3, 4):
+        for shards in (1, 2, 3, 7):
+            pieces = []
+            for shard in range(shards):
+                out = tmp_path / f"{jobs}-{shards}-{shard}.ndjson"
+                argv = ["scan", "--modulus", "16", "--jobs", str(jobs),
+                        "--shard", f"{shard}/{shards}", "--out", str(out)]
+                assert main(argv) == 0
+                pieces.append(out.read_bytes())
+            assert b"".join(pieces) == serial.read_bytes(), (jobs, shards)
+
+
+@pytest.mark.parametrize(
+    "fmt, connected_only",
+    [("json", False), ("text", False), ("ndjson", True), ("json", True)],
+)
+def test_cli_scan_streamed_formats_match_whole_list(tmp_path, fmt, connected_only):
+    records = list(circulant.scan_range(16, 0, 256, connected_only))
+    if fmt == "json":
+        want = json.dumps(records, indent=2, sort_keys=True) + "\n"
+    elif fmt == "text":
+        want = "".join(
+            " ".join(f"{k}={json.dumps(v, sort_keys=True)}" for k, v in r.items()) + "\n"
+            for r in records
+        )
+    else:
+        want = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+    flags = ["--connected-only"] if connected_only else []
+    for jobs in (1, 3):
+        out = tmp_path / f"{jobs}.{fmt}"
+        argv = ["scan", "--modulus", "16", "--format", fmt, "--jobs", str(jobs), *flags]
+        assert main([*argv, "--out", str(out)]) == 0
+        assert out.read_text() == want, jobs
+
+
+def test_cli_scan_empty_json_is_an_empty_array(tmp_path):
+    out = tmp_path / "empty.json"
+    # shard 0/3 of Z_4 is the empty set alone, which is not connected
+    argv = ["scan", "--modulus", "4", "--shard", "0/3", "--connected-only", "--format", "json"]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert out.read_text() == json.dumps([], indent=2) + "\n"
+
+
+def test_cli_scan_flushes_each_record_before_the_next_search(monkeypatch):
+    events = []
+
+    class Spy:
+        def write(self, text):
+            events.append(("write", text))
+
+        def flush(self):
+            events.append(("flush", None))
+
+    search = circulant.automorphism_group
+
+    def logged(circ, degree_bound=None):
+        events.append(("search", sorted(circ.conn)))
+        return search(circ, degree_bound)
+
+    monkeypatch.setattr(circulant, "automorphism_group", logged)
+    monkeypatch.setattr(sys, "stdout", Spy())
+    assert main(["scan", "--modulus", "16"]) == 0
+    kinds = [kind for kind, _ in events]
+    second_search = [i for i, kind in enumerate(kinds) if kind == "search"][1]
+    assert kinds[:second_search] == ["search", "write", "flush"]
+    assert json.loads(events[1][1])["mask"] == 0
+    assert kinds.count("flush") == 256
+
+
+def test_cli_scan_stops_cleanly_when_the_reader_closes():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "holocirc.cli", "scan", "--modulus", "16", "--jobs", "2"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=cli_env(),
+    )
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert proc.returncode == 1
+    assert json.loads(first)["mask"] == 0
+    assert err.decode().splitlines() == ["output closed by its reader; stopped early"]
 
 
 def test_cli_scan_connected_only(tmp_path):
