@@ -769,14 +769,14 @@ def _scan(
     jobs: int,
 ) -> Iterator[dict]:
     if jobs == 1 or stop - start <= SCAN_CHUNK:
-        entries = _scan_chunk(n, start, stop, start, stop, degree_bound)
-        yield from _merge(n, entries, connected_only, degree_bound)
+        entries = _scan_chunk(n, start, stop, start, stop, connected_only, degree_bound)
+        yield from _merge(n, entries, degree_bound)
         return
     from concurrent.futures import ProcessPoolExecutor
     from multiprocessing import get_context
 
     tasks = (
-        (n, start, stop, lo, min(lo + SCAN_CHUNK, stop), degree_bound)
+        (n, start, stop, lo, min(lo + SCAN_CHUNK, stop), connected_only, degree_bound)
         for lo in range(start, stop, SCAN_CHUNK)
     )
     pool = ProcessPoolExecutor(jobs, mp_context=get_context("spawn"))
@@ -784,7 +784,7 @@ def _scan(
         # a bounded window of chunks in flight keeps memory flat when the
         # reader of the records is slower than the workers
         entries = _in_order(pool, tasks, 4 * jobs)
-        yield from _merge(n, entries, connected_only, degree_bound)
+        yield from _merge(n, entries, degree_bound)
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -808,15 +808,25 @@ def _chunk_entries(task: tuple) -> list[tuple[dict, int, int]]:
 
 
 def _scan_chunk(
-    n: int, start: int, stop: int, lo: int, hi: int, degree_bound: Optional[float]
+    n: int,
+    start: int,
+    stop: int,
+    lo: int,
+    hi: int,
+    connected_only: bool,
+    degree_bound: Optional[float],
 ) -> Iterator[tuple[dict, int, int]]:
     """The masks lo..hi-1 of the range start..stop-1, each as (record,
     first, last), where first and last are the least and the greatest
     member of the mask's Z_n^* orbit inside the range.  Only the first
     member of an orbit gets the automorphism search; the record of any
-    other member leaves the fields of _AUT_FIELDS unset."""
+    other member leaves the fields of _AUT_FIELDS unset.  With
+    ``connected_only`` a disconnected mask is skipped: a unit keeps
+    gcd(S + {n}), so its whole orbit is skipped and never searched."""
     orbit = _multiplier_orbit(n)
     for mask in range(lo, hi):
+        if connected_only and gcd(n, *connection_set(n, mask)) != 1:
+            continue
         inside = [m for m in orbit(mask) if start <= m < stop]
         first, last = min(inside), max(inside)
         if mask == first:
@@ -829,7 +839,6 @@ def _scan_chunk(
 def _merge(
     n: int,
     entries: Iterable[tuple[dict, int, int]],
-    connected_only: bool,
     degree_bound: Optional[float],
 ) -> Iterator[dict]:
     """The records of _scan_chunk entries given in mask order, each later
@@ -847,8 +856,6 @@ def _merge(
                 record = scan_record(n, mask, degree_bound)
             else:
                 record.update(zip(_AUT_FIELDS, fields))
-        if connected_only and not record["connected"]:
-            continue
         yield record
 
 

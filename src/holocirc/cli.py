@@ -3,9 +3,11 @@
 Four subcommands: ``verify`` runs registered claims over flag-chosen
 ranges, ``classify`` emits the regular-subgroup classification as JSON,
 ``graph`` analyses one circulant, and ``scan`` streams one NDJSON record
-per inverse-closed connection set, each written as soon as it is known.
-Every command writes its records to one stream, stdout or ``--out``,
-opened before any work starts, and flushes it after each record.
+per inverse-closed connection set.  Every command writes its records to
+one stream, stdout or ``--out``, opened before any work starts, and
+writes and flushes each record as soon as it is known: a claim report
+when its claim has run, a width's classification when that width is
+done, a census record when its orbit is known.
 Identical invocations produce byte-identical record streams
 (deterministic ordering, no timestamps inside records; runtimes go to
 stderr).
@@ -122,6 +124,7 @@ def _emit(records: Iterable[dict], fmt: str, out: TextIO) -> None:
             out.flush()
             opening = ",\n"
         out.write("[]\n" if opening == "[\n" else "\n]\n")
+        out.flush()
         return
     line = _as_text if fmt == "text" else (lambda r: json.dumps(r, sort_keys=True))
     for record in records:
@@ -182,20 +185,23 @@ def cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
         params["seed"] = args.seed
 
     failed = False
-    records = []
-    for claim_id in ids:
-        reads = claims.REGISTRY[claim_id].flags
-        report = claims.run_claim(
-            claim_id, {k: v for k, v in params.items() if k in reads}
-        )
-        failed |= report.status == "fail"
-        records.append(report.to_dict())
-        print(
-            f"[{report.status}] {claim_id}: {claims.REGISTRY[claim_id].description}"
-            f" ({report.runtime:.2f}s)",
-            file=sys.stderr,
-        )
-    _emit(records, args.format, out)
+
+    def reports() -> Iterator[dict]:
+        nonlocal failed
+        for claim_id in ids:
+            reads = claims.REGISTRY[claim_id].flags
+            report = claims.run_claim(
+                claim_id, {k: v for k, v in params.items() if k in reads}
+            )
+            failed |= report.status == "fail"
+            print(
+                f"[{report.status}] {claim_id}: {claims.REGISTRY[claim_id].description}"
+                f" ({report.runtime:.2f}s)",
+                file=sys.stderr,
+            )
+            yield report.to_dict()
+
+    _emit(reports(), args.format, out)
     return EXIT_FAIL if failed else EXIT_OK
 
 
@@ -211,27 +217,27 @@ def cmd_classify(args: argparse.Namespace, out: TextIO) -> int:
     if hi > cap:
         print(f"width {hi} exceeds bound {cap} (use --force)", file=sys.stderr)
         return EXIT_BOUND
-    records = []
+    _emit(_classification(lo, hi), args.format, out)
+    return EXIT_OK
+
+
+def _classification(lo: int, hi: int) -> Iterator[dict]:
+    """The classification records of widths lo..hi, one width at a time:
+    its representatives, the subgroups enumerated at widths up to
+    rc.FULL_ENUM_MAX_N, then a note on coinciding representatives."""
     for n in range(lo, hi + 1):
         reps = rc.representatives(n)
-        records.extend(r.to_dict() | {"role": "representative"} for r in reps)
+        yield from (r.to_dict() | {"role": "representative"} for r in reps)
         if n <= rc.FULL_ENUM_MAX_N:
-            found = [
-                r.to_dict() | {"role": "enumerated"}
-                for r in rc.enumerate_regular_subgroups(n)
-            ]
-            records.extend(found)
+            for r in rc.enumerate_regular_subgroups(n):
+                yield r.to_dict() | {"role": "enumerated"}
         coincidences = rc.representative_coincidences(reps)
         if coincidences:
-            records.append(
-                {
-                    "role": "coincidence",
-                    "n": n,
-                    "types": [[t.label() for t in grp] for grp in coincidences],
-                }
-            )
-    _emit(records, args.format, out)
-    return EXIT_OK
+            yield {
+                "role": "coincidence",
+                "n": n,
+                "types": [[t.label() for t in grp] for grp in coincidences],
+            }
 
 
 def cmd_graph(args: argparse.Namespace, out: TextIO) -> int:
@@ -332,8 +338,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--connected-only", action="store_true")
     p_scan.set_defaults(func=cmd_scan)
 
-    for p in (p_verify, p_classify, p_scan):
-        p.add_argument("--jobs", type=_at_least_one, default=1, help="worker processes")
+    p_scan.add_argument("--jobs", type=_at_least_one, default=1, help="worker processes")
+    for p in (p_verify, p_classify):
+        p.add_argument(
+            "--jobs", type=_at_least_one, default=1,
+            help="accepted for compatibility and ignored: this command runs in one process",
+        )
     for p in (p_verify, p_classify, p_graph, p_scan):
         p.add_argument("--format", choices=("json", "ndjson", "text"), default="ndjson")
         p.add_argument("--out", help="write records to this path instead of stdout")

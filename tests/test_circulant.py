@@ -520,14 +520,40 @@ def test_chunked_scan_searches_each_orbit_once(monkeypatch, size):
     for start, stop in ((0, total), (37, 201)):
         searched.clear()
         entries = itertools.chain.from_iterable(
-            circulant._scan_chunk(n, start, stop, lo, min(lo + size, stop), None)
+            circulant._scan_chunk(n, start, stop, lo, min(lo + size, stop), False, None)
             for lo in range(start, stop, size)
         )
-        assert list(circulant._merge(n, entries, False, None)) == expected[start:stop]
+        assert list(circulant._merge(n, entries, None)) == expected[start:stop]
         orbits = {key(mask) for mask in range(start, stop)}
         assert sorted(key(mask) for mask in searched) == sorted(orbits)
         if (start, stop) == (0, total):
             assert len(searched) == _burnside_orbit_count(n)
+
+
+def test_connected_only_scan_is_the_filtered_census():
+    for n in range(2, 17):
+        total = census_size(n)
+        connected = [r for r in scan_range(n, 0, total) if r["connected"]]
+        assert list(scan_range(n, 0, total, connected_only=True)) == connected, n
+        # a range that cuts orbits: the first member inside it is searched
+        inner = [r for r in connected if 0 < r["mask"] < total - 1]
+        assert list(scan_range(n, 1, total - 1, True)) == inner, n
+
+
+def test_connected_only_scan_searches_connected_orbits_only(monkeypatch):
+    # gcd(S + {n}) is the same on a whole Z_n^* orbit, so a disconnected
+    # orbit is neither searched nor recorded: 76 of the 88 orbits of Z_16
+    scanned = []
+    scan = circulant.scan_record
+
+    def counted(n, mask, degree_bound=None):
+        scanned.append(mask)
+        return scan(n, mask, degree_bound)
+
+    monkeypatch.setattr(circulant, "scan_record", counted)
+    records = list(scan_range(16, 0, census_size(16), connected_only=True))
+    assert len(scanned) == 76
+    assert len(records) == 240 and all(r["connected"] for r in records)
 
 
 def test_in_order_keeps_a_bounded_window():

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -8,6 +9,7 @@ import pytest
 
 import holocirc
 import holocirc.circulant as circulant
+import holocirc.regular_classify as rc
 from holocirc import claims
 from holocirc.cli import main
 
@@ -218,12 +220,33 @@ def test_cli_width_below_3_is_usage_error():
         ("lem-3.1", {"n": (1, 2)}, "powers"),
         ("lem-3.10", {"n": (1, 2)}, "points"),
         ("lem-3.2", {"samples": 0}, "samples"),
+        ("lem-2.1", {"grid": ()}, "cases"),
+        ("cor-2.3", {"moduli": ()}, "cases"),
+        ("lem-y-nonnormal", {"moduli": ()}, "five_stable_sets"),
+        ("thm-2.7-unique", {"moduli": ()}, "normal_circulants"),
+        ("thm-2.8-no8", {"moduli": ()}, "circulants"),
     ],
 )
 def test_claim_that_checked_nothing_fails(claim_id, params, key):
     report = claims.run_claim(claim_id, params)
     assert report.status == "fail"
     assert report.evidence == [{key: 0, "why": "nothing was checked"}]
+
+
+@pytest.mark.parametrize(
+    "params, splits, graphs",
+    [
+        ({"moduli": (), "k_max": 1}, 0, 0),
+        ({"moduli": (), "k_max": 3}, 3, 0),
+        ({"moduli": (8,), "k_max": 1}, 0, 16),
+    ],
+)
+def test_lem_lex_fails_when_either_statement_checked_nothing(params, splits, graphs):
+    report = claims.run_claim("lem-lex", params)
+    assert report.status == "fail"
+    assert report.evidence == [{"splits": splits, "graphs": graphs, "why": "nothing was checked"}]
+    report = claims.run_claim("lem-lex", {"moduli": (8,), "k_max": 3})
+    assert (report.status, report.evidence) == ("pass", [{"k_max": 3, "graphs": 16}])
 
 
 def test_cli_lem_3_1_checks_exactly_the_given_widths():
@@ -359,7 +382,9 @@ def test_cli_scan_16_jobs_matches_serial(tmp_path):
     [("json", False), ("text", False), ("ndjson", True), ("json", True)],
 )
 def test_cli_scan_streamed_formats_match_whole_list(tmp_path, fmt, connected_only):
-    records = list(circulant.scan_range(16, 0, 256, connected_only))
+    # --connected-only never searches a disconnected orbit, and must give
+    # the connected records of the full census
+    records = [r for r in circulant.scan_range(16, 0, 256) if r["connected"] or not connected_only]
     if fmt == "json":
         want = json.dumps(records, indent=2, sort_keys=True) + "\n"
     elif fmt == "text":
@@ -646,3 +671,122 @@ def test_cli_unopenable_output_is_usage_error(capsys, tmp_path, argv, flag):
     assert captured.err.startswith(f"usage error: cannot open {flag} {path!r}")
     assert captured.out == ""
     assert not (tmp_path / "missing").exists()
+
+
+class Received:
+    """A stand-in stdout that keeps what has been flushed to it: the text
+    a reader of the stream has received so far."""
+
+    def __init__(self):
+        self.written = self.received = ""
+
+    def write(self, text):
+        self.written += text
+
+    def flush(self):
+        self.received = self.written
+
+
+def _records_received(text, fmt):
+    """The complete records in a stream cut right after a flush (for
+    ``json``, an array not yet closed)."""
+    if fmt == "json":
+        return json.loads(text + "\n]") if text else []
+    if fmt == "ndjson":
+        return [json.loads(line) for line in text.splitlines()]
+    return text.splitlines()
+
+
+@pytest.mark.parametrize("fmt", ["json", "ndjson", "text"])
+def test_cli_verify_writes_each_report_before_the_next_claim(monkeypatch, fmt):
+    ids = claims.claim_ids()
+    started = []  # what the reader had received as each claim started
+
+    def logged(claim_id, params=None):
+        started.append(_records_received(stream.received, fmt))
+        return claims.VerificationReport(claim_id, {}, "pass", [{"index": len(started)}])
+
+    stream = Received()
+    monkeypatch.setattr(claims, "run_claim", logged)
+    monkeypatch.setattr(sys, "stdout", stream)
+    assert main(["verify", "all", "--format", fmt]) == 0
+    reports = [
+        {"claim_id": cid, "evidence": [{"index": i + 1}], "parameters": {}, "status": "pass"}
+        for i, cid in enumerate(ids)
+    ]
+    assert len(started) == len(ids)
+    for i, received in enumerate(started):
+        # claim i starts once the reports of claims 0..i-1 are flushed
+        assert len(received) == i, (ids[i], fmt)
+        if fmt != "text":
+            assert received == reports[:i]
+    if fmt == "json":
+        assert stream.received == json.dumps(reports, indent=2, sort_keys=True) + "\n"
+
+
+def _width(record):
+    if isinstance(record, dict):
+        return record["n"]
+    return int(re.search(r"(?:^| )n=(\d+)", record).group(1))
+
+
+@pytest.mark.parametrize("fmt", ["json", "ndjson", "text"])
+def test_cli_classify_writes_each_width_before_the_next_is_built(monkeypatch, fmt):
+    built = []  # (width, what the reader had received as it was built)
+    representatives = rc.representatives
+
+    def logged(n):
+        built.append((n, _records_received(stream.received, fmt)))
+        return representatives(n)
+
+    stream = Received()
+    monkeypatch.setattr(rc, "representatives", logged)
+    monkeypatch.setattr(sys, "stdout", stream)
+    assert main(["classify", "--n", "3..6", "--format", fmt]) == 0
+    text = stream.received.removesuffix("\n]\n") if fmt == "json" else stream.received
+    records = _records_received(text, fmt)
+    widths = [_width(r) for r in records]
+    assert widths == sorted(widths) and set(widths) == {3, 4, 5, 6}
+    assert [n for n, _ in built] == [3, 4, 5, 6]
+    for n, received in built:
+        # every record of the widths below n, and none of width n
+        assert received == records[: widths.index(n)], (n, fmt)
+
+
+def test_cli_verify_stops_cleanly_when_the_reader_closes():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "holocirc.cli", "verify", "all", "--format", "ndjson"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=cli_env(),
+    )
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+    assert proc.returncode == 1
+    assert json.loads(first)["claim_id"] == "lem-3.1"
+    lines = err.decode().splitlines()
+    assert "Traceback" not in err.decode()
+    assert lines[-1] == "output closed by its reader; stopped early"
+    status = lines[:-1]
+    # the claims after the closing stop: far fewer than the 20 status lines
+    assert all(line.startswith("[pass] ") for line in status)
+    assert 1 <= len(status) < 10
+
+
+def test_cli_verify_usage_error_mid_run_keeps_the_reports_written(monkeypatch, capsys):
+    def broken(params):
+        raise ValueError("broken claim")
+
+    flags = claims.REGISTRY["lem-3.3"].flags
+    monkeypatch.setitem(claims.REGISTRY, "lem-3.3", claims.Claim("lem-3.3", "broken", broken, flags))
+    assert main(["verify", "all", "--format", "ndjson"]) == 2
+    captured = capsys.readouterr()
+    # the complete reports of the claims before it are already written
+    reports = [json.loads(line) for line in captured.out.splitlines()]
+    assert [r["claim_id"] for r in reports] == ["lem-3.1", "lem-3.2"]
+    assert all(r["status"] == "pass" for r in reports)
+    assert captured.err.splitlines()[-1] == "usage error: broken claim"
