@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Iterator, Optional
 
 from . import circulant as circ_mod
@@ -76,12 +77,24 @@ def _all_elements(n: int) -> list[hol.HolElem2]:
     ]
 
 
+def _affine_pair(h: hol.HolElem2) -> tuple[int, int]:
+    """h as the pair (a, c) of its map x -> (x + alpha)*m = a*x + c mod 2^n."""
+    m = h.multiplier
+    return m, h.alpha * m % h.modulus
+
+
+def _powers(h: hol.HolElem2) -> Iterator[tuple[int, int]]:
+    """h, h^2, h^3, ... as pairs (a, c), by composing the map of h with
+    itself on integers rather than by the normal-form product."""
+    mod = h.modulus
+    a, c = m, b = _affine_pair(h)
+    while True:
+        yield a, c
+        a, c = a * m % mod, (c * m + b) % mod
+
+
 def brute_order(h: hol.HolElem2) -> int:
-    acc, r = h, 1
-    while not acc.is_identity():
-        acc = acc.then(h)
-        r += 1
-    return r
+    return next(r for r, pair in enumerate(_powers(h), 1) if pair == (1, 0))
 
 
 def brute_semiregular(h: hol.HolElem2) -> bool:
@@ -184,13 +197,8 @@ def _run_sum_valuations(params: dict) -> tuple[str, list, dict]:
         rhs = (1 - nt.pow5(-k * j, width)) % mod
         if lhs != rhs:
             bad.append({"sum": "identity", "k": k, "j": j})
-    if bad:
-        status, evidence = "fail", bad
-    elif samples < 1:
-        status, evidence = "fail", [{"samples": 0, "why": "nothing was checked"}]
-    else:
-        status = "pass"
-        evidence = [{"samples": samples, "width": width, "truncated": truncated}]
+    evidence = [{"samples": samples, "width": width, "truncated": truncated}]
+    status, evidence = _counted(bad, "samples", max(samples, 0), evidence)
     return status, evidence, {"samples": samples, "width": width, "seed": params.get("seed", DEFAULT_SEED)}
 
 
@@ -203,11 +211,9 @@ def _run_power_closed_form(params: dict) -> tuple[str, list, dict]:
     checked = 0
     for n in range(max(lo, 3), min(hi, 5) + 1):
         for h in _all_elements(n):
-            acc = hol.HolElem2.identity(n)
-            for r in range(1, (1 << n) + 1):
-                acc = acc.then(h)
+            for r, pair in zip(range(1, (1 << n) + 1), _powers(h)):
                 checked += 1
-                if hol.power(h, r) != acc:
+                if _affine_pair(hol.power(h, r)) != pair:
                     bad.append({"n": n, "h": str(h), "r": r})
                     break
     for n in range(max(lo, 6), hi + 1):
@@ -216,11 +222,8 @@ def _run_power_closed_form(params: dict) -> tuple[str, list, dict]:
                 n, rng.randrange(1 << n), rng.randrange(2), rng.randrange(1 << (n - 2))
             )
             r = rng.randint(1, 1 << n)
-            acc = hol.HolElem2.identity(n)
-            for _step in range(r):
-                acc = acc.then(h)
             checked += 1
-            if hol.power(h, r) != acc:
+            if _affine_pair(hol.power(h, r)) != next(islice(_powers(h), r - 1, None)):
                 bad.append({"n": n, "h": str(h), "r": r})
     status, evidence = _counted(bad, "comparisons", checked)
     return status, evidence, {"n": (lo, hi), "samples": samples, "seed": seed}
@@ -511,8 +514,9 @@ def _run_theta_odd(params: dict) -> tuple[str, list, dict]:
             built += 1
             if circ_mod.is_normal_cayley(c):
                 bad.append({"S": sorted(c.conn), "why": "witness exists but graph normal"})
-    evidence = bad or [{"modulus": n, "p": p, "witnesses": built, "preconditions_failed": skipped}]
-    return ("fail" if bad else "pass"), evidence, {"modulus": n, "p": p}
+    evidence = [{"modulus": n, "p": p, "witnesses": built, "preconditions_failed": skipped}]
+    status, evidence = _counted(bad, "witnesses", built, evidence)
+    return status, evidence, {"modulus": n, "p": p}
 
 
 def _run_theta_2part(params: dict) -> tuple[str, list, dict]:
@@ -535,8 +539,9 @@ def _run_theta_2part(params: dict) -> tuple[str, list, dict]:
             built += 1
             if circ_mod.is_normal_cayley(c):
                 bad.append({"S": sorted(c.conn), "why": "witness exists but graph normal"})
-    evidence = bad or [{"modulus": n, "witnesses": built, "preconditions_failed": skipped}]
-    return ("fail" if bad else "pass"), evidence, {"modulus": n}
+    evidence = [{"modulus": n, "witnesses": built, "preconditions_failed": skipped}]
+    status, evidence = _counted(bad, "witnesses", built, evidence)
+    return status, evidence, {"modulus": n}
 
 
 def _run_index_2power(params: dict) -> tuple[str, list, dict]:
@@ -550,16 +555,26 @@ def _run_index_2power(params: dict) -> tuple[str, list, dict]:
         if r.normal and not r.indices_all_2power
     ]
     normal = sum(1 for r in records if r.normal)
-    return ("fail" if bad else "pass"), bad or [{"modulus": n, "normal_circulants": normal}], {"modulus": n}
+    evidence = [{"modulus": n, "normal_circulants": normal}]
+    status, evidence = _counted(bad, "normal_circulants", normal, evidence)
+    return status, evidence, {"modulus": n}
+
+
+def _split_moduli(moduli: tuple[int, ...], d: int) -> tuple[list[int], list[dict]]:
+    """The moduli inside the hypothesis "d does not divide n", which a
+    claim checks, and a note for each modulus outside it."""
+    inside = [n for n in moduli if n % d]
+    return inside, [{"modulus": n, "why": f"divisible by {d}"} for n in moduli if n % d == 0]
 
 
 def _run_unique_abelian(params: dict) -> tuple[str, list, dict]:
-    moduli = params.get("moduli", (9, 10))
+    moduli = tuple(params.get("moduli", (9, 10)))
+    inside, outside = _split_moduli(moduli, 4)
+    if outside and not inside:
+        return "skipped", outside, {"moduli": moduli}
     bad = []
     evidence = []
-    for n in moduli:
-        if n % 4 == 0:
-            return "skipped", [{"why": f"modulus {n} divisible by 4"}], {"moduli": tuple(moduli)}
+    for n in inside:
         records = circ_mod.abelian_regular_scan(n)
         normal = [r for r in records if r.normal]
         bad += [
@@ -570,22 +585,23 @@ def _run_unique_abelian(params: dict) -> tuple[str, list, dict]:
         evidence.append({"modulus": n, "normal_circulants": len(normal)})
     checked = sum(e["normal_circulants"] for e in evidence)
     status, evidence = _counted(bad, "normal_circulants", checked, evidence)
-    return status, evidence, {"moduli": tuple(moduli)}
+    return status, evidence + outside, {"moduli": moduli}
 
 
 def _run_no_nnn_below_8(params: dict) -> tuple[str, list, dict]:
-    moduli = params.get("moduli", (9, 10, 12))
+    moduli = tuple(params.get("moduli", (9, 10, 12)))
+    inside, outside = _split_moduli(moduli, 8)
+    if outside and not inside:
+        return "skipped", outside, {"moduli": moduli}
     bad = []
     total = 0
-    for n in moduli:
-        if n % 8 == 0:
-            return "skipped", [{"why": f"modulus {n} divisible by 8"}], {"moduli": tuple(moduli)}
+    for n in inside:
         for record in _census(n):
             total += 1
             if record["nnn"]:
                 bad.append({"n": n, "S": record["S"]})
     status, evidence = _counted(bad, "circulants", total)
-    return status, evidence, {"moduli": tuple(moduli)}
+    return status, evidence + outside, {"moduli": moduli}
 
 
 def _run_nnn_scan(params: dict) -> tuple[str, list, dict]:

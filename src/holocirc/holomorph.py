@@ -86,9 +86,6 @@ class AffineMap:
     def is_identity(self) -> bool:
         return self.t == 0 and self.m == 1
 
-    def is_translation(self) -> bool:
-        return self.m == 1
-
     def as_perm(self) -> Perm:
         n, t, m = self.n, self.t, self.m
         return _perm(tuple([(g + t) * m % n for g in range(n)]))
@@ -536,9 +533,6 @@ class CrtFrame:
     @property
     def moduli(self) -> tuple[int, ...]:
         return tuple(p**k for p, k in self.prime_powers)
-
-    def to_coords(self, g: int) -> tuple[int, ...]:
-        return tuple(g % q for q in self.moduli)
 
     def from_coords(self, coords: Sequence[int]) -> int:
         g = 0

@@ -234,6 +234,55 @@ def test_claim_that_checked_nothing_fails(claim_id, params, key):
 
 
 @pytest.mark.parametrize(
+    "claim_id, stub, value, key",
+    [
+        ("lem-2.4-theta", "theta_witness_p_odd", None, "witnesses"),
+        ("thm-4.3-theta", "theta_witness_2part", None, "witnesses"),
+        ("lem-2.6-2power", "abelian_regular_scan", [], "normal_circulants"),
+    ],
+)
+def test_census_claim_that_found_nothing_fails(monkeypatch, claim_id, stub, value, key):
+    # every modulus yields a witness (the empty connection set has one)
+    # and a normal circulant, so the census is stubbed to find none
+    monkeypatch.setattr(circulant, stub, lambda *args: value)
+    report = claims.run_claim(claim_id)
+    assert report.status == "fail"
+    assert report.evidence == [{key: 0, "why": "nothing was checked"}]
+
+
+@pytest.mark.parametrize(
+    "claim_id, moduli, status, evidence",
+    [
+        (
+            "thm-2.8-no8",
+            (9, 16),
+            "pass",
+            [{"circulants": 16}, {"modulus": 16, "why": "divisible by 8"}],
+        ),
+        (
+            "thm-2.7-unique",
+            (12, 9),
+            "pass",
+            [{"modulus": 9, "normal_circulants": 12}, {"modulus": 12, "why": "divisible by 4"}],
+        ),
+        (
+            "thm-2.8-no8",
+            (16, 24),
+            "skipped",
+            [{"modulus": 16, "why": "divisible by 8"}, {"modulus": 24, "why": "divisible by 8"}],
+        ),
+        ("thm-2.7-unique", (12,), "skipped", [{"modulus": 12, "why": "divisible by 4"}]),
+    ],
+)
+def test_claims_check_each_modulus_inside_their_hypothesis(claim_id, moduli, status, evidence):
+    # one modulus outside the hypothesis used to skip the whole run and
+    # drop the moduli already checked
+    report = claims.run_claim(claim_id, {"moduli": moduli})
+    assert (report.status, report.evidence) == (status, evidence)
+    assert report.parameters == {"moduli": moduli}
+
+
+@pytest.mark.parametrize(
     "params, splits, graphs",
     [
         ({"moduli": (), "k_max": 1}, 0, 0),
@@ -567,6 +616,44 @@ def test_lem_3_3_report_reproduces_from_its_parameters(monkeypatch):
     other = claims.run_claim("lem-3.3", {"n": (6, 6), "samples": 5})
     assert other.parameters["seed"] == claims.DEFAULT_SEED
     assert other.evidence != report.evidence
+
+
+def test_powers_match_repeated_composition_exhaustive():
+    # the integer route of lem-3.3 and lem-3.4 against the normal-form
+    # product it replaced and against AffineMap composition
+    for n in range(3, 6):
+        mod = 1 << n
+        for h in claims._all_elements(n):
+            step = h.to_affine()
+            acc, aff = claims.hol.HolElem2.identity(n), claims.hol.AffineMap.identity(mod)
+            for r, pair in zip(range(1, mod + 1), claims._powers(h)):
+                acc, aff = acc.then(h), aff.then(step)
+                assert pair == (acc.multiplier, acc.alpha * acc.multiplier % mod), (h, r)
+                assert pair == (aff.m, aff.t * aff.m % mod), (h, r)
+
+
+def test_lem_3_3_exhaustive_branch_fails_on_a_power_wrong_at_the_top(monkeypatch):
+    # wrong only at r = 2^n, the last step of the exhaustive widths; the
+    # odd-r test above covers the sampled widths
+    power = claims.hol.power
+    monkeypatch.setattr(
+        claims.hol, "power", lambda h, r: power(h, r + 1) if r == h.modulus else power(h, r)
+    )
+    report = claims.run_claim("lem-3.3", {"n": (3, 5)})
+    assert report.status == "fail"
+    # h^(2^n + 1) = h differs from the identity for every h but the identity
+    assert len(report.evidence) == (8 * 2 * 2 - 1) + (16 * 2 * 4 - 1) + (32 * 2 * 8 - 1)
+    assert all(e["r"] == 1 << e["n"] for e in report.evidence)
+
+
+def test_lem_3_4_fails_on_a_wrong_order(monkeypatch):
+    order = claims.hol.order
+    monkeypatch.setattr(claims.hol, "order", lambda h: order(h) * (2 if h.gamma else 1))
+    report = claims.run_claim("lem-3.4", {"n": (3, 4)})
+    assert report.status == "fail"
+    # exactly the elements with gamma > 0: 8 * 2 * 1 at width 3, 16 * 2 * 3 at 4
+    assert len(report.evidence) == 16 + 96
+    assert {"n": 3, "h": "y"} in report.evidence
 
 
 @pytest.mark.parametrize(
