@@ -5,11 +5,12 @@ S (no zero), with adjacency kept as per-vertex bitmasks.  On top of the
 graph sit: an exact automorphism-group computation (backtracking with
 iterated neighborhood refinement, order via the point-stabilizer
 chain), the normality test for the translation group, multiplier
-stabilizers of S, the search for simultaneously normal and non-normal
-cyclic regular subgroups, coset-stable subgroups of S, the integer
+stabilizers of S, the cyclic regular subgroups of a normal circulant in
+closed form (the nnn verdict), coset-stable subgroups of S, the integer
 inequality behind the lexicographic non-normality bound, explicit
 stabilizer witnesses certifying non-normality, and the abelian
-regular-subgroup scan for moduli not divisible by 8.
+regular-subgroup scan for moduli not divisible by 8, which reads the
+census stream.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
 
 from .holomorph import AffineMap, Pair, PairArith, crt_decompose
 from .permgroup import Perm
-from .regular_classify import cyclic_regular_affine_subgroups
 
 if TYPE_CHECKING:
     from concurrent.futures import Executor
@@ -397,34 +397,56 @@ class NnnVerdict:
     witness: Optional[tuple[Pair, Pair]]
 
 
+def cyclic_copies(n: int, mults: Iterable[int]) -> tuple[CyclicCopy, ...]:
+    """The cyclic regular subgroups of the affine maps (t, m) of Z_n with
+    m in the unit group ``mults``: one copy <(1, m)> for each m in
+    ``mults``, in increasing order, such that every prime of n divides
+    m - 1, and 4 does when 4 divides n.
+
+    That is the full-period test of Hull and Dobell (*Random number
+    generators*, SIAM Review 4, 1962): x -> (x + 1) * m = m*x + m is then
+    an n-cycle.  A regular copy holds exactly one map sending -1 to 0,
+    which is (1, m) for its multiplier m.  It generates the copy: if the
+    copy is <x -> a*x + b> and the map is its k-th power, then modulo
+    each prime p of n, a = 1 and b*k = 1, so k is prime to n.  So the
+    copies are exactly these, and (1, m) is also the first generator met
+    when the pairs are walked by t, then m.  The translations of <(1, m)>
+    are generated by d = ord_n(m), which divides n.  Conjugating by (0, u)
+    moves (1, m) by the translation m*(u - 1), and conjugating by a
+    translation moves it by a multiple of m - 1, with m in ``mults``.  So
+    the copy is normal exactly when d divides u - 1 for every u in
+    ``mults``.
+    """
+    mults = sorted(mults)
+    primes = [p for p, _k in crt_decompose(n).prime_powers]
+    copies = []
+    for m in mults:
+        if any((m - 1) % p for p in primes) or (n % 4 == 0 and (m - 1) % 4):
+            continue
+        d, power = 1, m
+        while power != 1:
+            power = power * m % n
+            d += 1
+        normal = all((u - 1) % d == 0 for u in mults)
+        copies.append(CyclicCopy((1, m), normal, m == 1))
+    return tuple(copies)
+
+
 def nnn_verdict(circ: Circulant, aut: Optional[AutResult] = None) -> NnnVerdict:
     """Decide the double-role property for one circulant.
 
     A normal graph pins its automorphism group to the affine maps whose
-    multiplier preserves S, so the cyclic regular subgroups can be
-    enumerated exactly there.  The group is generated by the translation
-    (1, 1) and the multipliers (0, u), u in aut_G_S, so a copy is normal
-    exactly when conjugating its generator by each of these lands in it.
+    multiplier preserves S, so its cyclic regular subgroups and their
+    normality follow from aut_G_S by arithmetic (cyclic_copies).
     """
     if aut is None:
         aut = automorphism_group(circ)
     if not is_normal_cayley(circ, aut):
         return NnnVerdict(False, (), False, None)
-    n = circ.n
-    mults = aut_G_S(circ)
-    pairs = PairArith(n)
-    conjugators = [(1, 1)] + [(0, u) for u in mults]
-    elements = [(t, m) for t in range(n) for m in mults]
-    copies = []
-    for gen, elems in cyclic_regular_affine_subgroups(n, elements):
-        normal = all(
-            pairs.then(pairs.then(pairs.inverse(w), gen), w) in elems
-            for w in conjugators
-        )
-        copies.append(CyclicCopy(gen, normal, gen[1] == 1))
+    copies = cyclic_copies(circ.n, aut_G_S(circ))
     bad = [c.generator for c in copies if not c.normal_in_aut]
     witness = ((1, 1), bad[0]) if bad else None
-    return NnnVerdict(True, tuple(copies), bool(bad), witness)
+    return NnnVerdict(True, copies, bool(bad), witness)
 
 
 def w_subgroups(circ: Circulant) -> list[int]:
@@ -576,30 +598,28 @@ def abelian_regular_scan(
     """For every inverse-closed connection set on Z_n (8 must not divide
     n), report the abelian regular subgroups of the automorphism group
     of each normal circulant: their count, and the indices of their
-    intersections with the translations (all powers of two)."""
+    intersections with the translations (all powers of two).  Normality
+    and the nnn verdict come from the census stream (scan_range), which
+    searches each multiplier orbit once."""
     if n % 8 == 0:
         raise ValueError(f"modulus {n} is divisible by 8")
     out = []
-    for mask in range(1 << len(pair_orbits(n))):
-        circ = build(n, connection_set(n, mask))
-        if connected_only and not circ.is_connected():
+    for record in scan_range(n, 0, census_size(n), connected_only):
+        conn = tuple(record["S"])
+        if not record["normal"]:
+            out.append(AbelianScanRecord(conn, False, 0, (), True, False))
             continue
-        aut = automorphism_group(circ)
-        if not is_normal_cayley(circ, aut):
-            out.append(AbelianScanRecord(tuple(sorted(circ.conn)), False, 0, (), True, False))
-            continue
-        mults = aut_G_S(circ)
+        mults = aut_G_S(Circulant(n, frozenset(conn)))
         subs = _abelian_regular_subgroups(n, [(t, m) for t in range(n) for m in mults])
         indices = tuple(sorted(n // sum(m == 1 for _t, m in h) for h in subs))
-        verdict = nnn_verdict(circ, aut)
         out.append(
             AbelianScanRecord(
-                tuple(sorted(circ.conn)),
+                conn,
                 True,
                 len(subs),
                 indices,
                 all(i & (i - 1) == 0 for i in indices),
-                verdict.nnn,
+                record["nnn"],
             )
         )
     return out

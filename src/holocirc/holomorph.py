@@ -71,18 +71,6 @@ class AffineMap:
         n = self.n
         return _affine(n, -self.t * self.m % n, pow(self.m, -1, n))
 
-    def pow(self, r: int) -> "AffineMap":
-        if r < 0:
-            return self.inverse().pow(-r)
-        acc = AffineMap.identity(self.n)
-        base = self
-        while r:
-            if r & 1:
-                acc = acc.then(base)
-            base = base.then(base)
-            r >>= 1
-        return acc
-
     def is_identity(self) -> bool:
         return self.t == 0 and self.m == 1
 
@@ -313,13 +301,6 @@ _UNIT_TABLES = _UnitTableCache()
 HolElement = Union[HolElem2, AffineMap]
 
 
-def compose(h1: HolElement, h2: HolElement) -> HolElement:
-    """The element representing 'apply h1, then h2'."""
-    if isinstance(h1, HolElem2) != isinstance(h2, HolElem2):
-        raise ValueError("cannot compose mixed element kinds")
-    return h1.then(h2)
-
-
 def act(h: HolElement, g: int) -> int:
     """Image of the residue g under h."""
     n = h.modulus if isinstance(h, HolElem2) else h.n
@@ -523,8 +504,7 @@ class CrtFrame:
     """Coordinates of Z_n as a product of its prime-power parts.
 
     The 2-part, when present, comes first; odd primes follow in
-    increasing order.  Affine maps split coordinatewise and the group
-    law commutes with the splitting.
+    increasing order.
     """
 
     n: int
@@ -540,18 +520,6 @@ class CrtFrame:
             rest = self.n // q
             g = (g + c * rest * pow(rest, -1, q)) % self.n
         return g
-
-    def split_map(self, aff: AffineMap) -> tuple[AffineMap, ...]:
-        if aff.n != self.n:
-            raise ValueError("modulus mismatch")
-        return tuple(AffineMap(q, aff.t % q, aff.m % q) for q in self.moduli)
-
-    def lift_map(self, parts: Sequence[AffineMap]) -> AffineMap:
-        if tuple(p.n for p in parts) != self.moduli:
-            raise ValueError("coordinate moduli mismatch")
-        t = self.from_coords([p.t for p in parts])
-        m = self.from_coords([p.m for p in parts])
-        return AffineMap(self.n, t, m)
 
     def lift_multiplier(self, locals_: Sequence[int]) -> int:
         return self.from_coords([u % q for u, q in zip(locals_, self.moduli)])
@@ -575,11 +543,6 @@ def crt_decompose(n: int) -> CrtFrame:
         pairs.append((rest, 1))
     pairs.sort(key=lambda pk: (pk[0] != 2, pk[0]))
     return CrtFrame(n, tuple(pairs))
-
-
-def crt_map(aff: AffineMap) -> tuple[AffineMap, ...]:
-    """Coordinatewise image of an affine map under the CRT frame of its n."""
-    return crt_decompose(aff.n).split_map(aff)
 
 
 # centralizers of characteristic subgroups inside Aut(Z_n)

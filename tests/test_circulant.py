@@ -8,8 +8,10 @@ from concurrent.futures import Future
 import pytest
 
 import holocirc.circulant as circulant
+import holocirc.regular_classify as regular_classify
 from holocirc.circulant import (
     AutResult,
+    CyclicCopy,
     DegreeBoundError,
     abelian_regular_scan,
     aut_G_S,
@@ -17,6 +19,7 @@ from holocirc.circulant import (
     build,
     census_size,
     connection_set,
+    cyclic_copies,
     is_normal_cayley,
     lex_exponent,
     lex_nonnormal_bound,
@@ -32,9 +35,11 @@ from holocirc.circulant import (
     _multiplier_orbit_key,
     _refine,
 )
-from holocirc.holomorph import AffineMap, holomorph_group
+from holocirc.cli import main
+from holocirc.holomorph import AffineMap, PairArith, holomorph_group
 from holocirc.permgroup import StabChain, closure, is_normal_in
 from holocirc.regular_classify import (
+    cyclic_regular_affine_subgroups,
     enumerate_regular_subgroups,
     is_normal_cyclic_regular_in_hol,
 )
@@ -361,6 +366,62 @@ def test_copies_of_normal_circulants_match_perm_level_brute_route():
             assert len(got) == len(verdict.regular_cyclic), (n, mask)
             assert got == brute, (n, mask)
     assert normal == 596
+
+
+def _enumerated_copies(n, mults):
+    # the brute route: close every n-cycle among the pairs (t, m) with m in
+    # mults, and call a copy normal when conjugating its generator by each
+    # generator of the group, (1, 1) and (0, u), lands inside it
+    pairs = PairArith(n)
+    conjugators = [(1, 1)] + [(0, u) for u in mults]
+    copies = []
+    for gen, elems in cyclic_regular_affine_subgroups(
+        n, [(t, m) for t in range(n) for m in mults]
+    ):
+        normal = all(
+            pairs.then(pairs.then(pairs.inverse(w), gen), w) in elems
+            for w in conjugators
+        )
+        copies.append(CyclicCopy(gen, normal, gen[1] == 1))
+    return tuple(copies)
+
+
+def test_cyclic_copies_match_the_enumeration():
+    # every distinct aut_G_S of the censuses n = 2..24, and the whole unit
+    # group for n = 2..64, where some copies are not normal
+    groups = set()
+    for n in range(2, 25):
+        for mask in range(census_size(n)):
+            groups.add((n, aut_G_S(build(n, connection_set(n, mask)))))
+    for n in range(2, 65):
+        groups.add((n, tuple(u for u in range(1, n) if math.gcd(u, n) == 1)))
+    copies = non_normal = 0
+    for n, mults in sorted(groups):
+        got = cyclic_copies(n, mults)
+        assert got == _enumerated_copies(n, mults), (n, mults)
+        copies += len(got)
+        non_normal += sum(not c.normal_in_aut for c in got)
+    # 64 of the copies are not normal, so both branches of the flag are met
+    assert (len(groups), copies, non_normal) == (95, 169, 64)
+
+
+def test_census_and_graph_never_enumerate_copies(monkeypatch, capsys):
+    from test_claims_cli import GRAPH_CENSUS_SHA256
+
+    def refuse(*args):
+        raise AssertionError("the copy enumeration is a brute route for tests")
+
+    monkeypatch.setattr(regular_classify, "cyclic_regular_affine_subgroups", refuse)
+    digest = hashlib.sha256()
+    for record in scan_range(16, 0, 256):
+        digest.update((json.dumps(record, sort_keys=True) + "\n").encode())
+    assert digest.hexdigest() == CENSUS_SHA256[16]
+    digest = hashlib.sha256()
+    for mask in range(census_size(16)):
+        conn = sorted(connection_set(16, mask))
+        assert main(["graph", "--modulus", "16", "--set", ",".join(map(str, conn))]) == 0
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == GRAPH_CENSUS_SHA256[16]
 
 
 def test_nnn_census_small():

@@ -585,10 +585,20 @@ def test_cli_graph_output_pinned(capsys):
     assert digests == GRAPH_CENSUS_SHA256
 
 
-@pytest.mark.parametrize("claim_id", ["thm-1.3-scan", "cor-3.4"])
-def test_census_claims_search_once_per_orbit(monkeypatch, claim_id):
-    # the 256 connection sets of Z_16 fall into 88 Z_16^* orbits; the
-    # claims used to search every mask
+@pytest.mark.parametrize(
+    "claim_id, modulus, searches",
+    [
+        pytest.param(claim_id, modulus, searches, id=claim_id)
+        for claim_id, modulus, searches in [
+            ("thm-1.3-scan", 16, 88),
+            ("cor-3.4", 16, 88),
+            ("lem-2.6-2power", 12, 48),
+        ]
+    ],
+)
+def test_census_claims_search_once_per_orbit(monkeypatch, claim_id, modulus, searches):
+    # the 256 connection sets of Z_16 fall into 88 Z_16^* orbits, and the
+    # 64 of Z_12 into 48; the claims used to search every mask
     calls = []
     search = circulant.automorphism_group
 
@@ -597,8 +607,8 @@ def test_census_claims_search_once_per_orbit(monkeypatch, claim_id):
         return search(circ, degree_bound)
 
     monkeypatch.setattr(circulant, "automorphism_group", counted)
-    assert main(["verify", claim_id, "--modulus", "16"]) == 0
-    assert len(calls) == 88
+    assert main(["verify", claim_id, "--modulus", str(modulus)]) == 0
+    assert len(calls) == searches
 
 
 def test_lem_3_3_report_reproduces_from_its_parameters(monkeypatch):
