@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
 
-from .holomorph import AffineMap, Pair, PairArith, crt_decompose
+from .holomorph import Pair, PairArith, crt_decompose, pair_perm
 from .permgroup import Perm
 
 if TYPE_CHECKING:
@@ -354,7 +354,7 @@ def is_normal_cayley(circ: Circulant, aut: Optional[AutResult] = None) -> bool:
     if aut is None:
         aut = automorphism_group(circ)
     n = circ.n
-    rot = AffineMap.translation(n, 1).as_perm()
+    rot = pair_perm(n, (1, 1))
     for w in aut.generators:
         conj = rot.conjugated_by(w)
         if not _is_translation_perm(conj, n):

@@ -276,10 +276,7 @@ def _run_point_stabilizer(params: dict) -> tuple[str, list, dict]:
             checked += 1
             g1, g2 = hol.point_stabilizer(g, n)
             sub = closure([g1.as_perm(), g2.as_perm()], degree=mod)
-            got = {
-                (a.t, a.m)
-                for a in (rc.affine_from_perm(p) for p in sub.elements)
-            }
+            got = {rc.pair_from_perm(p) for p in sub.elements}
             want = {(a, m) for a, m in elements if (g + a) * m % mod == g}
             if got != want or sub.order != 1 << (n - 1):
                 bad.append({"n": n, "g": g, "order": sub.order})
@@ -374,17 +371,35 @@ def _run_nnn_multiplier_corollary(params: dict) -> tuple[str, list, dict]:
     if n != 1 << k or k < 4:
         return "skipped", [{"why": f"modulus {n} is not a 2-power with 2-part >= 16"}], {"modulus": n}
     needed = pow(5, 1 << (k - 4), n)
-    antecedents = 0
     bad = []
+    # By Thm 1.3 no census graph is an antecedent, so the implication is
+    # also checked on every multiplier group <-1, u>: each aut_G_S is one.
+    pairs = hol.PairArith(n)
+    groups = {
+        tuple(sorted(m for _, m in pairs.closure([(0, n - 1), (0, u)])))
+        for u in range(1, n, 2)
+    }
+    antecedents = 0
+    for mults in sorted(groups):
+        if not all(c.normal_in_aut for c in circ_mod.cyclic_copies(n, mults)):
+            antecedents += 1
+            if needed not in mults:
+                bad.append({"multipliers": list(mults)})
+    nnn_graphs = 0
     for record in _census(n):
         if record["nnn"]:
-            antecedents += 1
+            nnn_graphs += 1
             if needed not in circ_mod.aut_G_S(circ_mod.build(n, record["S"])):
                 bad.append({"S": record["S"]})
-    evidence = bad or [
-        {"census": circ_mod.census_size(n), "nnn_graphs": antecedents, "multiplier": needed}
-    ]
-    return ("fail" if bad else "pass"), evidence, {"modulus": n}
+    summary = {
+        "census": circ_mod.census_size(n),
+        "nnn_graphs": nnn_graphs,
+        "multiplier_groups": len(groups),
+        "antecedents": antecedents,
+        "multiplier": needed,
+    }
+    status, evidence = _counted(bad, "antecedents", antecedents + nnn_graphs, [summary])
+    return status, evidence, {"modulus": n}
 
 
 def _run_lex_bound(params: dict) -> tuple[str, list, dict]:

@@ -61,16 +61,16 @@ def _resolve_bounds(args: argparse.Namespace) -> None:
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    """``A..B`` or ``A``; a reversed range would check nothing, so it is
-    a usage error."""
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        lo, hi = int(lo), int(hi)
-        if lo > hi:
-            raise ValueError(f"reversed range {text!r}: {lo} > {hi}")
-        return lo, hi
-    value = int(text)
-    return value, value
+    """``--n A..B`` or ``--n A``; a reversed range would check nothing, so
+    it is a usage error."""
+    lo, sep, hi = text.partition("..")
+    try:
+        lo, hi = int(lo), int(hi if sep else lo)
+    except ValueError:
+        raise ValueError(f"--n expects integers A..B or A, got {text!r}") from None
+    if lo > hi:
+        raise ValueError(f"reversed range {text!r}: {lo} > {hi}")
+    return lo, hi
 
 
 def _shard(text: str) -> tuple[int, int]:
@@ -246,7 +246,10 @@ def cmd_graph(args: argparse.Namespace, out: TextIO) -> int:
     if n > cap:
         print(f"modulus {n} exceeds bound {cap} (use --force)", file=sys.stderr)
         return EXIT_BOUND
-    conn = [int(tok) for tok in args.set.split(",") if tok.strip()] if args.set else []
+    try:
+        conn = [int(tok) for tok in args.set.split(",") if tok.strip()]
+    except ValueError:
+        raise ValueError(f"--set expects comma-separated integers, got {args.set!r}") from None
     circ = circ_mod.build(n, conn)
     if args.edges:
         with _opened(args.edges, "--edges") as fh:

@@ -9,8 +9,9 @@ reads left to right, giving the law
 For n = 2**e with e >= 3 the unit group splits as <-1> x <5>, so the
 automorphism part decomposes uniquely as (-1)**beta * 5**gamma with
 0 <= gamma < 2**(e-2); ``HolElem2`` keeps elements in that normal form
-(written ``a^alpha * x^beta * y^gamma``).  Widths e in {1, 2} have no
-such presentation and stay in plain ``AffineMap`` coordinates.
+(written ``a^alpha * x^beta * y^gamma``).  Every other modulus, widths
+e in {1, 2} among them, keeps its elements as plain (t, m) pairs
+(``PairArith``).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .numtheory import pow5, geom_series, alt_sum
 from .permgroup import Perm, PermSubgroup, _perm, closure
@@ -29,68 +30,13 @@ from .permgroup import Perm, PermSubgroup, _perm, closure
 _DLOG_TABLE_MAX = 16
 
 
-@dataclass(frozen=True)
-class AffineMap:
-    """g -> (g + t) * m on Z_n, with m a unit mod n."""
-
-    n: int
-    t: int
-    m: int
-
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"modulus must be >= 2, got {self.n}")
-        object.__setattr__(self, "t", self.t % self.n)
-        object.__setattr__(self, "m", self.m % self.n)
-        if gcd(self.m, self.n) != 1:
-            raise ValueError(f"multiplier {self.m} is not a unit mod {self.n}")
-
-    @classmethod
-    def identity(cls, n: int) -> "AffineMap":
-        return cls(n, 0, 1)
-
-    @classmethod
-    def translation(cls, n: int, t: int) -> "AffineMap":
-        return cls(n, t, 1)
-
-    @classmethod
-    def multiplier(cls, n: int, m: int) -> "AffineMap":
-        return cls(n, 0, m)
-
-    def act(self, g: int) -> int:
-        return (g + self.t) * self.m % self.n
-
-    def then(self, other: "AffineMap") -> "AffineMap":
-        n = self.n
-        if other.n != n:
-            raise ValueError("modulus mismatch")
-        m_inv = pow(self.m, -1, n)
-        return _affine(n, (self.t + other.t * m_inv) % n, self.m * other.m % n)
-
-    def inverse(self) -> "AffineMap":
-        n = self.n
-        return _affine(n, -self.t * self.m % n, pow(self.m, -1, n))
-
-    def is_identity(self) -> bool:
-        return self.t == 0 and self.m == 1
-
-    def as_perm(self) -> Perm:
-        n, t, m = self.n, self.t, self.m
-        return _perm(tuple([(g + t) * m % n for g in range(n)]))
-
-
-def _affine(n: int, t: int, m: int) -> AffineMap:
-    """An AffineMap from t and a unit m already reduced mod n, without the
-    constructor's validation."""
-    a = object.__new__(AffineMap)
-    fields = a.__dict__
-    fields["n"] = n
-    fields["t"] = t
-    fields["m"] = m
-    return a
-
-
 Pair = tuple[int, int]
+
+
+def pair_perm(n: int, pair: Pair) -> Perm:
+    """The permutation g -> (g + t) * m of Z_n given by the pair (t, m)."""
+    t, m = pair
+    return _perm(tuple([(g + t) * m % n for g in range(n)]))
 
 
 class PairArith:
@@ -161,7 +107,7 @@ class HolElem2(_Slots):
         if n < 3:
             raise ValueError(
                 f"normal form needs exponent >= 3, got {n}; "
-                "use AffineMap for widths 1 and 2"
+                "use (t, m) pairs (PairArith) for widths 1 and 2"
             )
         return _reduced(n, alpha % (1 << n), beta % 2, gamma % (1 << (n - 2)))
 
@@ -198,13 +144,11 @@ class HolElem2(_Slots):
         return cls(n, 0, 0, 0)
 
     @classmethod
-    def from_affine(cls, aff: AffineMap) -> "HolElem2":
-        n = aff.n.bit_length() - 1
-        if 1 << n != aff.n:
-            raise ValueError(f"modulus {aff.n} is not a power of two")
-        beta = 1 if aff.m % 4 == 3 else 0
-        u = (-aff.m if beta else aff.m) % aff.n
-        return cls(n, aff.t, beta, _dlog5(u, n))
+    def from_pair(cls, n: int, pair: Pair) -> "HolElem2":
+        """The element of width n whose map is the pair (t, m) of Z_{2^n}."""
+        t, m = pair
+        beta = 1 if m % 4 == 3 else 0
+        return cls(n, t, beta, _dlog5((-m if beta else m) % (1 << n), n))
 
     @property
     def modulus(self) -> int:
@@ -217,8 +161,9 @@ class HolElem2(_Slots):
             return _UNIT_TABLES[n][0][self.beta << (n - 2) | self.gamma]
         return _signed_pow5(n, self.beta, self.gamma)
 
-    def to_affine(self) -> AffineMap:
-        return _affine(self.modulus, self.alpha, self.multiplier)
+    @property
+    def pair(self) -> Pair:
+        return self.alpha, self.multiplier
 
     def act(self, g: int) -> int:
         return (g + self.alpha) * self.multiplier % (1 << self.n)
@@ -255,7 +200,7 @@ class HolElem2(_Slots):
         return self.alpha == 0 and self.beta == 0 and self.gamma == 0
 
     def as_perm(self) -> Perm:
-        return self.to_affine().as_perm()
+        return pair_perm(self.modulus, self.pair)
 
     def __str__(self) -> str:
         return format_element(self)
@@ -296,17 +241,6 @@ class _UnitTableCache(dict):
 
 
 _UNIT_TABLES = _UnitTableCache()
-
-
-HolElement = Union[HolElem2, AffineMap]
-
-
-def act(h: HolElement, g: int) -> int:
-    """Image of the residue g under h."""
-    n = h.modulus if isinstance(h, HolElem2) else h.n
-    if not 0 <= g < n:
-        raise ValueError(f"residue {g} outside [0, {n})")
-    return h.act(g)
 
 
 def power(h: HolElem2, r: int) -> HolElem2:
@@ -365,7 +299,7 @@ def conj_normal_form(h: HolElem2) -> tuple[HolElem2, HolElem2]:
         return h, HolElem2.identity(h.n)
     alpha2 = h.alpha & -h.alpha
     odd = h.alpha // alpha2
-    rho = HolElem2.from_affine(AffineMap.multiplier(h.modulus, odd))
+    rho = HolElem2.from_pair(h.n, (0, odd))
     nf = HolElem2(h.n, alpha2, h.beta, h.gamma)
     return nf, rho
 
@@ -430,23 +364,9 @@ def parse_element(text: str, n: int) -> HolElem2:
 
 def holomorph_group(n: int, element_bound: int = 1 << 16) -> PermSubgroup:
     """Hol(Z_n) as a permutation group on n points, with elements."""
-    gens = [AffineMap.translation(n, 1).as_perm()]
-    for u in _unit_group_generators(n):
-        gens.append(AffineMap.multiplier(n, u).as_perm())
-    group = closure(gens, degree=n, element_bound=element_bound)
-    return group
-
-
-def holomorph_elements(n: int) -> list[AffineMap]:
-    """All affine maps of Z_n, ordered by (t, m)."""
-    if n < 2:
-        raise ValueError(f"modulus must be >= 2, got {n}")
-    return [
-        AffineMap(n, t, m)
-        for t in range(n)
-        for m in range(1, n)
-        if gcd(m, n) == 1
-    ]
+    gens = [pair_perm(n, (1, 1))]
+    gens += [pair_perm(n, (0, u)) for u in _unit_group_generators(n)]
+    return closure(gens, degree=n, element_bound=element_bound)
 
 
 def _unit_group_generators(n: int) -> list[int]:

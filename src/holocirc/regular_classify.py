@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Optional, Sequence
 
-from .holomorph import AffineMap, HolElem2, Pair, PairArith, conj_normal_form, pow5
+from .holomorph import HolElem2, Pair, PairArith, conj_normal_form, pair_perm, pow5
 from .permgroup import (
     IsoType,
     Perm,
@@ -90,10 +90,10 @@ class ClassificationRecord:
         from .holomorph import format_element
 
         n = self.subgroup.degree.bit_length() - 1
-        gens = []
-        for p in self.subgroup.generators:
-            aff = affine_from_perm(p)
-            gens.append(format_element(HolElem2.from_affine(aff)))
+        gens = [
+            format_element(HolElem2.from_pair(n, pair_from_perm(p)))
+            for p in self.subgroup.generators
+        ]
         return {
             "type_index": self.rtype.index,
             "type": self.rtype.label(),
@@ -108,17 +108,16 @@ class ClassificationRecord:
         }
 
 
-def affine_from_perm(p: Perm) -> AffineMap:
-    """Recover (t, m) coordinates from a permutation known to be affine."""
+def pair_from_perm(p: Perm) -> Pair:
+    """Recover the pair (t, m) of a permutation known to be affine."""
     n = p.degree
     m = (p.images[1] - p.images[0]) % n
     if gcd(m, n) != 1:
         raise ValueError("permutation is not an affine map")
-    t = p.images[0] * pow(m, -1, n) % n
-    aff = AffineMap(n, t, m)
-    if aff.as_perm() != p:
+    pair = (p.images[0] * pow(m, -1, n) % n, m)
+    if pair_perm(n, pair) != p:
         raise ValueError("permutation is not an affine map")
-    return aff
+    return pair
 
 
 def is_semiregular_closed_form(h: HolElem2) -> bool:
@@ -332,16 +331,15 @@ def _classify_sets(
                 f"subgroup matched {len(matches)} canonical representatives"
             )
         types, w = matches[0]
-        perms = frozenset(AffineMap(mod, t, m).as_perm() for t, m in sub)
-        gen_perms = [AffineMap(mod, t, m).as_perm() for t, m in gens]
-        subgroup = from_elements(perms, gen_perms)
+        perms = frozenset(pair_perm(mod, pair) for pair in sub)
+        subgroup = from_elements(perms, [pair_perm(mod, g) for g in gens])
         records.append(
             ClassificationRecord(
                 subgroup,
                 types[0],
                 iso_type(subgroup),
                 intersection_with_translations(subgroup),
-                AffineMap(mod, *w).as_perm(),
+                pair_perm(mod, w),
             )
         )
     return records

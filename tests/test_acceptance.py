@@ -25,10 +25,10 @@ from holocirc.holomorph import HolElem2, holomorph_group, order, point_stabilize
 from holocirc.numtheory import alt_sum_L, geom_sum_M
 from holocirc.permgroup import closure, is_normal_in
 from holocirc.regular_classify import (
-    affine_from_perm,
     enumerate_regular_subgroups,
     is_normal_cyclic_regular_in_hol,
     is_semiregular_closed_form,
+    pair_from_perm,
     representative,
     representative_coincidences,
     representatives,
@@ -155,8 +155,7 @@ def test_criterion_3_semiregular_classification():
     for n in range(3, 8):
         mod = 1 << n
         for h in all_elements(n):
-            aff = h.to_affine()
-            images = [aff.act(g) for g in range(mod)]
+            images = [h.act(g) for g in range(mod)]
             seen = [False] * mod
             sizes = set()
             for start in range(mod):
@@ -289,19 +288,13 @@ def test_criterion_10_point_stabilizers():
     checked = 0
     for n in (3, 4, 5, 6):
         mod = 1 << n
-        brute_all = [
-            (h, h.to_affine()) for h in all_elements(n)
-        ]
+        brute_all = [h.pair for h in all_elements(n)]
         for g in range(mod):
             g1, g2 = point_stabilizer(g, n)
             sub = closure([g1.as_perm(), g2.as_perm()], degree=mod)
             assert sub.order == 1 << (n - 1)
-            got = {
-                (a.t, a.m) for a in map(affine_from_perm, sub.elements)
-            }
-            want = {
-                (aff.t, aff.m) for h, aff in brute_all if aff.act(g) == g
-            }
+            got = set(map(pair_from_perm, sub.elements))
+            want = {(t, m) for t, m in brute_all if (g + t) * m % mod == g}
             assert got == want, (n, g)
             checked += 1
     budget.done(f"{checked} points across widths 3..6")

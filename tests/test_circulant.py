@@ -36,7 +36,7 @@ from holocirc.circulant import (
     _refine,
 )
 from holocirc.cli import main
-from holocirc.holomorph import AffineMap, PairArith, holomorph_group
+from holocirc.holomorph import PairArith, holomorph_group, pair_perm
 from holocirc.permgroup import StabChain, closure, is_normal_in
 from holocirc.regular_classify import (
     cyclic_regular_affine_subgroups,
@@ -311,7 +311,7 @@ def test_nnn_verdict_structure():
 
 
 def _copy_elements(n, copy):
-    return closure([AffineMap(n, *copy.generator).as_perm()], degree=n).elements
+    return closure([pair_perm(n, copy.generator)], degree=n).elements
 
 
 @pytest.mark.parametrize("k", [3, 4, 5])

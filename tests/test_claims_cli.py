@@ -101,12 +101,50 @@ def test_selected_claims_pass_quickly():
         assert report.status == "pass", (claim_id, report.evidence)
 
 
-def test_nnn_multiplier_corollary_claim():
-    # census side condition: a normal width-16 circulant carrying a
-    # non-normal cyclic copy would have to admit multiplier 5
+def test_nnn_multiplier_corollary_claim(monkeypatch):
+    # a normal width-16 circulant carrying a non-normal cyclic copy would
+    # have to admit multiplier 5; no census graph does (Thm 1.3), so the
+    # implication is also checked on each multiplier group <-1, u>
     report = claims.run_claim("cor-3.4", {"modulus": 16})
     assert report.status == "pass"
-    assert report.evidence[0]["nnn_graphs"] == 0
+    assert report.evidence == [
+        {"census": 256, "nnn_graphs": 0, "multiplier_groups": 3, "antecedents": 1, "multiplier": 5}
+    ]
+    # the groups alone at width 32, with the 65,536-graph census left out
+    monkeypatch.setattr(claims, "_census", lambda n: iter(()))
+    report = claims.run_claim("cor-3.4", {"modulus": 32})
+    assert report.status == "pass"
+    assert report.evidence == [
+        {"census": 65536, "nnn_graphs": 0, "multiplier_groups": 4, "antecedents": 2, "multiplier": 25}
+    ]
+
+
+def test_nnn_multiplier_corollary_fails_on_no_antecedent(monkeypatch):
+    # every copy normal: no group and no graph is an antecedent
+    monkeypatch.setattr(
+        circulant, "cyclic_copies", lambda n, mults: (circulant.CyclicCopy((1, 1), True, True),)
+    )
+    report = claims.run_claim("cor-3.4", {"modulus": 16})
+    assert report.status == "fail"
+    assert report.evidence == [{"antecedents": 0, "why": "nothing was checked"}]
+
+
+def test_nnn_multiplier_corollary_fails_on_a_group_without_the_multiplier(monkeypatch):
+    # <-1> = {1, 15} gets a non-normal copy, and 5 is not in it
+    copies = circulant.cyclic_copies
+
+    def stub(n, mults):
+        mults = sorted(mults)
+        if mults == [1, n - 1]:
+            return (circulant.CyclicCopy((1, 1), False, True),)
+        return copies(n, mults)
+
+    monkeypatch.setattr(circulant, "cyclic_copies", stub)
+    report = claims.run_claim("cor-3.4", {"modulus": 16})
+    assert report.status == "fail"
+    assert report.evidence[0] == {"multipliers": [1, 15]}
+    # the census graphs with aut_G_S = <-1> now read as nnn, and fail too
+    assert all(set(bad) == {"S"} for bad in report.evidence[1:])
 
 
 def test_cli_verify_pass_and_exit_codes(tmp_path):
@@ -410,12 +448,16 @@ CENSUS16_SHA256 = "56a5623507d9a0f591d84a6f3da1cf024653674b3f7b416cfa14ae995f3d6
 
 def test_cli_scan_16_jobs_matches_serial(tmp_path):
     # every split deals whole orbits to the workers, and the bytes of
-    # the concatenated shards must not depend on the split
-    serial = tmp_path / "serial.ndjson"
-    assert main(["scan", "--modulus", "16", "--out", str(serial)]) == 0
-    assert hashlib.sha256(serial.read_bytes()).hexdigest() == CENSUS16_SHA256
+    # the concatenated shards must not depend on the split.  Above one
+    # job only the pool size and its window change, so every --jobs
+    # value scans the whole range and the splits run at 1 and 2 jobs.
     for jobs in (1, 2, 3, 4):
-        for shards in (1, 2, 3, 7):
+        whole = tmp_path / f"{jobs}.ndjson"
+        assert main(["scan", "--modulus", "16", "--jobs", str(jobs), "--out", str(whole)]) == 0
+        assert hashlib.sha256(whole.read_bytes()).hexdigest() == CENSUS16_SHA256, jobs
+    serial = tmp_path / "1.ndjson"
+    for jobs in (1, 2):
+        for shards in (2, 3, 7):
             pieces = []
             for shard in range(shards):
                 out = tmp_path / f"{jobs}-{shards}-{shard}.ndjson"
@@ -630,16 +672,16 @@ def test_lem_3_3_report_reproduces_from_its_parameters(monkeypatch):
 
 def test_powers_match_repeated_composition_exhaustive():
     # the integer route of lem-3.3 and lem-3.4 against the normal-form
-    # product it replaced and against AffineMap composition
+    # product it replaced and against (t, m) pair composition
     for n in range(3, 6):
         mod = 1 << n
+        pairs = claims.hol.PairArith(mod)
         for h in claims._all_elements(n):
-            step = h.to_affine()
-            acc, aff = claims.hol.HolElem2.identity(n), claims.hol.AffineMap.identity(mod)
+            acc, aff = claims.hol.HolElem2.identity(n), pairs.identity
             for r, pair in zip(range(1, mod + 1), claims._powers(h)):
-                acc, aff = acc.then(h), aff.then(step)
+                acc, aff = acc.then(h), pairs.then(aff, h.pair)
                 assert pair == (acc.multiplier, acc.alpha * acc.multiplier % mod), (h, r)
-                assert pair == (aff.m, aff.t * aff.m % mod), (h, r)
+                assert pair == (aff[1], aff[0] * aff[1] % mod), (h, r)
 
 
 def test_lem_3_3_exhaustive_branch_fails_on_a_power_wrong_at_the_top(monkeypatch):
@@ -681,6 +723,22 @@ def test_cli_bad_jobs_or_shard_is_usage_error(capsys, argv, flag):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert f"argument {flag}:" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["classify", "--n", "3..x"], "--n"),
+        (["verify", "lem-3.1", "--n", "..5"], "--n"),
+        (["graph", "--modulus", "8", "--set", "1,x"], "--set"),
+    ],
+)
+def test_cli_malformed_integer_names_its_flag(capsys, argv, flag):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"usage error: {flag} expects ")
+    assert repr(argv[-1]) in captured.err
     assert captured.out == ""
 
 

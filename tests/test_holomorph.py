@@ -1,3 +1,4 @@
+import math
 import pickle
 import random
 
@@ -7,17 +8,15 @@ from hypothesis import strategies as st
 
 from holocirc import holomorph
 from holocirc.holomorph import (
-    AffineMap,
     HolElem2,
     PairArith,
-    act,
     centralizer_in_aut,
     conj_normal_form,
     crt_decompose,
     format_element,
-    holomorph_elements,
     holomorph_group,
     order,
+    pair_perm,
     parse_element,
     point_stabilizer,
     pow5,
@@ -35,34 +34,26 @@ def all_elements(n):
     ]
 
 
-def test_affine_validation():
-    with pytest.raises(ValueError):
-        AffineMap(8, 0, 2)  # not a unit
-    with pytest.raises(ValueError):
-        AffineMap(1, 0, 1)
-    assert AffineMap(8, -1, 11) == AffineMap(8, 7, 3)
-
-
 def test_affine_composition_law():
-    a = AffineMap(16, 3, 5)
-    b = AffineMap(16, 7, 3)
-    ab = a.then(b)
+    pairs = PairArith(16)
+    a, b = (3, 5), (7, 3)
+    p, q, pq = (pair_perm(16, x) for x in (a, b, pairs.then(a, b)))
     for g in range(16):
-        assert ab.act(g) == b.act(a.act(g))
-    assert a.then(a.inverse()).is_identity()
+        assert pq.act(g) == q.act(p.act(g))
+    assert pairs.then(a, pairs.inverse(a)) == pairs.identity
 
 
 @pytest.mark.parametrize("n", [2, 8, 9, 12, 15, 16])
 def test_pair_arith_matches_affine_maps(n):
+    # the pair law against pointwise composition of the maps as Perms
     pairs = PairArith(n)
-    maps = holomorph_elements(n)
-    assert pairs.elements == [(a.t, a.m) for a in maps]
-    for a in maps:
-        inv = a.inverse()
-        assert pairs.inverse((a.t, a.m)) == (inv.t, inv.m)
-        for b in maps:
-            ab = a.then(b)
-            assert pairs.then((a.t, a.m), (b.t, b.m)) == (ab.t, ab.m)
+    units = [m for m in range(1, n) if math.gcd(m, n) == 1]
+    assert pairs.elements == [(t, m) for t in range(n) for m in units]
+    perms = {a: pair_perm(n, a) for a in pairs.elements}
+    for a, p in perms.items():
+        assert perms[pairs.inverse(a)] == p.inverse()
+        for b, q in perms.items():
+            assert perms[pairs.then(a, b)] == p.then(q)
 
 
 def test_pair_closure_matches_perm_closure_and_honours_its_bound():
@@ -70,8 +61,8 @@ def test_pair_closure_matches_perm_closure_and_honours_its_bound():
     pairs = PairArith(n)
     for gens in ([], [(1, 1)], [(0, 5)], [(3, 7)], [(1, 1), (0, 5)], [(2, 7), (4, 1)]):
         group = pairs.closure(gens)
-        perms = closure([AffineMap(n, *g).as_perm() for g in gens], degree=n)
-        assert {AffineMap(n, *e).as_perm() for e in group} == perms.elements, gens
+        perms = closure([pair_perm(n, g) for g in gens], degree=n)
+        assert {pair_perm(n, e) for e in group} == perms.elements, gens
         assert pairs.closure(gens, len(group)) == group
         if len(group) > 1:
             assert pairs.closure(gens, len(group) - 1) is None
@@ -137,13 +128,17 @@ def test_compose_associative_randomized(n, data):
 
 
 def affine_then(h1, h2):
-    """The reference product: compose as affine maps, then recover the
-    normal form by a discrete log base 5."""
-    return HolElem2.from_affine(h1.to_affine().then(h2.to_affine()))
+    """The reference product: compose the (t, m) pairs by the affine law,
+    then recover the normal form by a discrete log base 5."""
+    mod = h1.modulus
+    (t1, m1), (t2, m2) = h1.pair, h2.pair
+    return HolElem2.from_pair(h1.n, ((t1 + t2 * pow(m1, -1, mod)) % mod, m1 * m2 % mod))
 
 
 def affine_inverse(h):
-    return HolElem2.from_affine(h.to_affine().inverse())
+    mod = h.modulus
+    t, m = h.pair
+    return HolElem2.from_pair(h.n, (-t * m % mod, pow(m, -1, mod)))
 
 
 def random_element(rng, n):
@@ -160,15 +155,17 @@ def assert_reduced(h, n):
 
 
 def test_normal_form_then_matches_affine_route_exhaustive():
+    # against pointwise composition of the elements as Perms
     for n in (3, 4, 5):
         elems = all_elements(n)
-        affs = [h.to_affine() for h in elems]
-        for h1, a1 in zip(elems, affs):
+        perms = {h: h.as_perm() for h in elems}
+        for h1, p1 in perms.items():
             inv = h1.inverse()
+            assert perms[inv] == p1.inverse()
             assert inv == affine_inverse(h1)
             assert_reduced(inv, n)
-            for h2, a2 in zip(elems, affs):
-                assert h1.then(h2) == HolElem2.from_affine(a1.then(a2))
+            for h2, p2 in perms.items():
+                assert perms[h1.then(h2)] == p1.then(p2)
 
 
 @pytest.mark.parametrize("n", [8, 20, 24])
@@ -224,7 +221,8 @@ def test_multiplier_matches_pow5_route():
             want = (-1) ** h.beta * pow5(h.gamma, n) % mod
             assert h.multiplier == want
             assert h.inverse().multiplier * want % mod == 1
-            assert h.to_affine() == AffineMap(mod, h.alpha, want)
+            assert h.pair == (h.alpha, want)
+            assert HolElem2.from_pair(n, h.pair) == h
 
 
 def test_hol_elem_is_immutable_and_slotted():
@@ -251,15 +249,15 @@ def test_no_unit_table_above_width_16():
 
 
 def test_trusted_affine_products_equal_validated_maps():
+    # products and inverses of pairs are never validated, so they must
+    # come out reduced: t in [0, n) and m a unit in [1, n)
     for n in (2, 8, 12):
-        maps = holomorph_elements(n)
-        for a in maps:
-            # the constructor reduces, so equality means already reduced
-            inv = a.inverse()
-            assert inv == AffineMap(n, inv.t, inv.m)
-            for b in maps:
-                ab = a.then(b)
-                assert ab == AffineMap(n, ab.t, ab.m)
+        pairs = PairArith(n)
+        valid = set(pairs.elements)
+        for a in pairs.elements:
+            assert pairs.inverse(a) in valid
+            for b in pairs.elements:
+                assert pairs.then(a, b) in valid
 
 
 def test_power_examples():
@@ -322,18 +320,16 @@ def test_conj_normal_form_witness_exhaustive():
 def test_act_examples():
     n = 4
     fixer = HolElem2(n, 1 << (n - 1), 0, 1 << (n - 3))
-    assert act(fixer, 1) == 1
-    assert act(HolElem2.identity(n), 5) == 5
-    assert act(HolElem2(n, 1, 1, 0), 0) == (1 << n) - 1
-    with pytest.raises(ValueError):
-        act(fixer, 16)
+    assert fixer.act(1) == 1
+    assert HolElem2.identity(n).act(5) == 5
+    assert HolElem2(n, 1, 1, 0).act(0) == (1 << n) - 1
 
 
 def test_act_equation_all_widths():
     # the element a^(2^(n-1)) y^(2^(n-3)) fixes the generator
     for n in range(3, 9):
         fixer = HolElem2(n, 1 << (n - 1), 0, 1 << (n - 3))
-        assert act(fixer, 1) == 1
+        assert fixer.act(1) == 1
 
 
 def test_point_stabilizer_at_zero():
@@ -346,14 +342,10 @@ def test_point_stabilizer_fixes_and_spans():
     for n in (3, 4):
         for g in range(1 << n):
             g1, g2 = point_stabilizer(g, n)
-            assert act(g1, g) == g and act(g2, g) == g
+            assert g1.act(g) == g and g2.act(g) == g
             sub = closure([g1.as_perm(), g2.as_perm()], degree=1 << n)
             assert sub.order == 1 << (n - 1)
-            brute = {
-                h.to_affine().as_perm()
-                for h in all_elements(n)
-                if act(h, g) == g
-            }
+            brute = {h.as_perm() for h in all_elements(n) if h.act(g) == g}
             assert sub.elements == frozenset(brute)
 
 
@@ -416,7 +408,7 @@ def test_holomorph_group_orders():
     assert holomorph_group(16).order == 128
     assert holomorph_group(8).order == 32
     assert holomorph_group(12).order == 48
-    assert len(holomorph_elements(12)) == 48
+    assert len(PairArith(12).elements) == 48
 
 
 def test_x_y_span_the_automorphisms():

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from holocirc.holomorph import AffineMap, holomorph_elements, holomorph_group
+from holocirc.holomorph import PairArith, holomorph_group, pair_perm
 from holocirc.permgroup import (
     NotSubgroupError,
     Perm,
@@ -63,7 +63,7 @@ def test_closure_rotation_is_regular():
 
 
 def test_multiplier_subgroup_fixes_zero():
-    y16 = closure([AffineMap(16, 0, 5).as_perm()])
+    y16 = closure([pair_perm(16, (0, 5))])
     assert not is_semiregular(y16)  # stabilizes 0
     assert not is_transitive(y16)
 
@@ -91,7 +91,7 @@ def test_chain_order_equals_element_count():
     for gens in (
         [rotation(12)],
         [rotation(6), Perm([0, 5, 4, 3, 2, 1])],
-        [AffineMap(16, 1, 1).as_perm(), AffineMap(16, 0, 5).as_perm()],
+        [pair_perm(16, (1, 1)), pair_perm(16, (0, 5))],
     ):
         G = closure(gens)
         chain = StabChain(G.degree, G.generators)
@@ -118,7 +118,7 @@ def test_regular_iff_semiregular_and_transitive_over_all_subgroups():
     for level in levels:
         for ids in level:
             pairs = (table.elements[i] for i in ids)
-            sub = from_elements(AffineMap(8, t, m).as_perm() for t, m in pairs)
+            sub = from_elements(pair_perm(8, pair) for pair in pairs)
             assert is_regular(sub) == (is_semiregular(sub) and is_transitive(sub))
             seen += 1
     assert seen > 50  # the lattice is not trivial
@@ -129,10 +129,10 @@ def test_is_normal_in():
     H = holomorph_group(16)
     GR = closure([rotation(16)])
     assert is_normal_in(GR, H)
-    ay = AffineMap(16, 1, 5).as_perm()  # twist with t = 0 < n - 3
+    ay = pair_perm(16, (1, 5))  # twist with t = 0 < n - 3
     assert not is_normal_in(closure([ay]), H)
     # maximal twist: multiplier 5^(2^(n-3)) = 5^2
-    ay_max = AffineMap(16, 1, pow(5, 2, 16)).as_perm()
+    ay_max = pair_perm(16, (1, pow(5, 2, 16)))
     assert is_normal_in(closure([ay_max]), H)
     with pytest.raises(NotSubgroupError):
         is_normal_in(closure([Perm([1, 0] + list(range(2, 16)))]), H)
@@ -140,10 +140,10 @@ def test_is_normal_in():
 
 def test_are_conjugate_identity_and_witness():
     amb = holomorph_group(8)
-    S = closure([AffineMap(8, 2, 1).as_perm()])
+    S = closure([pair_perm(8, (2, 1))])
     w = are_conjugate(S, S, amb)
     assert w is not None and w.is_identity()
-    T = closure([AffineMap(8, 6, 1).as_perm()])
+    T = closure([pair_perm(8, (6, 1))])
     w = are_conjugate(S, T, amb)
     assert w is not None
     wi = w.inverse()
@@ -152,9 +152,9 @@ def test_are_conjugate_identity_and_witness():
 
 def test_are_conjugate_distinct_iso_types_fail():
     amb = holomorph_group(16)
-    dihedral = closure([AffineMap(16, 2, 1).as_perm(), AffineMap(16, 1, 15).as_perm()])
+    dihedral = closure([pair_perm(16, (2, 1)), pair_perm(16, (1, 15))])
     quat = closure(
-        [AffineMap(16, 2, 1).as_perm(), AffineMap(16, 1, (-pow(5, 2, 16)) % 16).as_perm()]
+        [pair_perm(16, (2, 1)), pair_perm(16, (1, (-pow(5, 2, 16)) % 16))]
     )
     assert iso_type(dihedral).kind == "dihedral"
     assert iso_type(quat).kind == "generalized_quaternion"
@@ -165,8 +165,8 @@ def test_conjugate_twisted_generators_found():
     # twist exponent 3 reduces to its 2-part inside the holomorph
     n = 32
     amb = holomorph_group(n)
-    S = closure([AffineMap(n, 1, pow(5, 3, n)).as_perm()])
-    T = closure([AffineMap(n, 1, pow(5, 1, n)).as_perm()])
+    S = closure([pair_perm(n, (1, pow(5, 3, n)))])
+    T = closure([pair_perm(n, (1, pow(5, 1, n)))])
     w = are_conjugate(S, T, amb)
     assert w is not None
 
@@ -206,9 +206,8 @@ def test_iso_type_is_conjugation_invariant():
     rng = random.Random(3)
     amb = holomorph_group(16)
     ambient_elems = sorted(amb.elements)
-    for gens in ([AffineMap(16, 2, 1), AffineMap(16, 1, 15)],
-                 [AffineMap(16, 1, 5)]):
-        sub = closure([g.as_perm() for g in gens])
+    for gens in ([(2, 1), (1, 15)], [(1, 5)]):
+        sub = closure([pair_perm(16, g) for g in gens])
         tag = iso_type(sub)
         for _ in range(5):
             w = rng.choice(ambient_elems)
@@ -240,9 +239,9 @@ def test_trusted_perm_results_equal_validated_perms():
             assert p.then(inv).is_identity() and inv.then(p).is_identity()
 
 
-def test_affine_as_perm_equals_validated_perm():
+def test_pair_perm_equals_validated_perm():
     for n in (2, 8, 12, 16):
-        for a in holomorph_elements(n):
-            p = a.as_perm()
+        for t, m in PairArith(n).elements:
+            p = pair_perm(n, (t, m))
             _assert_validated(p)
-            assert p == Perm((g + a.t) * a.m % n for g in range(n))
+            assert p == Perm((g + t) * m % n for g in range(n))

@@ -9,12 +9,12 @@ from holocirc.regular_classify import (
     RegularType,
     _canonical_rep_sets,
     _structured_regular_sets,
-    affine_from_perm,
     enumerate_regular_subgroups,
     expected_intersection_exponent,
     intersection_with_translations,
     is_normal_cyclic_regular_in_hol,
     is_semiregular_closed_form,
+    pair_from_perm,
     regular_subgroup_sets,
     representative,
     representative_coincidences,
@@ -30,8 +30,7 @@ CLASS_COUNTS = {3: 5, 4: 8, 5: 9}
 
 def brute_semiregular(h):
     mod = h.modulus
-    aff = h.to_affine()
-    images = [aff.act(g) for g in range(mod)]
+    images = [h.act(g) for g in range(mod)]
     seen = [False] * mod
     sizes = set()
     for start in range(mod):
@@ -201,7 +200,7 @@ def test_canonical_rep_sets_are_the_representatives():
         want: dict = {}
         for rt in representative_types(n):
             perms = representative(rt, n).subgroup.elements
-            elems = frozenset((a.t, a.m) for a in map(affine_from_perm, perms))
+            elems = frozenset(map(pair_from_perm, perms))
             want.setdefault(elems, []).append(rt)
         assert _canonical_rep_sets(n) == list(want.items()), n
 
@@ -243,14 +242,15 @@ def test_twist_beyond_range_collapses_to_translations():
     assert sub.elements == rep.subgroup.elements
 
 
-def test_affine_from_perm_roundtrip():
+def test_pair_from_perm_roundtrip():
     h = HolElem2(5, 7, 1, 3)
-    aff = affine_from_perm(h.as_perm())
-    assert (aff.t, aff.m) == (7, h.multiplier)
+    assert pair_from_perm(h.as_perm()) == h.pair == (7, h.multiplier)
     from holocirc.permgroup import Perm
 
     with pytest.raises(ValueError):
-        affine_from_perm(Perm([0, 2, 1, 3]))
+        pair_from_perm(Perm([0, 2, 1, 3]))  # multiplier 2 is not a unit
+    with pytest.raises(ValueError):
+        pair_from_perm(Perm([0, 1, 3, 2]))  # (0, 1) maps back to the identity
 
 
 def test_record_serialization():
