@@ -302,9 +302,7 @@ def _run_regular_classification(params: dict) -> tuple[str, list, dict]:
     rep_hi = params.get("rep_n_max", 8)
     bad = []
     evidence = []
-    # kept for the enumerated widths only: holding every width up to 8
-    # raises the peak RSS of a claims pass by about 2 MiB
-    reps: dict[int, list[rc.ClassificationRecord]] = {}
+    reps: dict[int, list[rc.ClassificationRecord]] = {}  # the enumerated widths
     coincidences: list[list[str]] = []
     for n in range(3, rep_hi + 1):
         try:
@@ -322,21 +320,23 @@ def _run_regular_classification(params: dict) -> tuple[str, list, dict]:
             {"n": n, "representatives": [r.rtype.label() for r in recs]}
         )
     for n in range(lo, hi + 1):
-        records = rc.enumerate_regular_subgroups(n)
-        by_type = {rep.rtype: rep for rep in reps.get(n, ())}
+        if n not in reps:
+            bad.append({"n": n, "why": "no checked representatives to match"})
+            continue
+        records = rc.enumerate_regular_subgroups(n, reps[n])
+        # the witness is checked on permutations of Z_{2^n}
+        rep_perms = {rep.rtype: rep.perm_group().elements for rep in reps[n]}
         per_type: dict[str, int] = {}
         for rec in records:
             per_type[rec.rtype.label()] = per_type.get(rec.rtype.label(), 0) + 1
-            w = rec.conjugator
-            rep = by_type.get(rec.rtype)
-            conj = frozenset(
-                w.inverse().then(p).then(w) for p in rec.subgroup.elements
-            )
-            if rep is None or conj != rep.subgroup.elements:
+            w = hol.pair_perm(1 << n, rec.conjugator)
+            wi = w.inverse()
+            conj = frozenset(wi.then(p).then(w) for p in rec.perm_group().elements)
+            if conj != rep_perms[rec.rtype]:
                 bad.append({"n": n, "type": rec.rtype.label(), "why": "bad witness"})
         found_types = set(per_type)
         want_types = {t.label() for t in rc.representative_types(n)}
-        for grp in rc.representative_coincidences(reps.get(n, ())):
+        for grp in rc.representative_coincidences(reps[n]):
             # coinciding representatives form one class under the first tag
             want_types -= {t.label() for t in grp[1:]}
         if found_types != want_types:
@@ -357,7 +357,7 @@ def _run_cyclic_normality(params: dict) -> tuple[str, list, dict]:
             if rec.iso.kind != "cyclic":
                 continue
             checked += 1
-            brute = is_normal_in(rec.subgroup, ambient)
+            brute = is_normal_in(rec.perm_group(), ambient)
             closed = rc.is_normal_cyclic_regular_in_hol(rec.rtype, n)
             if brute != closed:
                 bad.append({"n": n, "type": rec.rtype.label(), "brute": brute})

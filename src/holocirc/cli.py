@@ -229,7 +229,7 @@ def _classification(lo: int, hi: int) -> Iterator[dict]:
         reps = rc.representatives(n)
         yield from (r.to_dict() | {"role": "representative"} for r in reps)
         if n <= rc.FULL_ENUM_MAX_N:
-            for r in rc.enumerate_regular_subgroups(n):
+            for r in rc.enumerate_regular_subgroups(n, reps):
                 yield r.to_dict() | {"role": "enumerated"}
         coincidences = rc.representative_coincidences(reps)
         if coincidences:

@@ -17,7 +17,7 @@ e in {1, 2} among them, keeps its elements as plain (t, m) pairs
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 from typing import Optional, Sequence
 
@@ -48,11 +48,15 @@ class PairArith:
 
     def __init__(self, n: int):
         self.n = n
-        units = [m for m in range(1, n) if gcd(m, n) == 1]
+        self.units = [m for m in range(1, n) if gcd(m, n) == 1]
         self.inv_unit = [0] * n
-        for m in units:
+        for m in self.units:
             self.inv_unit[m] = pow(m, -1, n)
-        self.elements = [(t, m) for t in range(n) for m in units]  # by (t, m)
+
+    @cached_property
+    def elements(self) -> list[Pair]:
+        """Every pair, by (t, m); listed on first use."""
+        return [(t, m) for t in range(self.n) for m in self.units]
 
     def then(self, a: Pair, b: Pair) -> Pair:
         n = self.n

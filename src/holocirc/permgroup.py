@@ -14,9 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
 DEFAULT_ELEMENT_BOUND = 1 << 16
+
+T = TypeVar("T")
 
 
 class NotSubgroupError(ValueError):
@@ -397,8 +399,17 @@ def are_conjugate(
     return None
 
 
-def iso_type(sub: PermSubgroup) -> IsoType:
-    """Recognize the isomorphism type among the families used here.
+def iso_type(
+    elements: Optional[Iterable[T]],
+    generators: Sequence[T],
+    then: Callable[[T, T], T],
+    order: Callable[[T], int],
+) -> IsoType:
+    """Recognize the isomorphism type among the families used here, of
+    the group with the given elements and generators under the product
+    ``then`` (left to right), with element orders from ``order``.  A Perm
+    group passes ``Perm.then`` and ``Perm.order``; a group of affine
+    pairs passes its pair product and an order of its own.
 
     Cyclic and Z2 x Z_{2^(k-1)} are decided from element orders; for a
     nonabelian 2-group with a cyclic subgroup of index two, the action of
@@ -407,19 +418,17 @@ def iso_type(sub: PermSubgroup) -> IsoType:
     involution of <s> is generalized quaternion, s^t = s^(|s|/2 - 1) is
     quasidihedral and s^t = s^(|s|/2 + 1) is the modular family.
     """
-    if sub.elements is None:
+    if elements is None:
         raise ValueError("iso_type needs the element set")
-    m = sub.order
+    elems = sorted(elements)
+    m = len(elems)
     if m == 1:
         return IsoType("cyclic", 1)
-    elems = sub.sorted_elements()
-    orders = {e: e.order() for e in elems}
+    orders = {e: order(e) for e in elems}
     max_order = max(orders.values())
     if max_order == m:
         return IsoType("cyclic", m)
-    abelian = all(
-        g.then(h) == h.then(g) for g in sub.generators for h in sub.generators
-    )
+    abelian = all(then(g, h) == then(h, g) for g in generators for h in generators)
     two_power = m & (m - 1) == 0
     if abelian:
         if two_power and 2 * max_order == m:
@@ -429,18 +438,19 @@ def iso_type(sub: PermSubgroup) -> IsoType:
         return IsoType("other", m)
 
     sigma = next(e for e in elems if orders[e] == max_order)
-    sigma_powers: dict[Perm, int] = {}
-    p = Perm.identity(sub.degree)
-    for e in range(max_order):
-        sigma_powers[p] = e
-        p = p.then(sigma)
+    sigma_powers: dict[T, int] = {}
+    p = sigma
+    for e in range(1, max_order + 1):
+        sigma_powers[p] = e % max_order
+        p = then(p, sigma)
     tau = next(e for e in elems if e not in sigma_powers)
-    conj = tau.inverse().then(sigma).then(tau)
-    e = sigma_powers.get(conj)
+    # sigma^tau = x exactly when sigma * tau = tau * x
+    target = then(sigma, tau)
+    e = next((k for x, k in sigma_powers.items() if then(tau, x) == target), None)
     if e is None:
         return IsoType("other", m)
     half = max_order  # |sigma| = m/2
-    tau_sq = sigma_powers.get(tau.then(tau))
+    tau_sq = sigma_powers.get(then(tau, tau))
     if e == half - 1:  # sigma^tau = sigma^-1
         if tau_sq == 0:
             return IsoType("dihedral", m)

@@ -14,25 +14,21 @@ fixed-point-freeness, which every subgroup of a regular group must
 satisfy.  Widths 6..8 switch to a structured search over the generator
 shapes that can carry a regular subgroup; widths 3..5 stay fully
 exhaustive.  Both engines give the subgroups as sets of (t, m) pairs,
-and one matcher conjugates every find onto its representative.
+and one matcher conjugates every find onto its representative.  The
+records are built from the pairs too; ``ClassificationRecord.perm_group``
+gives the permutation group on 2^n points to the brute checks that need
+one.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from math import gcd
-from typing import Optional, Sequence
+from typing import Collection, Optional, Sequence
 
 from .holomorph import HolElem2, Pair, PairArith, conj_normal_form, pair_perm, pow5
-from .permgroup import (
-    IsoType,
-    Perm,
-    PermSubgroup,
-    closure,
-    from_elements,
-    is_regular,
-    iso_type,
-)
+from .permgroup import IsoType, Perm, PermSubgroup, from_elements, iso_type
 
 FULL_ENUM_MAX_N = 5
 STRUCTURED_ENUM_MAX_N = 8
@@ -76,36 +72,85 @@ class RegularType:
 
 @dataclass(frozen=True)
 class ClassificationRecord:
-    """A regular subgroup together with its family, isomorphism type,
-    intersection with the translation group, and (when it was matched
-    by search) a verified conjugating witness to the representative."""
+    """A regular subgroup of the holomorph at width n, as its set of
+    (t, m) pairs and generator pairs, together with its family,
+    isomorphism type, intersection with the translation group, and (when
+    it was matched by search) a verified conjugating pair w, with
+    w^-1 R w the representative."""
 
-    subgroup: PermSubgroup
+    n: int
+    elements: frozenset[Pair]
+    generators: tuple[Pair, ...]
     rtype: RegularType
     iso: IsoType
     intersection_exponent: int
-    conjugator: Optional[Perm]
+    conjugator: Optional[Pair]
+
+    def perm_group(self) -> PermSubgroup:
+        """The subgroup as permutations of Z_{2^n}, built on each call."""
+        mod = 1 << self.n
+        return from_elements(
+            (pair_perm(mod, pair) for pair in self.elements),
+            [pair_perm(mod, g) for g in self.generators],
+        )
 
     def to_dict(self) -> dict:
         from .holomorph import format_element
 
-        n = self.subgroup.degree.bit_length() - 1
-        gens = [
-            format_element(HolElem2.from_pair(n, pair_from_perm(p)))
-            for p in self.subgroup.generators
-        ]
+        n = self.n
         return {
             "type_index": self.rtype.index,
             "type": self.rtype.label(),
-            "order": self.subgroup.order,
+            "order": len(self.elements),
             "iso": str(self.iso),
-            "generators": gens,
+            "generators": [
+                format_element(HolElem2.from_pair(n, g)) for g in self.generators
+            ],
             "intersection_with_translations": f"a^{self.intersection_exponent}",
             "conjugator": None
             if self.conjugator is None
-            else list(self.conjugator.images),
+            else list(pair_perm(1 << n, self.conjugator).images),
             "n": n,
         }
+
+
+def _record(
+    arith: PairArith,
+    elems: frozenset[Pair],
+    gens: tuple[Pair, ...],
+    rtype: RegularType,
+    conjugator: Optional[Pair],
+) -> ClassificationRecord:
+    """A record of the regular subgroup ``elems`` of the holomorph of
+    Z_{2^n}, n the width of ``arith``.  An element's order is found by
+    repeated squaring, the holomorph being a 2-group; the translations in
+    the subgroup are the pairs (t, 1), a cyclic group <a^d> with d the
+    gcd of their t and 2^n."""
+    mod = arith.n
+    ident = arith.identity
+
+    def order(h: Pair) -> int:
+        k = 1
+        while h != ident:
+            h = arith.then(h, h)
+            k <<= 1
+        return k
+
+    return ClassificationRecord(
+        mod.bit_length() - 1,
+        elems,
+        gens,
+        rtype,
+        iso_type(elems, gens, arith.then, order),
+        gcd(mod, *(t for t, m in elems if m == 1)),
+        conjugator,
+    )
+
+
+def _is_regular(elems: Collection[Pair], mod: int) -> bool:
+    """Whether a subgroup of the holomorph of Z_mod, given as its pairs,
+    is regular: of order mod, with the orbit {t * m} of 0 all of Z_mod."""
+    return len(elems) == mod and len({t * m % mod for t, m in elems}) == mod
 
 
 def pair_from_perm(p: Perm) -> Pair:
@@ -230,25 +275,28 @@ def expected_intersection_exponent(rtype: RegularType, n: int) -> int:
 
 
 def representative(rtype: RegularType, n: int) -> ClassificationRecord:
-    """Build the canonical representative and check its contract:
-    regular, the stated intersection exponent, the stated iso type."""
-    gens = [h.as_perm() for h in representative_generators(rtype, n)]
-    sub = closure(gens, degree=1 << n)
-    if not is_regular(sub):
+    """Build the canonical representative, the pair closure of its literal
+    generators, and check its contract: regular, the stated intersection
+    exponent, the stated iso type."""
+    mod = 1 << n
+    arith = PairArith(mod)
+    gens = tuple(h.pair for h in representative_generators(rtype, n))
+    elems = arith.closure(gens)
+    if not _is_regular(elems, mod):
         raise RuntimeError(f"representative {rtype.label()} is not regular at n={n}")
-    d = intersection_with_translations(sub)
+    rec = _record(arith, elems, gens, rtype, None)
+    d = rec.intersection_exponent
     want_d = expected_intersection_exponent(rtype, n)
     if d != want_d:
         raise RuntimeError(
             f"{rtype.label()} at n={n}: intersection a^{d}, expected a^{want_d}"
         )
-    iso = iso_type(sub)
     want_kind = expected_iso_kind(rtype, n)
-    if iso.kind != want_kind:
+    if rec.iso.kind != want_kind:
         raise RuntimeError(
-            f"{rtype.label()} at n={n}: iso {iso.kind}, expected {want_kind}"
+            f"{rtype.label()} at n={n}: iso {rec.iso.kind}, expected {want_kind}"
         )
-    return ClassificationRecord(sub, rtype, iso, d, None)
+    return rec
 
 
 def representatives(n: int) -> list[ClassificationRecord]:
@@ -262,16 +310,23 @@ def representative_coincidences(
     records that are realized by the same subgroup (this happens only at
     n = 3, where the direct-product and quasidihedral representatives
     coincide)."""
-    seen: dict[frozenset[Perm], list[RegularType]] = {}
+    return [types for _, types in _canonical_rep_sets(records) if len(types) > 1]
+
+
+def _canonical_rep_sets(
+    records: Sequence[ClassificationRecord],
+) -> list[tuple[frozenset[Pair], list[RegularType]]]:
+    """The pair sets of the given representative records, in order, each
+    with the family tags of every record that realizes it."""
+    seen: dict[frozenset[Pair], list[RegularType]] = {}
     for rec in records:
-        key = rec.subgroup.elements
-        assert key is not None
-        seen.setdefault(key, []).append(rec.rtype)
-    return [types for types in seen.values() if len(types) > 1]
+        seen.setdefault(rec.elements, []).append(rec.rtype)
+    return list(seen.items())
 
 
 def intersection_with_translations(sub: PermSubgroup) -> int:
-    """The exponent d such that the translations inside sub are <a^d>."""
+    """The exponent d such that the translations inside the permutation
+    group sub are <a^d>: the brute route for a record's exponent."""
     mod = sub.degree
     d = mod
     for p in sub.sorted_elements():
@@ -282,23 +337,31 @@ def intersection_with_translations(sub: PermSubgroup) -> int:
     return d if d else mod
 
 
-def enumerate_regular_subgroups(n: int) -> list[ClassificationRecord]:
+def enumerate_regular_subgroups(
+    n: int, reps: Optional[Sequence[ClassificationRecord]] = None
+) -> list[ClassificationRecord]:
     """Every regular subgroup of the holomorph at width n, each matched
-    by a verified conjugator to exactly one canonical representative.
+    by a verified conjugator to exactly one canonical representative;
+    ``reps`` are the records of ``representatives(n)``, when the caller
+    has them.
 
     Widths 3..5 are fully exhaustive; 6..8 search the generator shapes
     that can carry a regular subgroup.
     """
     _check_n(n)
     if n <= FULL_ENUM_MAX_N:
-        return _classify_sets(n, regular_subgroup_sets(n))
-    if n <= STRUCTURED_ENUM_MAX_N:
-        return _classify_sets(n, _structured_regular_sets(n))
-    raise ValueError(f"enumeration supports widths 3..{STRUCTURED_ENUM_MAX_N}")
+        found = regular_subgroup_sets(n)
+    elif n <= STRUCTURED_ENUM_MAX_N:
+        found = _structured_regular_sets(n)
+    else:
+        raise ValueError(f"enumeration supports widths 3..{STRUCTURED_ENUM_MAX_N}")
+    return _classify_sets(n, found, representatives(n) if reps is None else reps)
 
 
 def _classify_sets(
-    n: int, found: dict[frozenset[Pair], tuple[Pair, ...]]
+    n: int,
+    found: dict[frozenset[Pair], tuple[Pair, ...]],
+    reps: Sequence[ClassificationRecord],
 ) -> list[ClassificationRecord]:
     """Match each found subgroup, in order of its sorted pairs, to the one
     canonical representative it is conjugate to, by the first conjugator
@@ -308,17 +371,16 @@ def _classify_sets(
     the units being abelian), so a representative whose multiplier set
     differs is skipped before the search.
     """
-    mod = 1 << n
-    arith = PairArith(mod)
-    reps = [
+    arith = PairArith(1 << n)
+    classes = [
         (rep_set, {m for _, m in rep_set}, types)
-        for rep_set, types in _canonical_rep_sets(n)
+        for rep_set, types in _canonical_rep_sets(reps)
     ]
     records = []
     for sub, gens in sorted(found.items(), key=lambda kv: sorted(kv[0])):
         mults = {m for _, m in sub}
         matches = []
-        for rep_set, rep_mults, types in reps:
+        for rep_set, rep_mults, types in classes:
             if len(rep_set) != len(sub) or rep_mults != mults:
                 continue
             for w in arith.elements:
@@ -331,36 +393,8 @@ def _classify_sets(
                 f"subgroup matched {len(matches)} canonical representatives"
             )
         types, w = matches[0]
-        perms = frozenset(pair_perm(mod, pair) for pair in sub)
-        subgroup = from_elements(perms, [pair_perm(mod, g) for g in gens])
-        records.append(
-            ClassificationRecord(
-                subgroup,
-                types[0],
-                iso_type(subgroup),
-                intersection_with_translations(subgroup),
-                pair_perm(mod, w),
-            )
-        )
+        records.append(_record(arith, sub, gens, types[0], w))
     return records
-
-
-def _canonical_rep_sets(n: int) -> list[tuple[frozenset[Pair], list[RegularType]]]:
-    """The representatives as pair sets, the closures of their literal
-    generators, with coinciding families merged."""
-    pairs = PairArith(1 << n)
-    out: list[tuple[frozenset[Pair], list[RegularType]]] = []
-    for rt in representative_types(n):
-        rep_set = pairs.closure(
-            [(h.alpha, h.multiplier) for h in representative_generators(rt, n)]
-        )
-        for prev, types in out:
-            if prev == rep_set:
-                types.append(rt)
-                break
-        else:
-            out.append((rep_set, [rt]))
-    return out
 
 
 def cyclic_regular_affine_subgroups(
@@ -397,7 +431,8 @@ def cyclic_regular_affine_subgroups(
 class _HolTable:
     """Integer-indexed multiplication table of the holomorph of Z_{2^n}.
 
-    Element id = t * 2^(n-1) + (m >> 1) over pairs (t, m) with m odd.
+    Element id = t * 2^(n-1) + (m >> 1) over pairs (t, m) with m odd; the
+    rows are arrays of unsigned shorts (ids stay below 2^(2n-1) <= 2^9).
     """
 
     def __init__(self, n: int):
@@ -418,7 +453,7 @@ class _HolTable:
                 for m2 in range(1, mod, 2):
                     row[j] = tt + (m1 * m2 % mod >> 1)
                     j += 1
-            mul.append(row)
+            mul.append(array("H", row))
         self.mul = mul
         self.inv = [t * half + (m >> 1) for t, m in map(pairs.inverse, self.elements)]
         self.identity = 0  # (t=0, m=1)
@@ -482,7 +517,7 @@ def regular_subgroup_sets(
     out = {}
     for sub, gens in _semiregular_subgroup_levels(table, prune_semiregular)[-1].items():
         pairs = frozenset(elements[e] for e in sub)
-        if len({t * m % table.mod for t, m in pairs}) == table.mod:
+        if _is_regular(pairs, table.mod):
             out[pairs] = tuple(elements[g] for g in gens)
     return out
 
@@ -500,10 +535,8 @@ def _structured_regular_sets(n: int) -> dict[frozenset, tuple]:
     found: dict[frozenset, tuple] = {}
 
     def record(elems, gens):
-        if len(elems) != mod:
+        if not _is_regular(elems, mod):
             return
-        if len({t * m % mod for t, m in elems}) != mod:
-            return  # not transitive
         key = frozenset(elems)
         if key not in found:
             found[key] = tuple(gens)

@@ -21,7 +21,15 @@ from holocirc.circulant import (
     theta_witness_2part,
     theta_witness_p_odd,
 )
-from holocirc.holomorph import HolElem2, holomorph_group, order, point_stabilizer, power, pow5
+from holocirc.holomorph import (
+    HolElem2,
+    holomorph_group,
+    order,
+    pair_perm,
+    point_stabilizer,
+    power,
+    pow5,
+)
 from holocirc.numtheory import alt_sum_L, geom_sum_M
 from holocirc.permgroup import closure, is_normal_in
 from holocirc.regular_classify import (
@@ -189,12 +197,12 @@ def test_criterion_4_regular_classification():
         records = enumerate_regular_subgroups(n)
         assert len(records) == expected_counts[n]
         for rec in records:
-            w = rec.conjugator
+            w = pair_perm(1 << n, rec.conjugator)
             rep = representative(rec.rtype, n)
             conj = frozenset(
-                w.inverse().then(p).then(w) for p in rec.subgroup.elements
+                w.inverse().then(p).then(w) for p in rec.perm_group().elements
             )
-            assert conj == rep.subgroup.elements
+            assert conj == rep.perm_group().elements
             total += 1
     budget.done(
         f"{total} regular subgroups matched with verified conjugators; "
@@ -210,7 +218,7 @@ def test_criterion_5_normality_in_holomorph():
         for rec in enumerate_regular_subgroups(n):
             if rec.iso.kind != "cyclic":
                 continue
-            brute = is_normal_in(rec.subgroup, ambient)
+            brute = is_normal_in(rec.perm_group(), ambient)
             closed = is_normal_cyclic_regular_in_hol(rec.rtype, n)
             assert brute == closed, (n, rec.rtype.label())
             checked += 1

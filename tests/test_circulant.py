@@ -327,7 +327,7 @@ def test_copy_normality_in_full_affine_group(k):
     aut = AutResult(hol.order, hol.generators, True)
     verdict = nnn_verdict(build(n, []), aut)
     cyclic = {
-        rec.subgroup.elements: rec
+        rec.perm_group().elements: rec
         for rec in enumerate_regular_subgroups(k)
         if rec.iso.kind == "cyclic"
     }
@@ -335,7 +335,7 @@ def test_copy_normality_in_full_affine_group(k):
     assert copies.keys() == cyclic.keys()
     for elements, copy in copies.items():
         rec = cyclic[elements]
-        assert copy.normal_in_aut == is_normal_in(rec.subgroup, hol)
+        assert copy.normal_in_aut == is_normal_in(rec.perm_group(), hol)
         assert copy.normal_in_aut == is_normal_cyclic_regular_in_hol(rec.rtype, k)
         assert copy.is_translation_group == (rec.rtype.kind == "translations")
     bad = [c.generator for c in verdict.regular_cyclic if not c.normal_in_aut]

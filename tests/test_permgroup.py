@@ -21,6 +21,10 @@ from holocirc.permgroup import (
 from holocirc.regular_classify import _HolTable, _semiregular_subgroup_levels
 
 
+def perm_iso_type(sub):
+    return iso_type(sub.elements, sub.generators, Perm.then, Perm.order)
+
+
 def rotation(n, k=1):
     return Perm((i + k) % n for i in range(n))
 
@@ -156,8 +160,8 @@ def test_are_conjugate_distinct_iso_types_fail():
     quat = closure(
         [pair_perm(16, (2, 1)), pair_perm(16, (1, (-pow(5, 2, 16)) % 16))]
     )
-    assert iso_type(dihedral).kind == "dihedral"
-    assert iso_type(quat).kind == "generalized_quaternion"
+    assert perm_iso_type(dihedral).kind == "dihedral"
+    assert perm_iso_type(quat).kind == "generalized_quaternion"
     assert are_conjugate(dihedral, quat, amb) is None
 
 
@@ -188,7 +192,7 @@ def test_iso_type_models():
         (cocycle_group(4, 1, 0), "Z2_x_cyclic"),
     ]
     for sub, want in expectations:
-        got = iso_type(sub)
+        got = perm_iso_type(sub)
         assert got.kind == want and got.order == sub.order
 
 
@@ -196,10 +200,10 @@ def test_iso_type_other_cases():
     klein_cube = from_elements(
         Perm([i ^ mask for i in range(8)]) for mask in range(8)
     )
-    assert iso_type(klein_cube).kind == "other"  # Z_2^3 has no index-2 cyclic
+    assert perm_iso_type(klein_cube).kind == "other"  # Z_2^3 has no index-2 cyclic
     s3 = closure([Perm([1, 0, 2]), Perm([1, 2, 0])])
-    assert iso_type(s3).kind == "other"
-    assert iso_type(closure([], degree=4)).kind == "cyclic"
+    assert perm_iso_type(s3).kind == "other"
+    assert perm_iso_type(closure([], degree=4)).kind == "cyclic"
 
 
 def test_iso_type_is_conjugation_invariant():
@@ -208,12 +212,12 @@ def test_iso_type_is_conjugation_invariant():
     ambient_elems = sorted(amb.elements)
     for gens in ([(2, 1), (1, 15)], [(1, 5)]):
         sub = closure([pair_perm(16, g) for g in gens])
-        tag = iso_type(sub)
+        tag = perm_iso_type(sub)
         for _ in range(5):
             w = rng.choice(ambient_elems)
             wi = w.inverse()
             conj = from_elements(wi.then(p).then(w) for p in sub.elements)
-            assert iso_type(conj) == tag
+            assert perm_iso_type(conj) == tag
 
 
 def _assert_validated(p):

@@ -1,10 +1,14 @@
 import hashlib
+import io
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
-from holocirc.holomorph import HolElem2, holomorph_group
-from holocirc.permgroup import closure, is_normal_in, is_regular
+from holocirc import cli, permgroup
+from holocirc.holomorph import HolElem2, holomorph_group, pair_perm
+from holocirc.permgroup import Perm, closure, is_normal_in, is_regular, iso_type
 from holocirc.regular_classify import (
     RegularType,
     _canonical_rep_sets,
@@ -26,6 +30,14 @@ from holocirc.regular_classify import (
 # frozen by the exhaustive engine itself (see test_counts_are_stable)
 REGULAR_COUNTS = {3: 6, 4: 16, 5: 28}
 CLASS_COUNTS = {3: 5, 4: 8, 5: 9}
+
+# sha256 of the sorted-key JSON list of the structured engine's records
+STRUCTURED_SHA256 = {
+    6: "ee5e74f321df723f858dda6e11f889325de5702f334586b91d165312175573c9",
+    7: "1de7a600c17599685d6520da253992789d27471557c92bffe7a61199a8a3e5a6",
+}
+
+CLASSIFY_GOLDEN = Path(__file__).parents[1] / "perfbench" / "golden" / "classify_n3-8.json"
 
 
 def brute_semiregular(h):
@@ -103,12 +115,53 @@ def test_representative_generator_shapes():
         representative_generators(RegularType("modular"), 3)
 
 
+def _records_digest(records):
+    text = json.dumps([r.to_dict() for r in records], sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _assert_matches_perm_group(rec):
+    # the record's fields, computed on pairs, against the brute routes on
+    # the permutation group of Z_{2^n} its pairs give
+    sub = rec.perm_group()
+    assert sub.degree == 1 << rec.n
+    assert sub.generators == tuple(pair_perm(1 << rec.n, g) for g in rec.generators)
+    assert is_regular(sub)
+    assert rec.intersection_exponent == intersection_with_translations(sub)
+    assert rec.iso == iso_type(sub.elements, sub.generators, Perm.then, Perm.order)
+
+
+def test_records_match_their_perm_groups():
+    for n in range(3, 9):
+        for rec in representatives(n):
+            _assert_matches_perm_group(rec)
+    for n in range(3, 7):
+        for rec in enumerate_regular_subgroups(n):
+            _assert_matches_perm_group(rec)
+
+
+def test_classification_builds_no_perm_group(monkeypatch):
+    # the classify path works on (t, m) pairs: no permutation closure and
+    # no cycle walk on 2^n points, at any width
+    def refuse(*args, **kwargs):
+        raise AssertionError("the classification builds no Perm group")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("holocirc") and getattr(module, "closure", None) is permgroup.closure:
+            monkeypatch.setattr(module, "closure", refuse)
+    monkeypatch.setattr(Perm, "cycle_lengths", refuse)
+    out = io.StringIO()
+    cli._emit(cli._classification(3, 8), "json", out)
+    assert out.getvalue() == CLASSIFY_GOLDEN.read_text()
+    assert _records_digest(enumerate_regular_subgroups(6)) == STRUCTURED_SHA256[6]
+
+
 def test_representatives_all_widths():
     for n in range(3, 9):
         recs = representatives(n)
         for rec in recs:
-            assert is_regular(rec.subgroup)
-            assert rec.subgroup.order == 1 << n
+            assert rec.n == n
+            assert len(rec.elements) == 1 << n
             assert rec.intersection_exponent == expected_intersection_exponent(
                 rec.rtype, n
             )
@@ -121,7 +174,7 @@ def test_representatives_all_widths():
 
 def test_dihedral_representative_example():
     rec = representative(RegularType("dihedral"), 4)
-    assert rec.subgroup.order == 16
+    assert len(rec.elements) == 16
     assert rec.iso.kind == "dihedral"
     assert rec.intersection_exponent == 2
 
@@ -152,16 +205,13 @@ def test_counts_are_stable():
 def test_every_enumerated_subgroup_has_verified_conjugator():
     for n in (3, 4):
         for rec in enumerate_regular_subgroups(n):
-            assert is_regular(rec.subgroup)
-            w = rec.conjugator
+            sub = rec.perm_group()
+            assert is_regular(sub)
+            w = pair_perm(1 << n, rec.conjugator)
             rep = representative(rec.rtype, n)
-            conj = frozenset(
-                w.inverse().then(p).then(w) for p in rec.subgroup.elements
-            )
-            assert conj == rep.subgroup.elements
-            assert rec.intersection_exponent == intersection_with_translations(
-                rec.subgroup
-            )
+            conj = frozenset(w.inverse().then(p).then(w) for p in sub.elements)
+            assert conj == rep.perm_group().elements
+            assert rec.intersection_exponent == intersection_with_translations(sub)
 
 
 def test_intersection_is_conjugation_invariant_fact():
@@ -185,24 +235,25 @@ def test_structured_is_subset_and_covers_classes():
     want = {t.label() for t in representative_types(6)}
     assert found == want
     for rec in recs:
-        w = rec.conjugator
+        w = pair_perm(1 << 6, rec.conjugator)
         rep = representative(rec.rtype, 6)
         conj = frozenset(
-            w.inverse().then(p).then(w) for p in rec.subgroup.elements
+            w.inverse().then(p).then(w) for p in rec.perm_group().elements
         )
-        assert conj == rep.subgroup.elements
+        assert conj == rep.perm_group().elements
 
 
 def test_canonical_rep_sets_are_the_representatives():
-    # the pair closures of the literal generators against the Perm-level
-    # groups that representative() builds and checks
+    # the matcher's pair sets, read from the representative records,
+    # against the Perm-level closures of the literal generators
     for n in range(3, 9):
         want: dict = {}
         for rt in representative_types(n):
-            perms = representative(rt, n).subgroup.elements
+            gens = [h.as_perm() for h in representative_generators(rt, n)]
+            perms = closure(gens, degree=1 << n).elements
             elems = frozenset(map(pair_from_perm, perms))
             want.setdefault(elems, []).append(rt)
-        assert _canonical_rep_sets(n) == list(want.items()), n
+        assert _canonical_rep_sets(representatives(n)) == list(want.items()), n
 
 
 def test_enumeration_range_errors():
@@ -228,7 +279,7 @@ def test_cyclic_normality_against_brute_force():
         for rec in enumerate_regular_subgroups(n):
             if rec.iso.kind != "cyclic":
                 continue
-            brute = is_normal_in(rec.subgroup, ambient)
+            brute = is_normal_in(rec.perm_group(), ambient)
             assert brute == is_normal_cyclic_regular_in_hol(rec.rtype, n)
 
 
@@ -239,7 +290,7 @@ def test_twist_beyond_range_collapses_to_translations():
     assert h == HolElem2(n, 1, 0, 0)
     sub = closure([h.as_perm()])
     rep = representative(RegularType("translations"), n)
-    assert sub.elements == rep.subgroup.elements
+    assert sub.elements == rep.perm_group().elements
 
 
 def test_pair_from_perm_roundtrip():
@@ -262,15 +313,8 @@ def test_record_serialization():
     assert d["n"] == 4
 
 
-@pytest.mark.parametrize(
-    "n, digest",
-    [
-        (6, "ee5e74f321df723f858dda6e11f889325de5702f334586b91d165312175573c9"),
-        (7, "1de7a600c17599685d6520da253992789d27471557c92bffe7a61199a8a3e5a6"),
-    ],
-)
+@pytest.mark.parametrize("n, digest", sorted(STRUCTURED_SHA256.items()))
 def test_structured_records_pinned(n, digest):
     # records, generators and witnesses of the structured engine, which
     # the classify golden file (widths 3..5 enumerated) does not cover
-    text = json.dumps([r.to_dict() for r in enumerate_regular_subgroups(n)], sort_keys=True)
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert _records_digest(enumerate_regular_subgroups(n)) == digest
