@@ -119,10 +119,6 @@ class Circulant:
             rows.append(row)
         return tuple(rows)
 
-    @property
-    def edge_count(self) -> int:
-        return self.n * len(self.conn) // 2
-
     def edges(self) -> list[tuple[int, int]]:
         out = []
         for g in range(self.n):
@@ -477,15 +473,6 @@ def lex_exponent(k: int, t: int) -> int:
     return (1 << (k - t)) * t + k - t
 
 
-def lex_nonnormal_bound(k: int, t: int) -> bool:
-    """Whether the wreath lower bound beats the holomorph order, i.e.
-    lex_exponent(k, t) >= 2k - 1.  Holds for all 1 <= t <= k - 1, with
-    equality exactly at t = k - 1."""
-    if not 1 <= t <= k - 1:
-        raise ValueError(f"split {t} outside 1..{k - 1}")
-    return lex_exponent(k, t) >= 2 * k - 1
-
-
 def theta_witness_p_odd(circ: Circulant, p: int) -> Optional[Perm]:
     """Non-normality witness for odd p with p^2 | n.
 
@@ -498,7 +485,7 @@ def theta_witness_p_odd(circ: Circulant, p: int) -> Optional[Perm]:
     witness does not verify.
     """
     n = circ.n
-    if p < 3 or p % 2 == 0 or not _is_prime(p):
+    if p < 3 or p % 2 == 0 or crt_decompose(p).prime_powers != ((p, 1),):
         raise ValueError(f"{p} is not an odd prime")
     if n % (p * p):
         raise ValueError(f"{p}^2 does not divide {n}")
@@ -566,17 +553,6 @@ def _verify_witness(circ: Circulant, theta: Perm) -> None:
                 raise WitnessVerificationError(
                     f"witness breaks the edge ({g}, {(g + s) % n})"
                 )
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
 
 
 # abelian regular subgroups at moduli not divisible by 8
@@ -741,13 +717,6 @@ def _multiplier_orbit(n: int) -> Callable[[int], set[int]]:
         return {sum(action[i] for i in members) for action in actions}
 
     return orbit
-
-
-def _multiplier_orbit_key(n: int) -> Callable[[int], int]:
-    """The map from a census mask to the least mask of its Z_n^* orbit:
-    two masks share a key exactly when their sets lie in one orbit."""
-    orbit = _multiplier_orbit(n)
-    return lambda mask: min(orbit(mask))
 
 
 def scan_range(

@@ -504,22 +504,16 @@ def _run_centralizer_product(params: dict) -> tuple[str, list, dict]:
     return status, evidence, {"moduli": tuple(moduli)}
 
 
-def _run_theta_odd(params: dict) -> tuple[str, list, dict]:
-    n = params.get("modulus", 9)
-    p = params.get("p")
-    if p is None:
-        p = next(
-            (q for q in range(3, n, 2) if circ_mod._is_prime(q) and n % (q * q) == 0),
-            None,
-        )
-    if p is None:
-        return "skipped", [{"why": f"no odd prime with square dividing {n}"}], {"modulus": n}
+def _theta_census(n: int, witness: Callable, parameters: dict) -> tuple[str, list]:
+    """Build ``witness(c)`` on every set of the Z_n census: each witness
+    must verify, and its graph must not be normal.  A pass reports
+    ``parameters`` with the witness and failed-precondition counts."""
     built = skipped = 0
     bad = []
     for mask in range(circ_mod.census_size(n)):
         c = circ_mod.build(n, circ_mod.connection_set(n, mask))
         try:
-            theta = circ_mod.theta_witness_p_odd(c, p)
+            theta = witness(c)
         except circ_mod.WitnessVerificationError as exc:
             bad.append({"S": sorted(c.conn), "why": str(exc)})
             continue
@@ -529,9 +523,26 @@ def _run_theta_odd(params: dict) -> tuple[str, list, dict]:
             built += 1
             if circ_mod.is_normal_cayley(c):
                 bad.append({"S": sorted(c.conn), "why": "witness exists but graph normal"})
-    evidence = [{"modulus": n, "p": p, "witnesses": built, "preconditions_failed": skipped}]
-    status, evidence = _counted(bad, "witnesses", built, evidence)
-    return status, evidence, {"modulus": n, "p": p}
+    evidence = [{**parameters, "witnesses": built, "preconditions_failed": skipped}]
+    return _counted(bad, "witnesses", built, evidence)
+
+
+def _run_theta_odd(params: dict) -> tuple[str, list, dict]:
+    n = params.get("modulus", 9)
+    p = params.get("p")
+    if p is None:
+        # the odd primes come in increasing order
+        p = next(
+            (q for q, k in hol.crt_decompose(n).prime_powers if q % 2 and k >= 2),
+            None,
+        )
+    if p is None:
+        return "skipped", [{"why": f"no odd prime with square dividing {n}"}], {"modulus": n}
+    used = {"modulus": n, "p": p}
+    status, evidence = _theta_census(
+        n, lambda c: circ_mod.theta_witness_p_odd(c, p), used
+    )
+    return status, evidence, used
 
 
 def _run_theta_2part(params: dict) -> tuple[str, list, dict]:
@@ -539,24 +550,9 @@ def _run_theta_2part(params: dict) -> tuple[str, list, dict]:
     k = (n & -n).bit_length() - 1
     if k < 4:
         return "skipped", [{"why": f"2-part of {n} is below 16"}], {"modulus": n}
-    built = skipped = 0
-    bad = []
-    for mask in range(circ_mod.census_size(n)):
-        c = circ_mod.build(n, circ_mod.connection_set(n, mask))
-        try:
-            theta = circ_mod.theta_witness_2part(c)
-        except circ_mod.WitnessVerificationError as exc:
-            bad.append({"S": sorted(c.conn), "why": str(exc)})
-            continue
-        if theta is None:
-            skipped += 1
-        else:
-            built += 1
-            if circ_mod.is_normal_cayley(c):
-                bad.append({"S": sorted(c.conn), "why": "witness exists but graph normal"})
-    evidence = [{"modulus": n, "witnesses": built, "preconditions_failed": skipped}]
-    status, evidence = _counted(bad, "witnesses", built, evidence)
-    return status, evidence, {"modulus": n}
+    used = {"modulus": n}
+    status, evidence = _theta_census(n, circ_mod.theta_witness_2part, used)
+    return status, evidence, used
 
 
 def _run_index_2power(params: dict) -> tuple[str, list, dict]:

@@ -17,17 +17,12 @@ e in {1, 2} among them, keeps its elements as plain (t, m) pairs
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import gcd
 from typing import Optional, Sequence
 
 from .numtheory import pow5, geom_series, alt_sum
 from .permgroup import Perm, PermSubgroup, _perm, closure
-
-# Multiplier discrete logs base 5 and the unit tables of HolElem2 are
-# cached per width up to this width; beyond it the log is found by bitwise
-# Hensel lifting and the unit by a power (a table for large n would not fit).
-_DLOG_TABLE_MAX = 16
 
 
 Pair = tuple[int, int]
@@ -160,10 +155,7 @@ class HolElem2(_Slots):
 
     @property
     def multiplier(self) -> int:
-        n = self.n
-        if n <= _DLOG_TABLE_MAX:
-            return _UNIT_TABLES[n][0][self.beta << (n - 2) | self.gamma]
-        return _signed_pow5(n, self.beta, self.gamma)
+        return _signed_pow5(self.n, self.beta, self.gamma)
 
     @property
     def pair(self) -> Pair:
@@ -180,13 +172,9 @@ class HolElem2(_Slots):
         if other.n != n:
             raise ValueError("modulus mismatch")
         beta, gamma = self.beta, self.gamma
-        if n <= _DLOG_TABLE_MAX:
-            u = _UNIT_TABLES[n][1][beta << (n - 2) | gamma]
-        else:
-            u = _signed_pow5(n, beta, -gamma)
         return _reduced(
             n,
-            (self.alpha + other.alpha * u) % (1 << n),
+            (self.alpha + other.alpha * _signed_pow5(n, beta, -gamma)) % (1 << n),
             beta ^ other.beta,
             (gamma + other.gamma) % (1 << (n - 2)),
         )
@@ -228,25 +216,6 @@ def _signed_pow5(n: int, beta: int, e: int) -> int:
     return (-u if beta else u) % (1 << n)
 
 
-class _UnitTableCache(dict):
-    """Width n -> the lists of (-1)**beta * 5**gamma and of its inverse
-    (-1)**beta * 5**(-gamma) mod 2**n, both indexed by
-    beta << (n - 2) | gamma.  Built on first use, for widths up to
-    _DLOG_TABLE_MAX only; wider widths compute the power."""
-
-    def __missing__(self, n: int) -> tuple[list[int], list[int]]:
-        exps = range(1 << (n - 2))
-        tables = (
-            [_signed_pow5(n, b, g) for b in (0, 1) for g in exps],
-            [_signed_pow5(n, b, -g) for b in (0, 1) for g in exps],
-        )
-        self[n] = tables
-        return tables
-
-
-_UNIT_TABLES = _UnitTableCache()
-
-
 def power(h: HolElem2, r: int) -> HolElem2:
     """h**r in closed form.
 
@@ -261,15 +230,8 @@ def power(h: HolElem2, r: int) -> HolElem2:
     if h.beta == 0:
         s = geom_series(pow5(-h.gamma, n), r, mod)
         return HolElem2(n, h.alpha * s, 0, r * h.gamma)
-    s = alt_sum_len(r, h.gamma, n)
+    s = alt_sum(r, h.gamma, n)
     return HolElem2(n, h.alpha * s, r & 1, r * h.gamma)
-
-
-def alt_sum_len(r: int, gamma: int, n: int) -> int:
-    """sum((-1)**s * 5**(-s*gamma) for s in range(r)) mod 2**n."""
-    if gamma == 0:
-        return r & 1  # the sum telescopes to 0 or 1
-    return alt_sum(r, gamma, n)
 
 
 def order(h: HolElem2) -> int:
@@ -397,27 +359,13 @@ def _unit_vector(frame: "CrtFrame", q: int, local: int) -> list[int]:
 def _primitive_root(p: int, q: int) -> int:
     """A generator of the units mod q = p**k, p odd."""
     phi = q // p * (p - 1)
-    factors = _prime_factors(phi)
+    factors = [f for f, _ in crt_decompose(phi).prime_powers]
     for g in range(2, q):
         if gcd(g, q) != 1:
             continue
         if all(pow(g, phi // f, q) != 1 for f in factors):
             return g
     raise RuntimeError(f"no primitive root mod {q}")  # unreachable for p odd
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 # CRT frames
@@ -473,22 +421,11 @@ def crt_decompose(n: int) -> CrtFrame:
 
 
 @dataclass(frozen=True)
-class CentralizerFactor:
-    p: int
-    k: int
-    m: int
-    order: int
-    full_aut: bool  # p = 2, m = 1: the whole unit group, not cyclic
-
-
-@dataclass(frozen=True)
 class Centralizer:
     """Multipliers of Z_n acting trivially on a chosen subgroup."""
 
     n: int
-    subgroup_generator: int
     multipliers: tuple[int, ...]
-    factors: tuple[CentralizerFactor, ...]
 
     @property
     def order(self) -> int:
@@ -517,32 +454,18 @@ def centralizer_in_aut(m_exps: Sequence[int], frame: CrtFrame) -> Centralizer:
         for u in range(1, n)
         if gcd(u, n) == 1 and all(x * u % n == x for x in range(0, n, d))
     )
-    factors = tuple(
-        CentralizerFactor(p, k, m, p ** (k - m), p == 2 and m == 1 and k >= 2)
-        for m, (p, k) in zip(m_exps, frame.prime_powers)
-    )
-    return Centralizer(n, d, fixing, factors)
+    return Centralizer(n, fixing)
 
 
 # discrete log base 5 on the 1-mod-4 units
 
 
-@lru_cache(maxsize=None)
-def _dlog_table(n: int) -> dict[int, int]:
-    mod = 1 << n
-    table = {}
-    v = 1
-    for e in range(1 << (n - 2)):
-        table[v] = e
-        v = v * 5 % mod
-    return table
-
-
 def _dlog5(u: int, n: int) -> int:
+    """The gamma in [0, 2**(n-2)) with 5**gamma = u mod 2**n, bit by bit:
+    5**(2**t) is 1 + 2**(t+2) mod 2**(t+3), so bit t of gamma is set
+    exactly when the partial power misses u mod 2**(t+3)."""
     if u % 4 != 1:
         raise ValueError(f"{u} is not a power of 5 mod 2^{n}")
-    if n <= _DLOG_TABLE_MAX:
-        return _dlog_table(n)[u]
     mod = 1 << n
     gamma, v = 0, 1
     for t in range(n - 2):

@@ -12,19 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-class UndefinedSplitError(ValueError):
-    """Raised when asking for the two-adic split of zero."""
-
-
-@dataclass(frozen=True)
-class TwoAdicSplit:
-    """A positive integer factored as ``two_part * odd_part``."""
-
-    value: int
-    two_part: int
-    odd_part: int
-
-
 @dataclass(frozen=True)
 class ResidueSplit:
     """Two-adic split of a residue mod 2**width.
@@ -39,31 +26,6 @@ class ResidueSplit:
     two_part: int
     odd_part: int
     truncated: bool
-
-
-@dataclass(frozen=True)
-class Modulus2n:
-    """The modulus 2**n carrying its exponent; normal forms need n >= 3."""
-
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"exponent must be >= 1, got {self.n}")
-
-    @property
-    def modulus(self) -> int:
-        return 1 << self.n
-
-
-def val2(m: int) -> TwoAdicSplit:
-    """Split a positive integer into its 2-part and odd part."""
-    if m == 0:
-        raise UndefinedSplitError("0 has no two-adic split")
-    if m < 0:
-        raise ValueError(f"expected a positive integer, got {m}")
-    two = m & -m
-    return TwoAdicSplit(m, two, m // two)
 
 
 def residue_split(value: int, n: int) -> ResidueSplit:

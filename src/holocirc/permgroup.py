@@ -89,9 +89,6 @@ class Perm:
             o = o * c // gcd(o, c)
         return o
 
-    def fixed_points(self) -> list[int]:
-        return [i for i, j in enumerate(self.images) if i == j]
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Perm) and self.images == other.images
 

@@ -22,7 +22,6 @@ from holocirc.circulant import (
     cyclic_copies,
     is_normal_cayley,
     lex_exponent,
-    lex_nonnormal_bound,
     nnn_verdict,
     pair_orbits,
     scan_range,
@@ -32,7 +31,7 @@ from holocirc.circulant import (
     theta_witness_p_odd,
     w_subgroups,
     _individualise,
-    _multiplier_orbit_key,
+    _multiplier_orbit,
     _refine,
 )
 from holocirc.cli import main
@@ -80,7 +79,6 @@ def test_adjacency_shapes():
         want = (0xFF ^ evens) if g % 2 == 0 else evens
         assert k44.adjacency[g] == want
     assert cycle.edges()[0] == (0, 1)
-    assert cycle.edge_count == 8
 
 
 def test_degenerate_and_connected_flags():
@@ -233,9 +231,6 @@ def test_lex_exponent_values():
     assert lex_exponent(3, 1) == 6
     assert lex_exponent(3, 2) == 5
     assert lex_exponent(4, 2) == 10
-    assert lex_nonnormal_bound(3, 2)
-    with pytest.raises(ValueError):
-        lex_nonnormal_bound(4, 0)
 
 
 def test_lex_bound_holds_with_equality_at_top():
@@ -257,8 +252,11 @@ def test_theta_p_odd():
         for s in c9.conn:
             assert (theta.images[(g + s) % 9] - theta.images[g]) % 9 in c9.conn
     assert theta_witness_p_odd(build(9, {1, 8}), 3) is None
+    for p in (1, 2):
+        with pytest.raises(ValueError):
+            theta_witness_p_odd(c9, p)
     with pytest.raises(ValueError):
-        theta_witness_p_odd(c9, 2)
+        theta_witness_p_odd(build(81, {1, 80}), 9)  # 81 = 9^2, but 9 is composite
     with pytest.raises(ValueError):
         theta_witness_p_odd(build(15, {1, 14}), 3)  # 9 does not divide 15
 
@@ -491,12 +489,12 @@ def test_scan_records_deterministic_and_sharded():
 
 def test_multiplier_orbit_key_is_least_unit_image():
     for n in (9, 12, 16):
-        key = _multiplier_orbit_key(n)
+        orbit = _multiplier_orbit(n)
         mask_of = {connection_set(n, mask): mask for mask in range(census_size(n))}
         units = [u for u in range(1, n) if math.gcd(u, n) == 1]
         for conn, mask in mask_of.items():
             least = min(mask_of[frozenset(s * u % n for s in conn)] for u in units)
-            assert key(mask) == least
+            assert min(orbit(mask)) == least
 
 
 def test_scan_range_shards_concatenate_to_census():
@@ -556,8 +554,8 @@ def _burnside_orbit_count(n):
 def test_orbit_keys_match_burnside_count():
     assert _burnside_orbit_count(16) == 88
     for n in range(2, 25):
-        key = _multiplier_orbit_key(n)
-        keys = {key(mask) for mask in range(census_size(n))}
+        orbit = _multiplier_orbit(n)
+        keys = {min(orbit(mask)) for mask in range(census_size(n))}
         assert len(keys) == _burnside_orbit_count(n), n
 
 
@@ -569,7 +567,7 @@ def test_chunked_scan_searches_each_orbit_once(monkeypatch, size):
     total = census_size(n)
     expected = list(scan_range(n, 0, total))
     mask_of = {connection_set(n, mask): mask for mask in range(total)}
-    key = _multiplier_orbit_key(n)
+    orbit = _multiplier_orbit(n)
     searched = []
     search = circulant.automorphism_group
 
@@ -585,8 +583,8 @@ def test_chunked_scan_searches_each_orbit_once(monkeypatch, size):
             for lo in range(start, stop, size)
         )
         assert list(circulant._merge(n, entries, None)) == expected[start:stop]
-        orbits = {key(mask) for mask in range(start, stop)}
-        assert sorted(key(mask) for mask in searched) == sorted(orbits)
+        orbits = {min(orbit(mask)) for mask in range(start, stop)}
+        assert sorted(min(orbit(mask)) for mask in searched) == sorted(orbits)
         if (start, stop) == (0, total):
             assert len(searched) == _burnside_orbit_count(n)
 

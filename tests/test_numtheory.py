@@ -3,37 +3,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from holocirc.numtheory import (
-    Modulus2n,
-    TwoAdicSplit,
-    UndefinedSplitError,
     alt_sum,
     alt_sum_L,
     geom_series,
     geom_sum_M,
     pow5,
     residue_split,
-    val2,
 )
-
-
-def test_val2_examples():
-    assert val2(12) == TwoAdicSplit(12, 4, 3)
-    assert val2(1) == TwoAdicSplit(1, 1, 1)
-    n = 9
-    assert val2(1 << (n - 1)) == TwoAdicSplit(1 << (n - 1), 1 << (n - 1), 1)
-
-
-def test_val2_rejects_zero_and_negatives():
-    with pytest.raises(UndefinedSplitError):
-        val2(0)
-    with pytest.raises(ValueError):
-        val2(-6)
-
-
-def test_modulus_type():
-    assert Modulus2n(5).modulus == 32
-    with pytest.raises(ValueError):
-        Modulus2n(0)
 
 
 def test_pow5_small_cases():
