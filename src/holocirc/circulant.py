@@ -316,7 +316,7 @@ def _search_automorphism(
     def dfs(cand: dict[int, int]) -> bool:
         if not cand:
             return True
-        v = min(cand, key=lambda w: bin(cand[w]).count("1"))
+        v = min(cand, key=lambda w: cand[w].bit_count())
         m = cand[v]
         while m:
             b = m & -m
@@ -576,7 +576,7 @@ def abelian_regular_scan(
     of each normal circulant: their count, and the indices of their
     intersections with the translations (all powers of two).  Normality
     and the nnn verdict come from the census stream (scan_range), which
-    searches each multiplier orbit once."""
+    searches each class under units and complementation once."""
     if n % 8 == 0:
         raise ValueError(f"modulus {n} is divisible by 8")
     out = []
@@ -669,25 +669,26 @@ def scan_record(n: int, mask: int, degree_bound: Optional[float] = None) -> dict
             "aut_order": aut.order,
             "normal": verdict.is_normal_for_GR,
             "within_holomorph": aut.within_holomorph,
+            "w_subgroups": w_subgroups(circ),
             "nnn": verdict.nnn,
             "witnesses": witnesses,
         },
     )
 
 
-def _census_record(circ: Circulant, mask: int, aut_fields: dict) -> dict:
+def _census_record(circ: Circulant, mask: int, class_fields: dict) -> dict:
     """A census record: the fields read off the connection set itself,
-    and from ``aut_fields`` those that need the automorphism group."""
+    and from ``class_fields`` those of _CLASS_FIELDS and the witnesses."""
     return {
         "n": circ.n,
         "mask": mask,
         "S": sorted(circ.conn),
-        "aut_order": aut_fields["aut_order"],
-        "normal": aut_fields["normal"],
-        "within_holomorph": aut_fields["within_holomorph"],
-        "w_subgroups": w_subgroups(circ),
-        "nnn": aut_fields["nnn"],
-        "witnesses": aut_fields["witnesses"],
+        "aut_order": class_fields["aut_order"],
+        "normal": class_fields["normal"],
+        "within_holomorph": class_fields["within_holomorph"],
+        "w_subgroups": class_fields["w_subgroups"],
+        "nnn": class_fields["nnn"],
+        "witnesses": class_fields["witnesses"],
         "connected": circ.is_connected(),
         "degenerate": circ.is_degenerate(),
     }
@@ -695,15 +696,18 @@ def _census_record(circ: Circulant, mask: int, aut_fields: dict) -> dict:
 
 SCAN_CHUNK = 32  # masks per task of a parallel scan
 
-# the record fields that are the same on a whole Z_n^* orbit, nnn last
-_AUT_FIELDS = ("aut_order", "normal", "within_holomorph", "nnn")
-_UNSET = dict.fromkeys(_AUT_FIELDS + ("witnesses",))
+# the record fields that are the same on a whole census class, nnn last
+_CLASS_FIELDS = ("aut_order", "normal", "within_holomorph", "w_subgroups", "nnn")
+_UNSET = dict.fromkeys(_CLASS_FIELDS + ("witnesses",))
 
 
-def _multiplier_orbit(n: int) -> Callable[[int], set[int]]:
-    """The map from a census mask to the masks of uS over the units u of
-    Z_n, where S is the mask's connection set: its Z_n^* orbit."""
+def _census_class(n: int) -> Callable[[int], set[int]]:
+    """The map from a census mask to its class: the masks of uS and of
+    u(S^c) over the units u of Z_n, where S is the mask's connection set
+    and S^c = (Z_n - {0}) - S its complement, whose mask is
+    mask ^ (census_size(n) - 1)."""
     orbits = pair_orbits(n)
+    full = (1 << len(orbits)) - 1
     index = {s: i for i, orbit in enumerate(orbits) for s in orbit}
     # a unit permutes the inverse pairs; u and -u permute them alike
     actions = {
@@ -712,11 +716,23 @@ def _multiplier_orbit(n: int) -> Callable[[int], set[int]]:
         if gcd(u, n) == 1
     }
 
-    def orbit(mask: int) -> set[int]:
+    def census_class(mask: int) -> set[int]:
         members = [i for i in range(len(orbits)) if mask >> i & 1]
-        return {sum(action[i] for i in members) for action in actions}
+        images = {sum(action[i] for i in members) for action in actions}
+        return images | {image ^ full for image in images}
 
-    return orbit
+    return census_class
+
+
+def _connected_mask(n: int) -> Callable[[int], bool]:
+    """The map from a census mask to whether its circulant is connected:
+    S generates Z_n unless some prime of n divides all of S."""
+    orbits = pair_orbits(n)
+    coprime = [
+        sum(1 << i for i, orbit in enumerate(orbits) if orbit[0] % p)
+        for p, _k in crt_decompose(n).prime_powers
+    ]
+    return lambda mask: all(mask & members for members in coprime)
 
 
 def scan_range(
@@ -731,16 +747,21 @@ def scan_range(
     census order as soon as it is known.
 
     Multiplying by a unit u maps Cay(Z_n, S) isomorphically onto
-    Cay(Z_n, uS) and normalises the translations, so the automorphism
-    order, normality, holomorph containment and the nnn verdict are the
-    same on each Z_n^* orbit of connection sets.  The least mask of an
-    orbit inside the range is scanned in full; a later one copies those
-    fields from it and computes the rest.  A record with nnn true is
-    never copied, since its witness depends on the labelling.
+    Cay(Z_n, uS) and normalises the translations.  The complement
+    S^c = (Z_n - {0}) - S gives the complement graph, which has the same
+    automorphisms, and u keeps S exactly when it keeps S^c, because u
+    permutes Z_n - {0}.  So the automorphism order, normality, holomorph
+    containment and the nnn verdict are the same on each class of
+    connection sets under units and complementation, and so are the
+    coset-stable subgroups: u<d> = <d>, and S^c - <d> is a union of
+    <d>-cosets exactly when S - <d> is.  The least mask of a class that
+    the range holds, and that the scan emits, is scanned in full; a later
+    one copies those fields from it and computes the rest.  A record with
+    nnn true is never copied, since its witness depends on the labelling.
 
     With ``jobs`` above 1 a pool of that many worker processes scans
-    chunks of SCAN_CHUNK masks.  Orbit membership is decided against the
-    whole range, so each orbit is still searched once, and the records
+    chunks of SCAN_CHUNK masks.  Class membership is decided against the
+    whole range, so each class is still searched once, and the records
     come out in the same order with the same bytes.  Close the iterator
     to stop the workers early.
     """
@@ -807,16 +828,22 @@ def _scan_chunk(
 ) -> Iterator[tuple[dict, int, int]]:
     """The masks lo..hi-1 of the range start..stop-1, each as (record,
     first, last), where first and last are the least and the greatest
-    member of the mask's Z_n^* orbit inside the range.  Only the first
-    member of an orbit gets the automorphism search; the record of any
-    other member leaves the fields of _AUT_FIELDS unset.  With
-    ``connected_only`` a disconnected mask is skipped: a unit keeps
-    gcd(S + {n}), so its whole orbit is skipped and never searched."""
-    orbit = _multiplier_orbit(n)
+    member of the mask's census class that the range holds and the scan
+    emits.  Only the first member of a class gets the automorphism
+    search; the record of any other member leaves the fields of
+    _CLASS_FIELDS unset.  With ``connected_only`` a disconnected mask is
+    skipped and is no member: the complement of a disconnected graph is
+    connected, so a class may hold both kinds."""
+    census_class = _census_class(n)
+    connected = _connected_mask(n)
     for mask in range(lo, hi):
-        if connected_only and gcd(n, *connection_set(n, mask)) != 1:
+        if connected_only and not connected(mask):
             continue
-        inside = [m for m in orbit(mask) if start <= m < stop]
+        inside = [
+            m
+            for m in census_class(mask)
+            if start <= m < stop and (not connected_only or connected(m))
+        ]
         first, last = min(inside), max(inside)
         if mask == first:
             record = scan_record(n, mask, degree_bound)
@@ -831,20 +858,20 @@ def _merge(
     degree_bound: Optional[float],
 ) -> Iterator[dict]:
     """The records of _scan_chunk entries given in mask order, each later
-    member of an orbit completed from the orbit's first record.  Only the
-    copied fields of orbits with members still to come are kept."""
-    open_orbits: dict[int, tuple] = {}
+    member of a class completed from the class's first record.  Only the
+    copied fields of classes with members still to come are kept."""
+    open_classes: dict[int, tuple] = {}
     for record, first, last in entries:
         mask = record["mask"]
         if mask == first:
             if last != mask:
-                open_orbits[first] = tuple(record[f] for f in _AUT_FIELDS)
+                open_classes[first] = tuple(record[f] for f in _CLASS_FIELDS)
         else:
-            fields = open_orbits.pop(first) if mask == last else open_orbits[first]
+            fields = open_classes.pop(first) if mask == last else open_classes[first]
             if fields[-1]:  # nnn
                 record = scan_record(n, mask, degree_bound)
             else:
-                record.update(zip(_AUT_FIELDS, fields))
+                record.update(zip(_CLASS_FIELDS, fields))
         yield record
 
 

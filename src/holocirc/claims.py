@@ -139,7 +139,8 @@ def _counted(
 
 def _census(n: int) -> Iterator[dict]:
     """The full census of Z_n as a stream of records, one automorphism
-    search per multiplier orbit (circulant.scan_range)."""
+    search per class under units and complementation
+    (circulant.scan_range)."""
     return circ_mod.scan_range(n, 0, circ_mod.census_size(n))
 
 

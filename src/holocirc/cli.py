@@ -7,7 +7,7 @@ per inverse-closed connection set.  Every command writes its records to
 one stream, stdout or ``--out``, opened before any work starts, and
 writes and flushes each record as soon as it is known: a claim report
 when its claim has run, a width's classification when that width is
-done, a census record when its orbit is known.
+done, a census record when its class is known.
 Identical invocations produce byte-identical record streams
 (deterministic ordering, no timestamps inside records; runtimes go to
 stderr).
@@ -371,7 +371,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except circ_mod.DegreeBoundError as exc:
         print(f"resource bound: {exc}", file=sys.stderr)
         return EXIT_BOUND
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BrokenPipeError:

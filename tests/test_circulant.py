@@ -30,8 +30,8 @@ from holocirc.circulant import (
     theta_witness_2part,
     theta_witness_p_odd,
     w_subgroups,
+    _census_class,
     _individualise,
-    _multiplier_orbit,
     _refine,
 )
 from holocirc.cli import main
@@ -487,19 +487,24 @@ def test_scan_records_deterministic_and_sharded():
     assert len(connected) < len(full)
 
 
-def test_multiplier_orbit_key_is_least_unit_image():
+def test_census_class_key_is_least_unit_or_complement_image():
     for n in (9, 12, 16):
-        orbit = _multiplier_orbit(n)
+        census_class = _census_class(n)
         mask_of = {connection_set(n, mask): mask for mask in range(census_size(n))}
         units = [u for u in range(1, n) if math.gcd(u, n) == 1]
+        nonzero = frozenset(range(1, n))
         for conn, mask in mask_of.items():
-            least = min(mask_of[frozenset(s * u % n for s in conn)] for u in units)
-            assert min(orbit(mask)) == least
+            least = min(
+                mask_of[frozenset(s * u % n for s in side)]
+                for side in (conn, nonzero - conn)
+                for u in units
+            )
+            assert min(census_class(mask)) == least
 
 
 def test_scan_range_shards_concatenate_to_census():
-    # contiguous shards cut multiplier orbits, so a later member of an
-    # orbit may sit in a shard without its first member
+    # contiguous shards cut census classes, so a later member of a
+    # class may sit in a shard without its first member
     total = census_size(16)
     full = list(scan_range(16, 0, total))
     for shards in (2, 3, 5, 7, 16):
@@ -513,8 +518,21 @@ def test_scan_range_equals_per_mask_records():
         assert list(scan_range(n, 0, census_size(n))) == direct, n
 
 
+def test_complement_keeps_the_class_fields():
+    # searched on both sides: S and its complement (Z_n - {0}) - S share
+    # the fields that the census copies across a class
+    fields = ("aut_order", "normal", "within_holomorph", "nnn", "w_subgroups")
+    for n in range(2, 17):
+        full = census_size(n) - 1
+        records = [scan_record(n, mask) for mask in range(full + 1)]
+        for mask, record in enumerate(records):
+            other = records[mask ^ full]
+            assert [record[f] for f in fields] == [other[f] for f in fields], (n, mask)
+
+
 def test_scan_range_searches_once_per_orbit(monkeypatch):
-    # the 256 connection sets of Z_16 fall into 88 Z_16^* orbits
+    # the 256 connection sets of Z_16 fall into 44 orbits under units and
+    # complementation
     calls = []
     search = circulant.automorphism_group
 
@@ -524,13 +542,17 @@ def test_scan_range_searches_once_per_orbit(monkeypatch):
 
     monkeypatch.setattr(circulant, "automorphism_group", counted)
     list(scan_range(16, 0, census_size(16)))
-    assert len(calls) == 88
+    assert len(calls) == 44
 
 
 def _burnside_orbit_count(n):
-    """The number of Z_n^* orbits of census masks by Burnside's lemma: the
-    mean, over the distinct permutations of the inverse pairs by units,
-    of 2^(number of cycles)."""
+    """The number of classes of census masks under units and
+    complementation by Burnside's lemma.  The group is the distinct
+    permutations sigma of the inverse pairs by units, and each of them
+    followed by the complement.  sigma fixes 2^(number of cycles) masks;
+    complement o sigma fixes the masks that alternate along every cycle,
+    so 2^(number of cycles) when every cycle has even length, and none
+    otherwise.  The count is the mean over the group."""
     pairs = pair_orbits(n)
     where = {s: i for i, pair in enumerate(pairs) for s in pair}
     actions = {
@@ -540,34 +562,38 @@ def _burnside_orbit_count(n):
     }
     total = 0
     for perm in actions:
-        seen, cycles = set(), 0
+        seen, lengths = set(), []
         for i in range(len(perm)):
-            cycles += i not in seen
+            if i not in seen:
+                lengths.append(0)
             while i not in seen:
                 seen.add(i)
+                lengths[-1] += 1
                 i = perm[i]
-        total += 2**cycles
-    assert total % len(actions) == 0
-    return total // len(actions)
+        total += 2 ** len(lengths)
+        if all(length % 2 == 0 for length in lengths):
+            total += 2 ** len(lengths)
+    assert total % (2 * len(actions)) == 0
+    return total // (2 * len(actions))
 
 
 def test_orbit_keys_match_burnside_count():
-    assert _burnside_orbit_count(16) == 88
+    assert _burnside_orbit_count(16) == 44
     for n in range(2, 25):
-        orbit = _multiplier_orbit(n)
-        keys = {min(orbit(mask)) for mask in range(census_size(n))}
+        census_class = _census_class(n)
+        keys = {min(census_class(mask)) for mask in range(census_size(n))}
         assert len(keys) == _burnside_orbit_count(n), n
 
 
 @pytest.mark.parametrize("size", [1, 3, 64])
 def test_chunked_scan_searches_each_orbit_once(monkeypatch, size):
     # whatever the chunk size, the chunks and the merge give the records
-    # of the range, with one automorphism search per orbit meeting it
+    # of the range, with one automorphism search per class meeting it
     n = 16
     total = census_size(n)
     expected = list(scan_range(n, 0, total))
     mask_of = {connection_set(n, mask): mask for mask in range(total)}
-    orbit = _multiplier_orbit(n)
+    census_class = _census_class(n)
     searched = []
     search = circulant.automorphism_group
 
@@ -583,8 +609,8 @@ def test_chunked_scan_searches_each_orbit_once(monkeypatch, size):
             for lo in range(start, stop, size)
         )
         assert list(circulant._merge(n, entries, None)) == expected[start:stop]
-        orbits = {min(orbit(mask)) for mask in range(start, stop)}
-        assert sorted(min(orbit(mask)) for mask in searched) == sorted(orbits)
+        classes = {min(census_class(mask)) for mask in range(start, stop)}
+        assert sorted(min(census_class(mask)) for mask in searched) == sorted(classes)
         if (start, stop) == (0, total):
             assert len(searched) == _burnside_orbit_count(n)
 
@@ -594,14 +620,15 @@ def test_connected_only_scan_is_the_filtered_census():
         total = census_size(n)
         connected = [r for r in scan_range(n, 0, total) if r["connected"]]
         assert list(scan_range(n, 0, total, connected_only=True)) == connected, n
-        # a range that cuts orbits: the first member inside it is searched
+        # a range that cuts classes: the first member inside it is searched
         inner = [r for r in connected if 0 < r["mask"] < total - 1]
         assert list(scan_range(n, 1, total - 1, True)) == inner, n
 
 
 def test_connected_only_scan_searches_connected_orbits_only(monkeypatch):
-    # gcd(S + {n}) is the same on a whole Z_n^* orbit, so a disconnected
-    # orbit is neither searched nor recorded: 76 of the 88 orbits of Z_16
+    # a disconnected mask is neither searched nor recorded; the complement
+    # of a disconnected graph is connected, so each of the 44 classes of
+    # Z_16 has a connected member, searched once
     scanned = []
     scan = circulant.scan_record
 
@@ -611,7 +638,7 @@ def test_connected_only_scan_searches_connected_orbits_only(monkeypatch):
 
     monkeypatch.setattr(circulant, "scan_record", counted)
     records = list(scan_range(16, 0, census_size(16), connected_only=True))
-    assert len(scanned) == 76
+    assert len(scanned) == 44
     assert len(records) == 240 and all(r["connected"] for r in records)
 
 
@@ -635,7 +662,7 @@ def test_in_order_keeps_a_bounded_window():
 
 def test_scan_range_never_copies_an_nnn_record(monkeypatch):
     # the witness of an nnn record depends on the labelling, so every
-    # mask of its orbit is scanned in full
+    # mask of its class is scanned in full
     scanned = []
     scan = circulant.scan_record
 

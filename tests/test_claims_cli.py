@@ -222,6 +222,18 @@ def test_cli_missing_config_is_usage_error(tmp_path):
     assert proc.stdout == ""
 
 
+def test_internal_key_error_is_not_a_usage_error(monkeypatch):
+    # a claim id is checked against the registry before it runs, so a
+    # KeyError from inside a command is a fault of the program, not of
+    # its input, and must not leave as exit code 2
+    def broken(*args):
+        raise KeyError(4)
+
+    monkeypatch.setattr(circulant, "scan_range", broken)
+    with pytest.raises(KeyError):
+        main(["scan", "--modulus", "8"])
+
+
 def test_cli_reversed_range_is_usage_error():
     # a reversed range checks nothing, so it must not pass or print records
     for argv, message in (
@@ -473,7 +485,7 @@ def test_cli_scan_16_jobs_matches_serial(tmp_path):
     [("json", False), ("text", False), ("ndjson", True), ("json", True)],
 )
 def test_cli_scan_streamed_formats_match_whole_list(tmp_path, fmt, connected_only):
-    # --connected-only never searches a disconnected orbit, and must give
+    # --connected-only never searches a disconnected mask, and must give
     # the connected records of the full census
     records = [r for r in circulant.scan_range(16, 0, 256) if r["connected"] or not connected_only]
     if fmt == "json":
@@ -632,15 +644,16 @@ def test_cli_graph_output_pinned(capsys):
     [
         pytest.param(claim_id, modulus, searches, id=claim_id)
         for claim_id, modulus, searches in [
-            ("thm-1.3-scan", 16, 88),
-            ("cor-3.4", 16, 88),
-            ("lem-2.6-2power", 12, 48),
+            ("thm-1.3-scan", 16, 44),
+            ("cor-3.4", 16, 44),
+            ("lem-2.6-2power", 12, 24),
         ]
     ],
 )
 def test_census_claims_search_once_per_orbit(monkeypatch, claim_id, modulus, searches):
-    # the 256 connection sets of Z_16 fall into 88 Z_16^* orbits, and the
-    # 64 of Z_12 into 48; the claims used to search every mask
+    # the 256 connection sets of Z_16 fall into 44 classes under units and
+    # complementation, and the 64 of Z_12 into 24; the claims used to
+    # search every mask
     calls = []
     search = circulant.automorphism_group
 
