@@ -315,7 +315,9 @@ def _run_regular_classification(params: dict) -> tuple[str, list, dict]:
             reps[n] = recs
         if n == 3:
             coincidences = [
-                [t.label() for t in grp] for grp in rc.representative_coincidences(recs)
+                [t.label() for t in types]
+                for _, types in rc.canonical_classes(recs)
+                if len(types) > 1
             ]
         evidence.append(
             {"n": n, "representatives": [r.rtype.label() for r in recs]}
@@ -335,13 +337,12 @@ def _run_regular_classification(params: dict) -> tuple[str, list, dict]:
             conj = frozenset(wi.then(p).then(w) for p in rec.perm_group().elements)
             if conj != rep_perms[rec.rtype]:
                 bad.append({"n": n, "type": rec.rtype.label(), "why": "bad witness"})
-        found_types = set(per_type)
-        want_types = {t.label() for t in rc.representative_types(n)}
-        for grp in rc.representative_coincidences(reps[n]):
-            # coinciding representatives form one class under the first tag
-            want_types -= {t.label() for t in grp[1:]}
-        if found_types != want_types:
-            bad.append({"n": n, "missing": sorted(want_types - found_types)})
+        # a class, under the first tag of coinciding representatives,
+        # holds [Hol : N(R)] subgroups
+        for rep, _ in rc.canonical_classes(reps[n]):
+            found = per_type.get(rep.rtype.label(), 0)
+            if found != rc.normalizer_index(rep):
+                bad.append({"n": n, "type": rep.rtype.label(), "subgroups": found})
         evidence.append({"n": n, "regular_subgroups": len(records), "classes": per_type})
     evidence.append({"n": 3, "coinciding_representatives": coincidences})
     return ("fail" if bad else "pass"), bad or evidence, {"n": (lo, hi), "rep_n_max": rep_hi}

@@ -207,9 +207,9 @@ def cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
 
 def cmd_classify(args: argparse.Namespace, out: TextIO) -> int:
     lo, hi = _parse_range(args.n)
-    if lo < 3 or hi > rc.STRUCTURED_ENUM_MAX_N:
+    if lo < 3 or hi > rc.ENUM_MAX_N:
         print(
-            f"classification covers widths 3..{rc.STRUCTURED_ENUM_MAX_N}",
+            f"classification covers widths 3..{rc.ENUM_MAX_N}",
             file=sys.stderr,
         )
         return EXIT_USAGE
@@ -231,7 +231,7 @@ def _classification(lo: int, hi: int) -> Iterator[dict]:
         if n <= rc.FULL_ENUM_MAX_N:
             for r in rc.enumerate_regular_subgroups(n, reps):
                 yield r.to_dict() | {"role": "enumerated"}
-        coincidences = rc.representative_coincidences(reps)
+        coincidences = [types for _, types in rc.canonical_classes(reps) if len(types) > 1]
         if coincidences:
             yield {
                 "role": "coincidence",

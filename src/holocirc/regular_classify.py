@@ -7,17 +7,17 @@ regular subgroups at small widths with a conjugacy witness for every
 match, and the closed-form normality answer for the cyclic regular
 subgroups inside the full holomorph.
 
-The exhaustive route is deliberately independent of the closed forms it
-is used to check: subgroups are grown bottom-up by index-two coset
+The enumeration is deliberately independent of the closed forms it is
+used to check.  Widths 3..5 grow subgroups bottom-up by index-two coset
 extensions inside the (2-group) holomorph, pruned only by brute-force
-fixed-point-freeness, which every subgroup of a regular group must
-satisfy.  Widths 6..8 switch to a structured search over the generator
-shapes that can carry a regular subgroup; widths 3..5 stay fully
-exhaustive.  Both engines give the subgroups as sets of (t, m) pairs,
-and one matcher conjugates every find onto its representative.  The
-records are built from the pairs too; ``ClassificationRecord.perm_group``
-gives the permutation group on 2^n points to the brute checks that need
-one.
+fixed-point-freeness.  Widths 6..8 list the gamma functions, which are
+in bijection with the regular subgroups (Guarnieri and Vendramin, Math.
+Comp. 86 (2017); Rump, Classification of cyclic braces, JPAA 209
+(2007)).  Both give the subgroups as sets of (t, m) pairs, and one
+matcher conjugates every find onto its representative by solving
+congruences.  The records are built from the pairs too;
+``ClassificationRecord.perm_group`` gives the permutation group on 2^n
+points to the brute checks that need one.
 """
 
 from __future__ import annotations
@@ -27,11 +27,11 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Collection, Optional, Sequence
 
-from .holomorph import HolElem2, Pair, PairArith, conj_normal_form, pair_perm, pow5
+from .holomorph import HolElem2, Pair, PairArith, conj_normal_form, format_element, pair_perm, pow5
 from .permgroup import IsoType, Perm, PermSubgroup, from_elements, iso_type
 
 FULL_ENUM_MAX_N = 5
-STRUCTURED_ENUM_MAX_N = 8
+ENUM_MAX_N = 8
 
 _KINDS = (
     "translations",
@@ -95,8 +95,6 @@ class ClassificationRecord:
         )
 
     def to_dict(self) -> dict:
-        from .holomorph import format_element
-
         n = self.n
         return {
             "type_index": self.rtype.index,
@@ -303,25 +301,17 @@ def representatives(n: int) -> list[ClassificationRecord]:
     return [representative(rt, n) for rt in representative_types(n)]
 
 
-def representative_coincidences(
+def canonical_classes(
     records: Sequence[ClassificationRecord],
-) -> list[list[RegularType]]:
-    """Groups of distinct family tags among the given representative
-    records that are realized by the same subgroup (this happens only at
-    n = 3, where the direct-product and quasidihedral representatives
-    coincide)."""
-    return [types for _, types in _canonical_rep_sets(records) if len(types) > 1]
-
-
-def _canonical_rep_sets(
-    records: Sequence[ClassificationRecord],
-) -> list[tuple[frozenset[Pair], list[RegularType]]]:
-    """The pair sets of the given representative records, in order, each
-    with the family tags of every record that realizes it."""
-    seen: dict[frozenset[Pair], list[RegularType]] = {}
+) -> list[tuple[ClassificationRecord, list[RegularType]]]:
+    """The given representative records up to equal pair sets, in order:
+    the first record of each set, with the family tags of every record
+    that realizes it.  Tags coincide only at n = 3, where the
+    direct-product and quasidihedral representatives are one subgroup."""
+    seen: dict[frozenset[Pair], tuple[ClassificationRecord, list[RegularType]]] = {}
     for rec in records:
-        seen.setdefault(rec.elements, []).append(rec.rtype)
-    return list(seen.items())
+        seen.setdefault(rec.elements, (rec, []))[1].append(rec.rtype)
+    return list(seen.values())
 
 
 def intersection_with_translations(sub: PermSubgroup) -> int:
@@ -340,61 +330,69 @@ def intersection_with_translations(sub: PermSubgroup) -> int:
 def enumerate_regular_subgroups(
     n: int, reps: Optional[Sequence[ClassificationRecord]] = None
 ) -> list[ClassificationRecord]:
-    """Every regular subgroup of the holomorph at width n, each matched
-    by a verified conjugator to exactly one canonical representative;
+    """Every regular subgroup of the holomorph at width n, in order of its
+    sorted pairs, matched to the one canonical representative it is
+    conjugate to by the first conjugator w in (t, m) order, a witness;
     ``reps`` are the records of ``representatives(n)``, when the caller
-    has them.
-
-    Widths 3..5 are fully exhaustive; 6..8 search the generator shapes
-    that can carry a regular subgroup.
+    has them.  Both routes are exhaustive: widths 3..5 grow subgroups
+    over the multiplication table, 6..8 list gamma functions.
     """
     _check_n(n)
-    if n <= FULL_ENUM_MAX_N:
-        found = regular_subgroup_sets(n)
-    elif n <= STRUCTURED_ENUM_MAX_N:
-        found = _structured_regular_sets(n)
-    else:
-        raise ValueError(f"enumeration supports widths 3..{STRUCTURED_ENUM_MAX_N}")
-    return _classify_sets(n, found, representatives(n) if reps is None else reps)
-
-
-def _classify_sets(
-    n: int,
-    found: dict[frozenset[Pair], tuple[Pair, ...]],
-    reps: Sequence[ClassificationRecord],
-) -> list[ClassificationRecord]:
-    """Match each found subgroup, in order of its sorted pairs, to the one
-    canonical representative it is conjugate to, by the first conjugator
-    w in (t, m) order, and build its record.
-
-    Conjugation keeps every multiplier (w^-1 (t, m) w has multiplier m,
-    the units being abelian), so a representative whose multiplier set
-    differs is skipped before the search.
-    """
+    if n > ENUM_MAX_N:
+        raise ValueError(f"enumeration supports widths 3..{ENUM_MAX_N}")
+    found = regular_subgroup_sets(n) if n <= FULL_ENUM_MAX_N else gamma_regular_sets(n)
+    classes = canonical_classes(representatives(n) if reps is None else reps)
     arith = PairArith(1 << n)
-    classes = [
-        (rep_set, {m for _, m in rep_set}, types)
-        for rep_set, types in _canonical_rep_sets(reps)
-    ]
     records = []
     for sub, gens in sorted(found.items(), key=lambda kv: sorted(kv[0])):
-        mults = {m for _, m in sub}
-        matches = []
-        for rep_set, rep_mults, types in classes:
-            if len(rep_set) != len(sub) or rep_mults != mults:
-                continue
-            for w in arith.elements:
-                wi = arith.inverse(w)
-                if all(arith.then(arith.then(wi, g), w) in rep_set for g in gens):
-                    matches.append((types, w))
-                    break
+        matches = [
+            (rep.rtype, min(sols)[:2])
+            for rep, _ in classes
+            if (sols := _conjugators(arith, gens, rep))
+        ]
         if len(matches) != 1:
-            raise RuntimeError(
-                f"subgroup matched {len(matches)} canonical representatives"
-            )
-        types, w = matches[0]
-        records.append(_record(arith, sub, gens, types[0], w))
+            raise RuntimeError(f"subgroup matched {len(matches)} canonical representatives")
+        records.append(_record(arith, sub, gens, *matches[0]))
     return records
+
+
+def _conjugators(
+    arith: PairArith, gens: Sequence[Pair], rep: ClassificationRecord
+) -> list[tuple[int, int, int]]:
+    """Each unit u for which some w = (s, u) has w^-1 g w in ``rep`` for
+    every g in ``gens``, as (s0, u, step): those s are s0 mod step.  As
+    w^-1 (t, m) w = (u*t + s*u*(m^-1 - 1), m), and the pairs of ``rep``
+    with multiplier m are one coset c_m + <d>, d its intersection
+    exponent, each g asks for t + s*(m^-1 - 1) = c_m * u^-1 (mod d)."""
+    inv, d = arith.inv_unit, rep.intersection_exponent
+    starts = {m: t for t, m in rep.elements}
+    if any(m not in starts for _, m in gens):
+        return []  # conjugation keeps every multiplier
+    out = []
+    for u in arith.units:
+        s0, step = 0, 1
+        for t, m in gens:
+            a, b = (inv[m] - 1) % d, (starts[m] * inv[u] - t) % d
+            k = gcd(a, d)
+            mod = d // k
+            r = b // k * pow(a // k, -1, mod) % mod
+            if b % k or (r - s0) % min(mod, step):
+                break  # no s, or none shared: one modulus divides the other
+            if mod > step:
+                s0, step = r, mod
+        else:
+            out.append((s0, u, step))
+    return out
+
+
+def normalizer_index(rec: ClassificationRecord) -> int:
+    """[Hol : N(R)] for the record's subgroup R, the size of its conjugacy
+    class: N(R) has 2^n / step pairs (s, u) for each (s0, u, step) that
+    ``_conjugators`` gives for R's generators into R."""
+    mod = 1 << rec.n
+    arith = PairArith(mod)
+    sols = _conjugators(arith, rec.generators, rec)
+    return mod * len(arith.units) // sum(mod // step for _, _, step in sols)
 
 
 def cyclic_regular_affine_subgroups(
@@ -522,66 +520,67 @@ def regular_subgroup_sets(
     return out
 
 
-# structured engine (widths 6..8)
+# gamma-function engine (widths 6..8)
 
 
-def _structured_regular_sets(n: int) -> dict[frozenset, tuple]:
-    """Regular subgroups found by searching the viable generator shapes:
-    a cyclic core of translations extended by one semiregular element,
-    or by a flip together with an even-translation twist."""
+def gamma_regular_sets(n: int) -> dict[frozenset[Pair], tuple[Pair, ...]]:
+    """All regular subgroups at width n as pair sets with generators: one
+    {(x * g(x)^-1, g(x))} for each gamma function g: Z_N -> Z_N^*, N = 2^n,
+    g(0) = 1 and g(x + g(x)*y) = g(x)*g(y).  Backtracks over g(x) at the
+    least unset x, closing the law after each choice from a work queue of
+    newly set points, which is also the trail that undoes the choice.
+    Each generator is the least pair not in the closure of those before.
+    """
+    _check_n(n)
     mod = 1 << n
     arith = PairArith(mod)
-    gamma_mod = 1 << (n - 2)
-    found: dict[frozenset, tuple] = {}
+    inv = arith.inv_unit
+    g = [1] + [0] * (mod - 1)  # g(0) = 1; 0 marks an unset point
+    trail = [0]
+    out: dict[frozenset[Pair], tuple[Pair, ...]] = {}
 
-    def record(elems, gens):
-        if not _is_regular(elems, mod):
+    def propagate(i: int) -> bool:
+        # each point meets every point set before it, and itself, once
+        while i < len(trail):
+            p = trail[i]
+            gp = g[p]
+            for y in trail[: i + 1]:
+                gy = g[y]
+                v = gp * gy % mod
+                for z in ((p + gp * y) % mod, (y + gy * p) % mod):
+                    if not g[z]:
+                        g[z] = v
+                        trail.append(z)
+                    elif g[z] != v:
+                        return False
+            i += 1
+        return True
+
+    def search(x: int) -> None:
+        while x < mod and g[x]:
+            x += 1
+        if x == mod:
+            sub = frozenset((y * inv[g[y]] % mod, g[y]) for y in range(mod))
+            gens: list[Pair] = []
+            elems = {arith.identity}
+            for pair in sorted(sub):
+                if pair not in elems:
+                    gens.append(pair)
+                    elems = arith.closure(gens)
+            out[sub] = tuple(gens)
             return
-        key = frozenset(elems)
-        if key not in found:
-            found[key] = tuple(gens)
+        mark = len(trail)
+        for u in arith.units:
+            g[x] = u
+            trail.append(x)
+            if propagate(mark):
+                search(x + 1)
+            for p in trail[mark:]:
+                g[p] = 0
+            del trail[mark:]
 
-    ax = (1, mod - 1)
-    singles = [(ax)]
-    for gamma in range(1, gamma_mod):
-        g2 = gamma & -gamma
-        m5 = pow(5, gamma, mod)
-        t = 1
-        while t < 4 * g2 and t <= mod:
-            singles.append((t % mod, m5))
-            t <<= 1
-        singles.append((1, -m5 % mod))
-    singles.append((1, 1))  # the plain translation generator
-
-    for h in singles:
-        cyc = arith.closure([h])
-        for s in range(1, n + 1):
-            step = 1 << s
-            if s < n:
-                core = range(0, mod, step)
-                gens = (h, (step, 1))
-            else:
-                core = (0,)
-                gens = (h,)
-            elems = {((c + t) % mod, m) for c in core for t, m in cyc}
-            record(elems, gens)
-
-    for gamma in range(1, gamma_mod):
-        g2 = gamma & -gamma
-        m5 = pow(5, gamma, mod)
-        for s in range(1, n + 1):
-            step = 1 << s
-            for eps in range(0, min(step, mod), 2):
-                eps2 = eps & -eps if eps else step
-                if eps2 > 4 * g2:
-                    continue
-                gens = [ax, (eps % mod, m5)]
-                if s < n:
-                    gens.append((step % mod, 1))
-                elems = arith.closure(gens, mod)
-                if elems is not None:
-                    record(elems, tuple(gens))
-    return found
+    search(1)
+    return out
 
 
 def _check_n(n: int) -> None:

@@ -33,12 +33,12 @@ from holocirc.holomorph import (
 from holocirc.numtheory import alt_sum_L, geom_sum_M
 from holocirc.permgroup import closure, is_normal_in
 from holocirc.regular_classify import (
+    canonical_classes,
     enumerate_regular_subgroups,
     is_normal_cyclic_regular_in_hol,
     is_semiregular_closed_form,
     pair_from_perm,
     representative,
-    representative_coincidences,
     representatives,
 )
 
@@ -188,8 +188,8 @@ def test_criterion_4_regular_classification():
         # n-2 twisted-cyclic types, plus translations and the four
         # two-generator families (modular only exists for n >= 4)
         assert len(recs) == (6 if n == 3 else (n - 2) + 6)
-    coincidences = representative_coincidences(representatives(3))
-    assert [[t.kind for t in g] for g in coincidences] == [
+    classes = canonical_classes(representatives(3))
+    assert [[t.kind for t in g] for _, g in classes if len(g) > 1] == [
         ["direct_product", "quasidihedral"]
     ]
     total = 0

@@ -6,35 +6,36 @@ from pathlib import Path
 
 import pytest
 
-from holocirc import cli, permgroup
-from holocirc.holomorph import HolElem2, holomorph_group, pair_perm
+from holocirc import claims, cli, permgroup
+from holocirc import regular_classify as rc
+from holocirc.holomorph import HolElem2, PairArith, holomorph_group, pair_perm
 from holocirc.permgroup import Perm, closure, is_normal_in, is_regular, iso_type
 from holocirc.regular_classify import (
     RegularType,
-    _canonical_rep_sets,
-    _structured_regular_sets,
+    canonical_classes,
     enumerate_regular_subgroups,
     expected_intersection_exponent,
+    gamma_regular_sets,
     intersection_with_translations,
     is_normal_cyclic_regular_in_hol,
     is_semiregular_closed_form,
+    normalizer_index,
     pair_from_perm,
     regular_subgroup_sets,
     representative,
-    representative_coincidences,
     representative_generators,
     representative_types,
     representatives,
 )
 
-# frozen by the exhaustive engine itself (see test_counts_are_stable)
-REGULAR_COUNTS = {3: 6, 4: 16, 5: 28}
-CLASS_COUNTS = {3: 5, 4: 8, 5: 9}
+# frozen by the exhaustive engines themselves (see test_counts_are_stable)
+REGULAR_COUNTS = {3: 6, 4: 16, 5: 28, 6: 52, 7: 100}
+CLASS_COUNTS = {3: 5, 4: 8, 5: 9, 6: 10, 7: 11}
 
-# sha256 of the sorted-key JSON list of the structured engine's records
-STRUCTURED_SHA256 = {
-    6: "ee5e74f321df723f858dda6e11f889325de5702f334586b91d165312175573c9",
-    7: "1de7a600c17599685d6520da253992789d27471557c92bffe7a61199a8a3e5a6",
+# sha256 of the sorted-key JSON list of the gamma-function engine's records
+ENUMERATED_SHA256 = {
+    6: "2e8ee0c8427e4008d8a7fbd738076ade017f55b052c4ca84f120359a0ba1d8e7",
+    7: "da7ce944e517d5462a1be1637e6e609fcf00e50c041ad10bac85ece3a5c3e9e1",
 }
 
 CLASSIFY_GOLDEN = Path(__file__).parents[1] / "perfbench" / "golden" / "classify_n3-8.json"
@@ -153,7 +154,7 @@ def test_classification_builds_no_perm_group(monkeypatch):
     out = io.StringIO()
     cli._emit(cli._classification(3, 8), "json", out)
     assert out.getvalue() == CLASSIFY_GOLDEN.read_text()
-    assert _records_digest(enumerate_regular_subgroups(6)) == STRUCTURED_SHA256[6]
+    assert _records_digest(enumerate_regular_subgroups(6)) == ENUMERATED_SHA256[6]
 
 
 def test_representatives_all_widths():
@@ -188,14 +189,17 @@ def test_twisted_intersections():
 
 
 def test_representative_coincidences_only_at_3():
-    grp = representative_coincidences(representatives(3))
-    assert [[t.kind for t in g] for g in grp] == [["direct_product", "quasidihedral"]]
+    def coincidences(n):
+        return [[t.kind for t in g] for _, g in canonical_classes(representatives(n)) if len(g) > 1]
+
+    assert coincidences(3) == [["direct_product", "quasidihedral"]]
     for n in (4, 5, 6):
-        assert representative_coincidences(representatives(n)) == []
+        assert coincidences(n) == []
 
 
 def test_counts_are_stable():
     for n, want in REGULAR_COUNTS.items():
+        assert want == (6 if n == 3 else 3 * 2 ** (n - 2) + 4)
         records = enumerate_regular_subgroups(n)
         assert len(records) == want
         class_labels = {r.rtype.label() for r in records}
@@ -203,7 +207,7 @@ def test_counts_are_stable():
 
 
 def test_every_enumerated_subgroup_has_verified_conjugator():
-    for n in (3, 4):
+    for n in (3, 4, 6):
         for rec in enumerate_regular_subgroups(n):
             sub = rec.perm_group()
             assert is_regular(sub)
@@ -227,20 +231,66 @@ def test_prune_loses_no_regular_subgroup():
     assert set(pruned) == set(unpruned)
 
 
-def test_structured_is_subset_and_covers_classes():
-    for n in (4, 5):
-        assert set(_structured_regular_sets(n)) <= set(regular_subgroup_sets(n))
-    recs = enumerate_regular_subgroups(6)
-    found = {r.rtype.label() for r in recs}
-    want = {t.label() for t in representative_types(6)}
-    assert found == want
-    for rec in recs:
-        w = pair_perm(1 << 6, rec.conjugator)
-        rep = representative(rec.rtype, 6)
-        conj = frozenset(
-            w.inverse().then(p).then(w) for p in rec.perm_group().elements
-        )
-        assert conj == rep.perm_group().elements
+def test_gamma_sets_equal_the_table_engine():
+    # two exhaustive routes: gamma functions and index-two coset growth
+    for n in (3, 4, 5):
+        assert set(gamma_regular_sets(n)) == set(regular_subgroup_sets(n))
+
+
+def _scan_conjugator(arith, gens, rep_set):
+    # the reference matcher: the first w in (t, m) order, of all
+    # 2^(2n-1) pairs, with w^-1 g w in the representative for each g
+    for w in arith.elements:
+        wi = arith.inverse(w)
+        if all(arith.then(arith.then(wi, g), w) in rep_set for g in gens):
+            return w
+    return None
+
+
+def test_closed_form_conjugator_matches_the_scan():
+    for n in (3, 4, 5, 6):
+        arith = PairArith(1 << n)
+        classes = canonical_classes(representatives(n))
+        found = regular_subgroup_sets(n) if n <= 5 else gamma_regular_sets(n)
+        records = enumerate_regular_subgroups(n)
+        assert [r.elements for r in records] == sorted(found, key=sorted)
+        for rec in records:
+            scans = [
+                (rep.rtype, w)
+                for rep, _ in classes
+                if (w := _scan_conjugator(arith, rec.generators, rep.elements))
+            ]
+            assert scans == [(rec.rtype, rec.conjugator)], (n, rec.rtype.label())
+
+
+def test_normalizer_index_matches_a_brute_count():
+    # |N(R)| over all 2^(2n-1) pairs w, conjugating every element of R
+    for n in (3, 4, 5):
+        arith = PairArith(1 << n)
+        for rec in representatives(n):
+            normalizer = 0
+            for w in arith.elements:
+                wi = arith.inverse(w)
+                conj = {arith.then(arith.then(wi, h), w) for h in rec.elements}
+                normalizer += conj == rec.elements
+            assert normalizer_index(rec) * normalizer == len(arith.elements)
+
+
+def test_thm_1_4_fails_on_a_missing_subgroup(monkeypatch):
+    # one of the four direct-product subgroups of width 4 dropped: every
+    # family is still met, but its class is short of [Hol : N(R)]
+    enumerate_all = rc.enumerate_regular_subgroups
+
+    def drop_one(n, reps=None):
+        records = enumerate_all(n, reps)
+        i = next(i for i, r in enumerate(records) if r.rtype.kind == "direct_product")
+        return records[:i] + records[i + 1 :]
+
+    assert claims.run_claim("thm-1.4", {"n": 4}).status == "pass"
+    monkeypatch.setattr(rc, "enumerate_regular_subgroups", drop_one)
+    report = claims.run_claim("thm-1.4", {"n": 4})
+    assert report.status == "fail"
+    assert report.evidence == [{"n": 4, "type": "direct_product", "subgroups": 3}]
 
 
 def test_canonical_rep_sets_are_the_representatives():
@@ -253,7 +303,9 @@ def test_canonical_rep_sets_are_the_representatives():
             perms = closure(gens, degree=1 << n).elements
             elems = frozenset(map(pair_from_perm, perms))
             want.setdefault(elems, []).append(rt)
-        assert _canonical_rep_sets(representatives(n)) == list(want.items()), n
+        classes = canonical_classes(representatives(n))
+        assert [(rep.elements, types) for rep, types in classes] == list(want.items()), n
+        assert all(rep.rtype == types[0] for rep, types in classes)
 
 
 def test_enumeration_range_errors():
@@ -313,8 +365,8 @@ def test_record_serialization():
     assert d["n"] == 4
 
 
-@pytest.mark.parametrize("n, digest", sorted(STRUCTURED_SHA256.items()))
-def test_structured_records_pinned(n, digest):
-    # records, generators and witnesses of the structured engine, which
-    # the classify golden file (widths 3..5 enumerated) does not cover
-    assert _records_digest(enumerate_regular_subgroups(n)) == digest
+@pytest.mark.parametrize("n", sorted(ENUMERATED_SHA256))
+def test_enumerated_records_pinned(n):
+    # records, generators and witnesses of the gamma-function engine,
+    # which the classify golden file (widths 3..5 enumerated) does not cover
+    assert _records_digest(enumerate_regular_subgroups(n)) == ENUMERATED_SHA256[n]
