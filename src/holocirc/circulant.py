@@ -21,6 +21,7 @@ from collections import deque
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+from functools import cache
 from math import gcd
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
 
@@ -626,16 +627,12 @@ def _abelian_regular_subgroups(
 # census machinery: connection sets indexed by inverse-pair orbits
 
 
-def pair_orbits(n: int) -> list[tuple[int, ...]]:
+@cache
+def pair_orbits(n: int) -> tuple[tuple[int, ...], ...]:
     """The orbits {s, n-s}, ordered by smallest member; the self-paired
-    involution n/2 (n even) is its own orbit."""
-    out = []
-    for s in range(1, n // 2 + 1):
-        if s == n - s:
-            out.append((s,))
-        elif s < n - s:
-            out.append((s, n - s))
-    return out
+    involution n/2 (n even) is its own orbit.  Computed once per modulus:
+    every census mask reads it."""
+    return tuple((s,) if s == n - s else (s, n - s) for s in range(1, n // 2 + 1))
 
 
 def connection_set(n: int, mask: int) -> frozenset[int]:
@@ -654,8 +651,10 @@ def census_size(n: int) -> int:
 
 
 def scan_record(n: int, mask: int, degree_bound: Optional[float] = None) -> dict:
-    """One census entry, JSON-ready; deterministic for a given (n, mask)."""
-    circ = build(n, connection_set(n, mask))
+    """One census entry, JSON-ready; deterministic for a given (n, mask).
+    A mask's connection set is a union of inverse pairs, so it needs none
+    of build()'s checks."""
+    circ = Circulant(n, connection_set(n, mask))
     aut = automorphism_group(circ, degree_bound)
     verdict = nnn_verdict(circ, aut)
     witnesses = None
@@ -678,7 +677,7 @@ def scan_record(n: int, mask: int, degree_bound: Optional[float] = None) -> dict
 
 def _census_record(circ: Circulant, mask: int, class_fields: dict) -> dict:
     """A census record: the fields read off the connection set itself,
-    and from ``class_fields`` those of _CLASS_FIELDS and the witnesses."""
+    and from ``class_fields`` those of _CLASS_FIELDS."""
     return {
         "n": circ.n,
         "mask": mask,
@@ -696,9 +695,8 @@ def _census_record(circ: Circulant, mask: int, class_fields: dict) -> dict:
 
 SCAN_CHUNK = 32  # masks per task of a parallel scan
 
-# the record fields that are the same on a whole census class, nnn last
-_CLASS_FIELDS = ("aut_order", "normal", "within_holomorph", "w_subgroups", "nnn")
-_UNSET = dict.fromkeys(_CLASS_FIELDS + ("witnesses",))
+# the record fields that are the same on a whole census class
+_CLASS_FIELDS = ("aut_order", "normal", "within_holomorph", "w_subgroups", "nnn", "witnesses")
 
 
 def _census_class(n: int) -> Callable[[int], set[int]]:
@@ -749,15 +747,17 @@ def scan_range(
     Multiplying by a unit u maps Cay(Z_n, S) isomorphically onto
     Cay(Z_n, uS) and normalises the translations.  The complement
     S^c = (Z_n - {0}) - S gives the complement graph, which has the same
-    automorphisms, and u keeps S exactly when it keeps S^c, because u
-    permutes Z_n - {0}.  So the automorphism order, normality, holomorph
-    containment and the nnn verdict are the same on each class of
-    connection sets under units and complementation, and so are the
-    coset-stable subgroups: u<d> = <d>, and S^c - <d> is a union of
-    <d>-cosets exactly when S - <d> is.  The least mask of a class that
-    the range holds, and that the scan emits, is scanned in full; a later
-    one copies those fields from it and computes the rest.  A record with
-    nnn true is never copied, since its witness depends on the labelling.
+    automorphisms, and a unit keeps S exactly when it keeps S^c, because
+    it permutes Z_n - {0}.  So the automorphism order, normality,
+    holomorph containment and the multiplier group aut_G_S are the same
+    on each class of connection sets under units and complementation
+    (Z_n^* is abelian, so m keeps uS exactly when it keeps S).  So are
+    the nnn verdict and its witnesses, ((1, 1), (1, m)) with m read off
+    aut_G_S by cyclic_copies, and the coset-stable subgroups: u<d> = <d>,
+    and S^c - <d> is a union of <d>-cosets exactly when S - <d> is.  The
+    least mask of a class that the range holds, and that the scan emits,
+    is scanned in full; a later one copies those fields from it and reads
+    the rest off its own mask.
 
     With ``jobs`` above 1 a pool of that many worker processes scans
     chunks of SCAN_CHUNK masks.  Class membership is decided against the
@@ -780,7 +780,7 @@ def _scan(
 ) -> Iterator[dict]:
     if jobs == 1 or stop - start <= SCAN_CHUNK:
         entries = _scan_chunk(n, start, stop, start, stop, connected_only, degree_bound)
-        yield from _merge(n, entries, degree_bound)
+        yield from _merge(entries)
         return
     from concurrent.futures import ProcessPoolExecutor
     from multiprocessing import get_context
@@ -794,7 +794,7 @@ def _scan(
         # a bounded window of chunks in flight keeps memory flat when the
         # reader of the records is slower than the workers
         entries = _in_order(pool, tasks, 4 * jobs)
-        yield from _merge(n, entries, degree_bound)
+        yield from _merge(entries)
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -830,10 +830,10 @@ def _scan_chunk(
     first, last), where first and last are the least and the greatest
     member of the mask's census class that the range holds and the scan
     emits.  Only the first member of a class gets the automorphism
-    search; the record of any other member leaves the fields of
-    _CLASS_FIELDS unset.  With ``connected_only`` a disconnected mask is
-    skipped and is no member: the complement of a disconnected graph is
-    connected, so a class may hold both kinds."""
+    search; the record of any other member holds None in the fields of
+    _CLASS_FIELDS, for _merge to copy in.  With ``connected_only`` a
+    disconnected mask is skipped and is no member: the complement of a
+    disconnected graph is connected, so a class may hold both kinds."""
     census_class = _census_class(n)
     connected = _connected_mask(n)
     for mask in range(lo, hi):
@@ -848,15 +848,12 @@ def _scan_chunk(
         if mask == first:
             record = scan_record(n, mask, degree_bound)
         else:
-            record = _census_record(build(n, connection_set(n, mask)), mask, _UNSET)
+            circ = Circulant(n, connection_set(n, mask))
+            record = _census_record(circ, mask, dict.fromkeys(_CLASS_FIELDS))
         yield record, first, last
 
 
-def _merge(
-    n: int,
-    entries: Iterable[tuple[dict, int, int]],
-    degree_bound: Optional[float],
-) -> Iterator[dict]:
+def _merge(entries: Iterable[tuple[dict, int, int]]) -> Iterator[dict]:
     """The records of _scan_chunk entries given in mask order, each later
     member of a class completed from the class's first record.  Only the
     copied fields of classes with members still to come are kept."""
@@ -868,10 +865,7 @@ def _merge(
                 open_classes[first] = tuple(record[f] for f in _CLASS_FIELDS)
         else:
             fields = open_classes.pop(first) if mask == last else open_classes[first]
-            if fields[-1]:  # nnn
-                record = scan_record(n, mask, degree_bound)
-            else:
-                record.update(zip(_CLASS_FIELDS, fields))
+            record.update(zip(_CLASS_FIELDS, fields))
         yield record
 
 

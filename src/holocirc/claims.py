@@ -24,6 +24,8 @@ from .permgroup import closure, is_normal_in
 DEFAULT_SAMPLES = 10_000
 DEFAULT_SEED = 20260810
 MIN_WIDTH = 3  # the normal form a^alpha*x^beta*y^gamma needs n >= 3
+SUM_WIDTH = 40  # lem-3.2 works modulo 2^SUM_WIDTH
+SUM_LENGTH_MAX = 1 << 10  # and draws both k and j from 1..SUM_LENGTH_MAX
 
 
 @dataclass
@@ -49,6 +51,7 @@ class Claim:
     description: str
     runner: Callable[[dict], tuple[str, list, dict]]
     flags: tuple[str, ...] = ()  # the ``verify`` flags the runner reads
+    max_n: Optional[int] = None  # the widest --n the runner can check
 
 
 def run_claim(claim_id: str, params: Optional[dict] = None) -> VerificationReport:
@@ -172,35 +175,32 @@ def _run_pow5_congruences(params: dict) -> tuple[str, list, dict]:
 
 def _run_sum_valuations(params: dict) -> tuple[str, list, dict]:
     samples = params.get("samples", DEFAULT_SAMPLES)
-    width = params.get("width", 40)
-    kmax = params.get("kmax", 1 << 10)
-    jmax = params.get("jmax", 1 << 10)
     rng = random.Random(params.get("seed", DEFAULT_SEED))
-    mod = 1 << width
+    mod = 1 << SUM_WIDTH
     bad = []
     truncated = 0
     for _ in range(samples):
-        k = rng.randint(1, kmax)
-        j = rng.randint(1, jmax)
-        m = nt.geom_sum_M(k, j, width)
+        k = rng.randint(1, SUM_LENGTH_MAX)
+        j = rng.randint(1, SUM_LENGTH_MAX)
+        m = nt.geom_sum_M(k, j, SUM_WIDTH)
         if m.truncated:
             truncated += 1
         elif m.two_part != k & -k:
             bad.append({"sum": "M", "k": k, "j": j, "two_part": m.two_part})
         ke = k + (k & 1)  # alternating split needs an even length
-        alt = nt.alt_sum_L(ke, j, width)
+        alt = nt.alt_sum_L(ke, j, SUM_WIDTH)
         expected = 2 * (ke & -ke) * (j & -j)
         if alt.truncated:
             truncated += 1
         elif alt.two_part != expected:
             bad.append({"sum": "L", "k": ke, "j": j, "two_part": alt.two_part})
-        lhs = m.value * (1 - nt.pow5(-j, width)) % mod
-        rhs = (1 - nt.pow5(-k * j, width)) % mod
+        lhs = m.value * (1 - nt.pow5(-j, SUM_WIDTH)) % mod
+        rhs = (1 - nt.pow5(-k * j, SUM_WIDTH)) % mod
         if lhs != rhs:
             bad.append({"sum": "identity", "k": k, "j": j})
-    evidence = [{"samples": samples, "width": width, "truncated": truncated}]
+    evidence = [{"samples": samples, "width": SUM_WIDTH, "truncated": truncated}]
     status, evidence = _counted(bad, "samples", max(samples, 0), evidence)
-    return status, evidence, {"samples": samples, "width": width, "seed": params.get("seed", DEFAULT_SEED)}
+    return status, evidence, {"samples": samples, "width": SUM_WIDTH, "seed": params.get("seed", DEFAULT_SEED)}
 
 
 def _run_power_closed_form(params: dict) -> tuple[str, list, dict]:
@@ -300,12 +300,11 @@ def _run_semiregular_classification(params: dict) -> tuple[str, list, dict]:
 
 def _run_regular_classification(params: dict) -> tuple[str, list, dict]:
     lo, hi = _range_param(params, "n", (3, 5))
-    rep_hi = params.get("rep_n_max", 8)
     bad = []
     evidence = []
     reps: dict[int, list[rc.ClassificationRecord]] = {}  # the enumerated widths
     coincidences: list[list[str]] = []
-    for n in range(3, rep_hi + 1):
+    for n in range(3, rc.ENUM_MAX_N + 1):
         try:
             recs = rc.representatives(n)
         except RuntimeError as exc:
@@ -345,7 +344,8 @@ def _run_regular_classification(params: dict) -> tuple[str, list, dict]:
                 bad.append({"n": n, "type": rep.rtype.label(), "subgroups": found})
         evidence.append({"n": n, "regular_subgroups": len(records), "classes": per_type})
     evidence.append({"n": 3, "coinciding_representatives": coincidences})
-    return ("fail" if bad else "pass"), bad or evidence, {"n": (lo, hi), "rep_n_max": rep_hi}
+    used = {"n": (lo, hi), "rep_n_max": rc.ENUM_MAX_N}
+    return ("fail" if bad else "pass"), bad or evidence, used
 
 
 def _run_cyclic_normality(params: dict) -> tuple[str, list, dict]:
@@ -353,8 +353,8 @@ def _run_cyclic_normality(params: dict) -> tuple[str, list, dict]:
     bad = []
     checked = 0
     for n in _widths(lo, hi):
-        ambient = hol.holomorph_group(1 << n)
         records = rc.enumerate_regular_subgroups(n)
+        ambient = hol.holomorph_group(1 << n)
         for rec in records:
             if rec.iso.kind != "cyclic":
                 continue
@@ -391,7 +391,7 @@ def _run_nnn_multiplier_corollary(params: dict) -> tuple[str, list, dict]:
     for record in _census(n):
         if record["nnn"]:
             nnn_graphs += 1
-            if needed not in circ_mod.aut_G_S(circ_mod.build(n, record["S"])):
+            if needed not in circ_mod.aut_G_S(circ_mod.Circulant(n, frozenset(record["S"]))):
                 bad.append({"S": record["S"]})
     summary = {
         "census": circ_mod.census_size(n),
@@ -418,10 +418,9 @@ def _run_lex_bound(params: dict) -> tuple[str, list, dict]:
                 bad.append({"k": k, "t": t, "why": "equality off the boundary"})
     graph_checked = 0
     for n in params.get("moduli", (8, 16)):
-        for mask in range(circ_mod.census_size(n)):
-            c = circ_mod.build(n, circ_mod.connection_set(n, mask))
-            if circ_mod.w_subgroups(c) and circ_mod.is_normal_cayley(c):
-                bad.append({"n": n, "S": sorted(c.conn), "why": "coset-stable but normal"})
+        for record in _census(n):
+            if record["w_subgroups"] and record["normal"]:
+                bad.append({"n": n, "S": record["S"], "why": "coset-stable but normal"})
             graph_checked += 1
     if not bad and not (splits and graph_checked):
         # the claim is two statements, and each must have checked something
@@ -436,7 +435,7 @@ def _run_y_forces_nonnormal(params: dict) -> tuple[str, list, dict]:
     hits = 0
     for n in moduli:
         for mask in range(circ_mod.census_size(n)):
-            c = circ_mod.build(n, circ_mod.connection_set(n, mask))
+            c = circ_mod.Circulant(n, circ_mod.connection_set(n, mask))
             if {s * 5 % n for s in c.conn} != c.conn:
                 continue
             hits += 1
@@ -513,7 +512,7 @@ def _theta_census(n: int, witness: Callable, parameters: dict) -> tuple[str, lis
     built = skipped = 0
     bad = []
     for mask in range(circ_mod.census_size(n)):
-        c = circ_mod.build(n, circ_mod.connection_set(n, mask))
+        c = circ_mod.Circulant(n, circ_mod.connection_set(n, mask))
         try:
             theta = witness(c)
         except circ_mod.WitnessVerificationError as exc:
@@ -531,13 +530,8 @@ def _theta_census(n: int, witness: Callable, parameters: dict) -> tuple[str, lis
 
 def _run_theta_odd(params: dict) -> tuple[str, list, dict]:
     n = params.get("modulus", 9)
-    p = params.get("p")
-    if p is None:
-        # the odd primes come in increasing order
-        p = next(
-            (q for q, k in hol.crt_decompose(n).prime_powers if q % 2 and k >= 2),
-            None,
-        )
+    # the least odd prime whose square divides n (the primes come in order)
+    p = next((q for q, k in hol.crt_decompose(n).prime_powers if q % 2 and k >= 2), None)
     if p is None:
         return "skipped", [{"why": f"no odd prime with square dividing {n}"}], {"modulus": n}
     used = {"modulus": n, "p": p}
@@ -678,12 +672,14 @@ REGISTRY: dict[str, Claim] = {
             "regular subgroups all match one canonical representative, with witness",
             _run_regular_classification,
             ("n",),
+            rc.ENUM_MAX_N,
         ),
         Claim(
             "thm-3.4-normality",
             "cyclic regular subgroups normal in the holomorph iff translations or maximal twist",
             _run_cyclic_normality,
             ("n",),
+            rc.ENUM_MAX_N,
         ),
         Claim(
             "cor-3.4",

@@ -165,6 +165,13 @@ def cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
                 f"--n {args.n!r} starts below {claims.MIN_WIDTH}, the smallest width "
                 "with a normal form"
             )
+        for claim_id in ids:
+            widest = claims.REGISTRY[claim_id].max_n
+            if widest is not None and hi > widest:
+                raise ValueError(
+                    f"--n {args.n!r} ends above {widest}: claim {claim_id} checks "
+                    f"widths {claims.MIN_WIDTH}..{widest}"
+                )
         cap = args.max_hol_width
         if hi > cap:
             print(f"width {hi} exceeds bound {cap} (use --force)", file=sys.stderr)

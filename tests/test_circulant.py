@@ -456,8 +456,8 @@ def test_abelian_scan_rejects_eights():
 
 
 def test_pair_orbits_and_census():
-    assert pair_orbits(8) == [(1, 7), (2, 6), (3, 5), (4,)]
-    assert pair_orbits(9) == [(1, 8), (2, 7), (3, 6), (4, 5)]
+    assert pair_orbits(8) == ((1, 7), (2, 6), (3, 5), (4,))
+    assert pair_orbits(9) == ((1, 8), (2, 7), (3, 6), (4, 5))
     assert census_size(8) == 16
     assert census_size(12) == 64
     assert census_size(16) == 256
@@ -520,14 +520,16 @@ def test_scan_range_equals_per_mask_records():
 
 def test_complement_keeps_the_class_fields():
     # searched on both sides: S and its complement (Z_n - {0}) - S share
-    # the fields that the census copies across a class
-    fields = ("aut_order", "normal", "within_holomorph", "nnn", "w_subgroups")
+    # the fields that the census copies across a class, and the census,
+    # which copies them across units too, equals a search of every mask
+    fields = circulant._CLASS_FIELDS
     for n in range(2, 17):
         full = census_size(n) - 1
         records = [scan_record(n, mask) for mask in range(full + 1)]
         for mask, record in enumerate(records):
             other = records[mask ^ full]
             assert [record[f] for f in fields] == [other[f] for f in fields], (n, mask)
+        assert list(scan_range(n, 0, full + 1)) == records, n
 
 
 def test_scan_range_searches_once_per_orbit(monkeypatch):
@@ -608,7 +610,7 @@ def test_chunked_scan_searches_each_orbit_once(monkeypatch, size):
             circulant._scan_chunk(n, start, stop, lo, min(lo + size, stop), False, None)
             for lo in range(start, stop, size)
         )
-        assert list(circulant._merge(n, entries, None)) == expected[start:stop]
+        assert list(circulant._merge(entries)) == expected[start:stop]
         classes = {min(census_class(mask)) for mask in range(start, stop)}
         assert sorted(min(census_class(mask)) for mask in searched) == sorted(classes)
         if (start, stop) == (0, total):
@@ -660,20 +662,34 @@ def test_in_order_keeps_a_bounded_window():
     assert read == list(range(10))
 
 
-def test_scan_range_never_copies_an_nnn_record(monkeypatch):
-    # the witness of an nnn record depends on the labelling, so every
-    # mask of its class is scanned in full
+def test_scan_range_copies_an_nnn_record_and_its_witness(monkeypatch):
+    # the witness ((1, 1), (1, m)) is read off aut_G_S, which is the same
+    # on a whole class, so an nnn record is copied like any other
     scanned = []
     scan = circulant.scan_record
+    witnesses = {"normal_copy": [1, 1], "non_normal_copy": [1, 5]}
 
     def nnn_everywhere(n, mask, degree_bound=None):
         scanned.append(mask)
-        return dict(scan(n, mask, degree_bound), nnn=True)
+        return dict(scan(n, mask, degree_bound), nnn=True, witnesses=witnesses)
 
     monkeypatch.setattr(circulant, "scan_record", nnn_everywhere)
-    records = list(scan_range(12, 0, census_size(12)))
-    assert scanned == list(range(census_size(12)))
-    assert all(r["nnn"] for r in records)
+    records = list(scan_range(16, 0, census_size(16)))
+    assert len(scanned) == 44
+    assert len(records) == 256
+    assert all(r["nnn"] and r["witnesses"] == witnesses for r in records)
+
+
+def test_census_masks_skip_build_and_share_the_pair_orbits(monkeypatch):
+    # a mask's set is inverse-closed by construction, and its pair orbits
+    # are computed once per modulus, not once per mask
+    def never(*args):
+        raise AssertionError("build called")
+
+    monkeypatch.setattr(circulant, "build", never)
+    pair_orbits.cache_clear()
+    assert len(list(scan_range(16, 0, census_size(16)))) == 256
+    assert pair_orbits.cache_info().misses == 1
 
 
 def test_scan_record_fields():

@@ -258,6 +258,28 @@ def test_cli_width_below_3_is_usage_error():
         assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("claim_id, widths", [("thm-1.4", "8..9"), ("thm-3.4-normality", "9")])
+def test_cli_width_above_the_enumeration_is_usage_error(monkeypatch, capsys, claim_id, widths):
+    # --force lifts the width bound, yet regular subgroups are enumerated
+    # at widths 3..8 only: thm-1.4 used to spend seconds on width 8 and
+    # then fail width 9, thm-3.4-normality to build Hol(Z_512) first
+    def never(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(claims.hol, "holomorph_group", never)
+    monkeypatch.setattr(rc, "representatives", never)
+    monkeypatch.setattr(rc, "enumerate_regular_subgroups", never)
+    assert main(["verify", claim_id, "--n", widths, "--force"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"usage error: --n {widths!r} ends above 8: claim {claim_id} checks widths 3..8"
+    ]
+    # no claim of the run starts, not even those before the too-wide one
+    assert main(["verify", "all", "--n", widths, "--force"]) == 2
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize(
     "claim_id, params, key",
     [
