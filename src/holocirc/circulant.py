@@ -2,7 +2,8 @@
 
 A circulant is held as a modulus n and an inverse-closed connection set
 S (no zero), with adjacency kept as per-vertex bitmasks.  On top of the
-graph sit: an exact automorphism-group computation (backtracking with
+graph sit: an exact automorphism-group computation (twin vertices
+quotiented out by Sabidussi's wreath product, then backtracking with
 iterated neighborhood refinement, order via the point-stabilizer
 chain), the normality test for the translation group, multiplier
 stabilizers of S, the cyclic regular subgroups of a normal circulant in
@@ -22,7 +23,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cache
-from math import gcd
+from math import factorial, gcd
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
 
 from .holomorph import Pair, PairArith, crt_decompose, pair_perm
@@ -155,8 +156,8 @@ def build(n: int, conn: Iterable[int]) -> Circulant:
 
 @dataclass(frozen=True)
 class AutResult:
-    """Automorphism group: exact order, a strong generating set, and
-    whether the group lies inside the holomorph (affine maps only)."""
+    """Automorphism group: exact order, generators, and whether the
+    group lies inside the holomorph (affine maps only)."""
 
     order: int
     generators: tuple[Perm, ...]
@@ -178,8 +179,95 @@ def aut_G_S(circ: Circulant) -> tuple[int, ...]:
 def automorphism_group(
     circ: Circulant, degree_bound: Optional[float] = None
 ) -> AutResult:
-    """Exact automorphism group by individualisation and refinement along
-    the point-stabilizer chain.
+    """Exact automorphism group, by the twin quotient where the graph has
+    twin vertices and by the stabilizer-chain search where it has none.
+
+    Twins are vertices with the same neighbourhood, open (false twins) or
+    closed (true twins).  In Cay(Z_n, S) the false twins of 0 are the
+    periods {d : S + d = S} and the true twins those of S + {0}; each is
+    a subgroup <d> of Z_n with d | n.  No graph has both kinds: for a
+    false twin p and a true twin q of 0, p - q lies in S as -q does, so p
+    lies in S + {0} + q = S + {0}, yet p is not 0 and not in S (else
+    0 = p - p would be).  When <d> has h = n/d > 1 elements, the twin
+    classes are its cosets, each an empty or a complete graph, and two
+    classes are joined all or nothing as in Q = Cay(Z_d, (S mod d) - {0}).
+    So the graph is the lexicographic product of Q with the empty or the
+    complete graph on h vertices, and as the classes are maximal,
+    Aut = Sym(h) wr Aut(Q) (G. Sabidussi, *The lexicographic product of
+    graphs*, Duke Math. J. 28 (1961) 573-578): automorphisms permute the
+    classes as Aut(Q) does, and any permutation inside each class is
+    one.  The order is (h!)^d * |Aut(Q)|, and Q is reduced the same way
+    in turn.
+    The generators are the affine symmetries, each generator sigma of
+    Aut(Q) lifted to x -> sigma(x mod d) + x - (x mod d), the
+    transposition (0 d) and, when h > 2, the h-cycle x -> x + d on <d>:
+    the lifts map onto Aut(Q), and the translations carry Sym(<d>) to
+    every class.
+
+    A graph without twins goes to _searched_group, whose generators are
+    the affine symmetries and the coset representatives it finds (a
+    strong generating set).
+
+    The vertex bound is ``degree_bound``, else the one set by
+    using_degree_bound(), else max_degree().
+    """
+    n = circ.n
+    if degree_bound is None:
+        degree_bound = _SCOPED_BOUND.get()
+    bound = degree_bound if degree_bound is not None else max_degree()
+    if n > bound:
+        raise DegreeBoundError(f"{n} vertices exceeds the bound {bound}")
+    return _automorphism_group(circ)
+
+
+def _automorphism_group(circ: Circulant) -> AutResult:
+    """automorphism_group without the bound, which a quotient keeps."""
+    n = circ.n
+    bits = sum(1 << s for s in circ.conn)
+    d = _period(n, bits)
+    if d == n:
+        d = _period(n, bits | 1)
+        if d == n:
+            return _searched_group(circ)
+    h = n // d
+    mults = aut_G_S(circ)
+    gens = _affine_generators(n, mults)
+    order = factorial(h) ** d
+    if d > 1:
+        quotient = _automorphism_group(
+            Circulant(d, frozenset(s % d for s in circ.conn) - {0})
+        )
+        order *= quotient.order
+        gens += [
+            tuple(sigma.images[x % d] + x - x % d for x in range(n))
+            for sigma in quotient.generators
+        ]
+    gens.append(tuple(d if x == 0 else 0 if x == d else x for x in range(n)))
+    if h > 2:
+        gens.append(tuple((x + d) % n if x % d == 0 else x for x in range(n)))
+    return AutResult(order, tuple(Perm(g) for g in gens), order == n * len(mults))
+
+
+def _period(n: int, bits: int) -> int:
+    """The least d dividing n such that the subset of Z_n with bitmask
+    ``bits`` is fixed by adding d: its stabilizer is <d>."""
+    full = (1 << n) - 1
+    for d in range(1, n):
+        if n % d == 0 and (bits << d | bits >> (n - d)) & full == bits:
+            return d
+    return n
+
+
+def _affine_generators(n: int, mults: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Translation by 1 and the multipliers other than 1, as image tuples."""
+    gens = [tuple((g + 1) % n for g in range(n))]
+    gens += [tuple(g * m % n for g in range(n)) for m in mults if m != 1]
+    return gens
+
+
+def _searched_group(circ: Circulant) -> AutResult:
+    """The automorphism group by individualisation and refinement along
+    the point-stabilizer chain, for any circulant.
 
     Level k keeps one colouring: the coarsest equitable colouring with
     0..k-1 individualised, which every automorphism fixing 0..k-1
@@ -191,27 +279,13 @@ def automorphism_group(
     the next level's colouring, and every colouring is refined from its
     parent level rather than from scratch.  Once a level colouring is
     discrete the remaining stabilizer is trivial and the chain stops.
-    The order is the product of orbit sizes; the returned generators are
-    the found coset representatives (a strong generating set), seeded
-    with the affine symmetries.
-
-    The vertex bound is ``degree_bound``, else the one set by
-    using_degree_bound(), else max_degree().
-    """
+    The order is the product of orbit sizes; the generators are the
+    affine symmetries and the coset representatives found."""
     n = circ.n
-    if degree_bound is None:
-        degree_bound = _SCOPED_BOUND.get()
-    bound = degree_bound if degree_bound is not None else max_degree()
-    if n > bound:
-        raise DegreeBoundError(f"{n} vertices exceeds the bound {bound}")
     adj = circ.adjacency
     nbrs = [[(g + s) % n for s in circ.conn] for g in range(n)]
     mults = aut_G_S(circ)
-
-    gens: list[tuple[int, ...]] = [
-        tuple((g + 1) % n for g in range(n))
-    ]
-    gens += [tuple(g * m % n for g in range(n)) for m in mults if m != 1]
+    gens = _affine_generators(n, mults)
 
     order = 1
     level = [0] * n  # a circulant is vertex-transitive: one cell

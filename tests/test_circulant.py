@@ -116,6 +116,40 @@ def test_aut_generators_generate_stated_order_whole_census():
             assert StabChain(n, res.generators).order() == res.order, (n, mask)
 
 
+def test_twin_quotient_agrees_with_the_search_whole_census():
+    # the twin quotient decides the order by formula; the stabilizer-chain
+    # search, run on every graph, must find the same group
+    for n in range(2, 17):
+        for mask in range(census_size(n)):
+            c = build(n, connection_set(n, mask))
+            reduced = automorphism_group(c)
+            searched = circulant._searched_group(c)
+            assert reduced.order == searched.order, (n, mask)
+            assert is_normal_cayley(c, reduced) == is_normal_cayley(c, searched), (n, mask)
+
+
+@pytest.mark.parametrize(
+    "n, conn, bound, order",
+    [
+        # K_{2,2,2}: false twins over K_3, whose vertices are all true twins
+        (6, {1, 2, 4, 5}, None, 48),
+        # Z_16 mask 0, the empty graph
+        (16, set(), None, math.factorial(16)),
+        # K_16 minus a perfect matching: false twins over K_8
+        (16, set(range(1, 16)) - {8}, None, 10_321_920),
+        # K_{4,4,4,4}: false twins over K_4
+        (16, connection_set(16, 119), None, 7_962_624),
+        (64, set(), 64, math.factorial(64)),
+        (64, set(range(1, 64)), 64, math.factorial(64)),
+    ],
+)
+def test_twin_quotient_orders(n, conn, bound, order):
+    res = automorphism_group(build(n, conn), degree_bound=bound)
+    assert res.order == order
+    if n <= 16:
+        assert StabChain(n, res.generators).order() == order
+
+
 def test_level_colourings_refine_incrementally_to_the_from_scratch_partition():
     # each level refines the one above; it must reach the same coarsest
     # equitable partition as refining 0..k individualised from one cell
