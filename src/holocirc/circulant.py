@@ -18,11 +18,13 @@ from __future__ import annotations
 
 import json
 import os
+from array import array
 from collections import deque
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cache
+from itertools import islice
 from math import factorial, gcd
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
 
@@ -156,12 +158,14 @@ def build(n: int, conn: Iterable[int]) -> Circulant:
 
 @dataclass(frozen=True)
 class AutResult:
-    """Automorphism group: exact order, generators, and whether the
-    group lies inside the holomorph (affine maps only)."""
+    """Automorphism group: exact order, generators, whether the group
+    lies inside the holomorph (affine maps only), and the multipliers
+    that preserve S (aut_G_S), which seed the generators."""
 
     order: int
     generators: tuple[Perm, ...]
     within_holomorph: bool
+    multipliers: tuple[int, ...]
 
 
 def aut_G_S(circ: Circulant) -> tuple[int, ...]:
@@ -245,7 +249,7 @@ def _automorphism_group(circ: Circulant) -> AutResult:
     gens.append(tuple(d if x == 0 else 0 if x == d else x for x in range(n)))
     if h > 2:
         gens.append(tuple((x + d) % n if x % d == 0 else x for x in range(n)))
-    return AutResult(order, tuple(Perm(g) for g in gens), order == n * len(mults))
+    return AutResult(order, tuple(Perm(g) for g in gens), order == n * len(mults), mults)
 
 
 def _period(n: int, bits: int) -> int:
@@ -306,7 +310,7 @@ def _searched_group(circ: Circulant) -> AutResult:
         order *= len(orbit)
         level = dom
     perms = tuple(Perm(g) for g in gens)
-    return AutResult(order, perms, order == n * len(mults))
+    return AutResult(order, perms, order == n * len(mults), mults)
 
 
 def _orbit_of(point: int, gens: list[tuple[int, ...]], n: int) -> set[int]:
@@ -508,13 +512,14 @@ def nnn_verdict(circ: Circulant, aut: Optional[AutResult] = None) -> NnnVerdict:
 
     A normal graph pins its automorphism group to the affine maps whose
     multiplier preserves S, so its cyclic regular subgroups and their
-    normality follow from aut_G_S by arithmetic (cyclic_copies).
+    normality follow by arithmetic (cyclic_copies) from aut_G_S, which
+    ``aut`` carries.
     """
     if aut is None:
         aut = automorphism_group(circ)
     if not is_normal_cayley(circ, aut):
         return NnnVerdict(False, (), False, None)
-    copies = cyclic_copies(circ.n, aut_G_S(circ))
+    copies = cyclic_copies(circ.n, aut.multipliers)
     bad = [c.generator for c in copies if not c.normal_in_aut]
     witness = ((1, 1), bad[0]) if bad else None
     return NnnVerdict(True, copies, bool(bad), witness)
@@ -735,42 +740,32 @@ def scan_record(n: int, mask: int, degree_bound: Optional[float] = None) -> dict
     if verdict.witness is not None:
         normal_gen, bad_gen = verdict.witness
         witnesses = {"normal_copy": list(normal_gen), "non_normal_copy": list(bad_gen)}
-    return _census_record(
-        circ,
-        mask,
-        {
-            "aut_order": aut.order,
-            "normal": verdict.is_normal_for_GR,
-            "within_holomorph": aut.within_holomorph,
-            "w_subgroups": w_subgroups(circ),
-            "nnn": verdict.nnn,
-            "witnesses": witnesses,
-        },
+    class_fields = (
+        aut.order,
+        verdict.is_normal_for_GR,
+        aut.within_holomorph,
+        w_subgroups(circ),
+        verdict.nnn,
+        witnesses,
     )
+    return _census_record(circ, mask, class_fields)
 
-
-def _census_record(circ: Circulant, mask: int, class_fields: dict) -> dict:
-    """A census record: the fields read off the connection set itself,
-    and from ``class_fields`` those of _CLASS_FIELDS."""
-    return {
-        "n": circ.n,
-        "mask": mask,
-        "S": sorted(circ.conn),
-        "aut_order": class_fields["aut_order"],
-        "normal": class_fields["normal"],
-        "within_holomorph": class_fields["within_holomorph"],
-        "w_subgroups": class_fields["w_subgroups"],
-        "nnn": class_fields["nnn"],
-        "witnesses": class_fields["witnesses"],
-        "connected": circ.is_connected(),
-        "degenerate": circ.is_degenerate(),
-    }
-
-
-SCAN_CHUNK = 32  # masks per task of a parallel scan
 
 # the record fields that are the same on a whole census class
 _CLASS_FIELDS = ("aut_order", "normal", "within_holomorph", "w_subgroups", "nnn", "witnesses")
+
+
+def _census_record(circ: Circulant, mask: int, class_fields: tuple) -> dict:
+    """A census record: the fields read off the connection set itself,
+    and those of _CLASS_FIELDS from ``class_fields``, in that order."""
+    record = {"n": circ.n, "mask": mask, "S": sorted(circ.conn)}
+    record.update(zip(_CLASS_FIELDS, class_fields))
+    record["connected"] = circ.is_connected()
+    record["degenerate"] = circ.is_degenerate()
+    return record
+
+
+SCAN_CHUNK = 32  # class leaders per task of a parallel scan
 
 
 def _census_class(n: int) -> Callable[[int], set[int]]:
@@ -828,16 +823,25 @@ def scan_range(
     (Z_n^* is abelian, so m keeps uS exactly when it keeps S).  So are
     the nnn verdict and its witnesses, ((1, 1), (1, m)) with m read off
     aut_G_S by cyclic_copies, and the coset-stable subgroups: u<d> = <d>,
-    and S^c - <d> is a union of <d>-cosets exactly when S - <d> is.  The
-    least mask of a class that the range holds, and that the scan emits,
-    is scanned in full; a later one copies those fields from it and reads
-    the rest off its own mask.
+    and S^c - <d> is a union of <d>-cosets exactly when S - <d> is.
 
-    With ``jobs`` above 1 a pool of that many worker processes scans
-    chunks of SCAN_CHUNK masks.  Class membership is decided against the
-    whole range, so each class is still searched once, and the records
-    come out in the same order with the same bytes.  Close the iterator
-    to stop the workers early.
+    The scan walks the range in mask order like a sieve.  The first mask
+    of a class that the scan emits is the class's leader: the class is
+    built once, from the leader, and each member that the range holds
+    and the scan emits is marked with the leader.  Only leaders are
+    searched (scan_record); every other member copies the class fields
+    from its leader's record and reads the rest off its own mask, and
+    the fields are dropped after the class's last member.  With
+    ``connected_only`` a disconnected mask is skipped and is no member:
+    the complement of a disconnected graph is connected, so a class may
+    hold both kinds.
+
+    With ``jobs`` above 1 a pool of that many worker processes searches
+    the leaders in batches of SCAN_CHUNK, in order, while this process
+    walks the range and builds every record, so the records come out in
+    the same order with the same bytes.  A range of at most SCAN_CHUNK
+    masks runs without a pool.  Close the iterator to stop the workers
+    early.
     """
     if n < 2:
         raise ValueError(f"modulus must be >= 2, got {n}")
@@ -852,95 +856,77 @@ def _scan(
     degree_bound: Optional[float],
     jobs: int,
 ) -> Iterator[dict]:
+    census_class = _census_class(n)
+    connected = _connected_mask(n)
+    # owner[mask - start] is a member's leader, which is below the member,
+    # or a leader's last member in the range, which is not below it; -1
+    # for a mask that is no member of a class met so far
+    owner = array("q", [-1]) * (stop - start)
+
+    def emitted(mask: int) -> bool:
+        return not connected_only or connected(mask)
+
+    def leaders() -> Iterator[int]:
+        for mask in range(start, stop):
+            if owner[mask - start] < 0 and emitted(mask):
+                members = [m for m in census_class(mask) if start <= m < stop and emitted(m)]
+                for m in members:
+                    owner[m - start] = mask
+                owner[mask - start] = max(members)
+                yield mask
+
+    pool = None
     if jobs == 1 or stop - start <= SCAN_CHUNK:
-        entries = _scan_chunk(n, start, stop, start, stop, connected_only, degree_bound)
-        yield from _merge(entries)
-        return
-    from concurrent.futures import ProcessPoolExecutor
-    from multiprocessing import get_context
+        found = (scan_record(n, mask, degree_bound) for mask in leaders())
+    else:
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
 
-    tasks = (
-        (n, start, stop, lo, min(lo + SCAN_CHUNK, stop), connected_only, degree_bound)
-        for lo in range(start, stop, SCAN_CHUNK)
-    )
-    pool = ProcessPoolExecutor(jobs, mp_context=get_context("spawn"))
-    try:
-        # a bounded window of chunks in flight keeps memory flat when the
+        walk = leaders()
+        batches = iter(lambda: list(islice(walk, SCAN_CHUNK)), [])
+        pool = ProcessPoolExecutor(jobs, mp_context=get_context("spawn"))
+        # a bounded window of batches in flight keeps memory flat when the
         # reader of the records is slower than the workers
-        entries = _in_order(pool, tasks, 4 * jobs)
-        yield from _merge(entries)
+        found = _in_order(pool, ((n, batch, degree_bound) for batch in batches), 4 * jobs)
+    classes: dict[int, tuple] = {}
+    try:
+        for mask in range(start, stop):
+            leader = owner[mask - start]
+            if 0 <= leader < mask:
+                circ = Circulant(n, connection_set(n, mask))
+                record = _census_record(circ, mask, classes[leader])
+                if owner[leader - start] == mask:
+                    del classes[leader]
+            elif emitted(mask):
+                # no earlier leader's class holds the mask, so it leads
+                # the next class, whose record ``found`` gives next
+                record = next(found)
+                if owner[mask - start] > mask:
+                    classes[mask] = tuple(record[f] for f in _CLASS_FIELDS)
+            else:
+                continue
+            yield record
     finally:
-        pool.shutdown(cancel_futures=True)
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
 
-def _in_order(
-    pool: Executor, tasks: Iterable[tuple], ahead: int
-) -> Iterator[tuple[dict, int, int]]:
-    """The entries of each task's chunk in task order, with at most
+def _in_order(pool: Executor, tasks: Iterable[tuple], ahead: int) -> Iterator[dict]:
+    """The records of each task's leaders in task order, with at most
     ``ahead`` tasks submitted to ``pool`` and not yet read."""
     queued: deque = deque()
     for task in tasks:
-        queued.append(pool.submit(_chunk_entries, task))
+        queued.append(pool.submit(_scan_leaders, task))
         if len(queued) == ahead:
             yield from queued.popleft().result()
     while queued:
         yield from queued.popleft().result()
 
 
-def _chunk_entries(task: tuple) -> list[tuple[dict, int, int]]:
-    return list(_scan_chunk(*task))
-
-
-def _scan_chunk(
-    n: int,
-    start: int,
-    stop: int,
-    lo: int,
-    hi: int,
-    connected_only: bool,
-    degree_bound: Optional[float],
-) -> Iterator[tuple[dict, int, int]]:
-    """The masks lo..hi-1 of the range start..stop-1, each as (record,
-    first, last), where first and last are the least and the greatest
-    member of the mask's census class that the range holds and the scan
-    emits.  Only the first member of a class gets the automorphism
-    search; the record of any other member holds None in the fields of
-    _CLASS_FIELDS, for _merge to copy in.  With ``connected_only`` a
-    disconnected mask is skipped and is no member: the complement of a
-    disconnected graph is connected, so a class may hold both kinds."""
-    census_class = _census_class(n)
-    connected = _connected_mask(n)
-    for mask in range(lo, hi):
-        if connected_only and not connected(mask):
-            continue
-        inside = [
-            m
-            for m in census_class(mask)
-            if start <= m < stop and (not connected_only or connected(m))
-        ]
-        first, last = min(inside), max(inside)
-        if mask == first:
-            record = scan_record(n, mask, degree_bound)
-        else:
-            circ = Circulant(n, connection_set(n, mask))
-            record = _census_record(circ, mask, dict.fromkeys(_CLASS_FIELDS))
-        yield record, first, last
-
-
-def _merge(entries: Iterable[tuple[dict, int, int]]) -> Iterator[dict]:
-    """The records of _scan_chunk entries given in mask order, each later
-    member of a class completed from the class's first record.  Only the
-    copied fields of classes with members still to come are kept."""
-    open_classes: dict[int, tuple] = {}
-    for record, first, last in entries:
-        mask = record["mask"]
-        if mask == first:
-            if last != mask:
-                open_classes[first] = tuple(record[f] for f in _CLASS_FIELDS)
-        else:
-            fields = open_classes.pop(first) if mask == last else open_classes[first]
-            record.update(zip(_CLASS_FIELDS, fields))
-        yield record
+def _scan_leaders(task: tuple) -> list[dict]:
+    """The records of one batch of class leaders: (n, masks, degree bound)."""
+    n, masks, degree_bound = task
+    return [scan_record(n, mask, degree_bound) for mask in masks]
 
 
 def shard_bounds(total: int, shard: int, shards: int) -> tuple[int, int]:

@@ -268,7 +268,7 @@ def cmd_graph(args: argparse.Namespace, out: TextIO) -> int:
         "n": n,
         "S": sorted(circ.conn),
         "aut_order": aut.order,
-        "aut_G_S": list(circ_mod.aut_G_S(circ)),
+        "aut_G_S": list(aut.multipliers),
         "normal": verdict.is_normal_for_GR,
         "within_holomorph": aut.within_holomorph,
         "w_subgroups": circ_mod.w_subgroups(circ),

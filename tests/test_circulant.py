@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+import concurrent.futures
 from concurrent.futures import Future
 
 import pytest
@@ -56,6 +57,38 @@ def brute_aut_order(circ):
         ):
             count += 1
     return count
+
+
+def brute_stabilizer_order(circ):
+    """|Aut_0| by plain backtracking, independent of the search: vertices
+    1..n-1 are mapped in turn, each to an unused vertex whose adjacency to
+    the images of the vertices already mapped matches theirs.  There is no
+    refinement and no other pruning."""
+    n, adj = circ.n, circ.adjacency
+    full = (1 << n) - 1
+    img = [0] * n
+
+    def extend(v, used):
+        if v == n:
+            return 1
+        cand = full & ~used
+        for w in range(v):
+            cand &= adj[img[w]] if adj[v] >> w & 1 else ~adj[img[w]]
+        count = 0
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            img[v] = low.bit_length() - 1
+            count += extend(v + 1, used | low)
+        return count
+
+    return extend(1, 1)
+
+
+def has_twins(circ):
+    """Whether some vertex has the open or the closed neighbourhood of 0."""
+    adj = circ.adjacency
+    return any(adj[v] == adj[0] or adj[v] | 1 << v == adj[0] | 1 for v in range(1, circ.n))
 
 
 def test_build_validation():
@@ -126,6 +159,24 @@ def test_twin_quotient_agrees_with_the_search_whole_census():
             searched = circulant._searched_group(c)
             assert reduced.order == searched.order, (n, mask)
             assert is_normal_cayley(c, reduced) == is_normal_cayley(c, searched), (n, mask)
+
+
+def test_search_matches_plain_backtracking_on_twin_free_classes():
+    # n * |Aut_0| from refinement-free backtracking, against both the
+    # public route and the stabilizer-chain search, on one graph per class
+    twin_free = {}
+    for n in range(2, 17):
+        key = _census_class(n)
+        twin_free[n] = 0
+        for mask in sorted({min(key(m)) for m in range(census_size(n))}):
+            c = build(n, connection_set(n, mask))
+            if has_twins(c):
+                continue
+            twin_free[n] += 1
+            order = n * brute_stabilizer_order(c)
+            assert automorphism_group(c).order == order, (n, mask)
+            assert circulant._searched_group(c).order == order, (n, mask)
+    assert twin_free[16] == 32  # 12 of the 44 classes of Z_16 have twins
 
 
 @pytest.mark.parametrize(
@@ -342,6 +393,22 @@ def test_nnn_verdict_structure():
     assert not verdict.is_normal_for_GR and not verdict.nnn
 
 
+def test_nnn_verdict_reads_the_multipliers_off_the_group(monkeypatch):
+    # the search computes aut_G_S once and the AutResult carries it
+    for conn in ({1, 15}, {1, 7, 9, 15}, {2, 14}, set(range(1, 16))):
+        c = build(16, conn)
+        aut = automorphism_group(c)
+        assert aut.multipliers == aut_G_S(c)
+
+        def never(circ):
+            raise AssertionError("aut_G_S called")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(circulant, "aut_G_S", never)
+            verdict = nnn_verdict(c, aut)
+        assert verdict == nnn_verdict(c)
+
+
 def _copy_elements(n, copy):
     return closure([pair_perm(n, copy.generator)], degree=n).elements
 
@@ -356,8 +423,9 @@ def test_copy_normality_in_full_affine_group(k):
     # the twists below the maximal one are not normal.
     n = 1 << k
     hol = holomorph_group(n)
-    aut = AutResult(hol.order, hol.generators, True)
-    verdict = nnn_verdict(build(n, []), aut)
+    empty = build(n, [])
+    aut = AutResult(hol.order, hol.generators, True, aut_G_S(empty))
+    verdict = nnn_verdict(empty, aut)
     cyclic = {
         rec.perm_group().elements: rec
         for rec in enumerate_regular_subgroups(k)
@@ -621,34 +689,66 @@ def test_orbit_keys_match_burnside_count():
         assert len(keys) == _burnside_orbit_count(n), n
 
 
+class _InlinePool:
+    """Stands in for the process pool: runs each task when submitted."""
+
+    def __init__(self, *args, **kwargs):
+        self.submitted = 0
+
+    def submit(self, fn, task):
+        self.submitted += 1
+        done = Future()
+        done.set_result(fn(task))
+        return done
+
+    def shutdown(self, cancel_futures=False):
+        pass
+
+
 @pytest.mark.parametrize("size", [1, 3, 64])
 def test_chunked_scan_searches_each_orbit_once(monkeypatch, size):
-    # whatever the chunk size, the chunks and the merge give the records
-    # of the range, with one automorphism search per class meeting it
+    # serial, or with batches of ``size`` leaders through a pool, the scan
+    # builds the class of each leader once and searches it once, over
+    # ranges that cut classes and with connected-only dropping members
     n = 16
     total = census_size(n)
     expected = list(scan_range(n, 0, total))
     mask_of = {connection_set(n, mask): mask for mask in range(total)}
-    census_class = _census_class(n)
-    searched = []
+    key = _census_class(n)
+    built, searched = [], []
+    make_class = circulant._census_class
     search = circulant.automorphism_group
 
-    def counted(circ, degree_bound=None):
+    def counted_class(n):
+        census_class = make_class(n)
+
+        def counted(mask):
+            built.append(mask)
+            return census_class(mask)
+
+        return counted
+
+    def counted_search(circ, degree_bound=None):
         searched.append(mask_of[circ.conn])
         return search(circ, degree_bound)
 
-    monkeypatch.setattr(circulant, "automorphism_group", counted)
-    for start, stop in ((0, total), (37, 201)):
-        searched.clear()
-        entries = itertools.chain.from_iterable(
-            circulant._scan_chunk(n, start, stop, lo, min(lo + size, stop), False, None)
-            for lo in range(start, stop, size)
-        )
-        assert list(circulant._merge(entries)) == expected[start:stop]
-        classes = {min(census_class(mask)) for mask in range(start, stop)}
-        assert sorted(min(census_class(mask)) for mask in searched) == sorted(classes)
-        if (start, stop) == (0, total):
-            assert len(searched) == _burnside_orbit_count(n)
+    monkeypatch.setattr(circulant, "_census_class", counted_class)
+    monkeypatch.setattr(circulant, "automorphism_group", counted_search)
+    monkeypatch.setattr(circulant, "SCAN_CHUNK", size)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    for connected_only in (False, True):
+        for start, stop in ((0, total), (37, 201)):
+            want = [r for r in expected[start:stop] if r["connected"] or not connected_only]
+            classes = sorted({min(key(r["mask"])) for r in want})
+            for jobs in (1, 2):
+                built.clear()
+                searched.clear()
+                got = list(scan_range(n, start, stop, connected_only, jobs=jobs))
+                assert got == want, (connected_only, start, jobs)
+                assert sorted(min(key(mask)) for mask in built) == classes
+                assert sorted(min(key(mask)) for mask in searched) == classes
+            if (start, stop) == (0, total):
+                assert len(searched) == _burnside_orbit_count(n)
 
 
 def test_connected_only_scan_is_the_filtered_census():
@@ -679,21 +779,13 @@ def test_connected_only_scan_searches_connected_orbits_only(monkeypatch):
 
 
 def test_in_order_keeps_a_bounded_window():
-    class Pool:
-        submitted = 0
-
-        def submit(self, fn, task):
-            self.submitted += 1
-            done = Future()
-            done.set_result([task])
-            return done
-
-    pool = Pool()
+    pool = _InlinePool()
     read = []
-    for entry in circulant._in_order(pool, range(10), 3):
-        read.append(entry)
+    tasks = ((8, [mask], None) for mask in range(10))
+    for record in circulant._in_order(pool, tasks, 3):
+        read.append(record)
         assert pool.submitted - len(read) < 3
-    assert read == list(range(10))
+    assert read == [scan_record(8, mask) for mask in range(10)]
 
 
 def test_scan_range_copies_an_nnn_record_and_its_witness(monkeypatch):
