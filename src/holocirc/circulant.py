@@ -660,19 +660,24 @@ def abelian_regular_scan(
     if n % 8 == 0:
         raise ValueError(f"modulus {n} is divisible by 8")
     out = []
+    # a normal circulant's group is Z_n x| aut_G_S: the indices depend on
+    # the multiplier group only, and few groups occur
+    by_mults: dict[tuple[int, ...], tuple[int, ...]] = {}
     for record in scan_range(n, 0, census_size(n), connected_only):
         conn = tuple(record["S"])
         if not record["normal"]:
             out.append(AbelianScanRecord(conn, False, 0, (), True, False))
             continue
         mults = aut_G_S(Circulant(n, frozenset(conn)))
-        subs = _abelian_regular_subgroups(n, [(t, m) for t in range(n) for m in mults])
-        indices = tuple(sorted(n // sum(m == 1 for _t, m in h) for h in subs))
+        if mults not in by_mults:
+            subs = _abelian_regular_subgroups(n, [(t, m) for t in range(n) for m in mults])
+            by_mults[mults] = tuple(sorted(n // sum(m == 1 for _t, m in h) for h in subs))
+        indices = by_mults[mults]
         out.append(
             AbelianScanRecord(
                 conn,
                 True,
-                len(subs),
+                len(indices),
                 indices,
                 all(i & (i - 1) == 0 for i in indices),
                 record["nnn"],

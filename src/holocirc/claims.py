@@ -302,7 +302,7 @@ def _run_regular_classification(params: dict) -> tuple[str, list, dict]:
     lo, hi = _range_param(params, "n", (3, 5))
     bad = []
     evidence = []
-    reps: dict[int, list[rc.ClassificationRecord]] = {}  # the enumerated widths
+    reps: dict[int, tuple[rc.ClassificationRecord, ...]] = {}  # the widths that hold
     coincidences: list[list[str]] = []
     for n in range(3, rc.ENUM_MAX_N + 1):
         try:
@@ -310,8 +310,7 @@ def _run_regular_classification(params: dict) -> tuple[str, list, dict]:
         except RuntimeError as exc:
             bad.append({"n": n, "why": str(exc)})
             continue
-        if lo <= n <= hi:
-            reps[n] = recs
+        reps[n] = recs
         if n == 3:
             coincidences = [
                 [t.label() for t in types]
@@ -325,7 +324,7 @@ def _run_regular_classification(params: dict) -> tuple[str, list, dict]:
         if n not in reps:
             bad.append({"n": n, "why": "no checked representatives to match"})
             continue
-        records = rc.enumerate_regular_subgroups(n, reps[n])
+        records = rc.enumerate_regular_subgroups(n)
         # the witness is checked on permutations of Z_{2^n}
         rep_perms = {rep.rtype: rep.perm_group().elements for rep in reps[n]}
         per_type: dict[str, int] = {}

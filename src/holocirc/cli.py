@@ -231,12 +231,15 @@ def cmd_classify(args: argparse.Namespace, out: TextIO) -> int:
 def _classification(lo: int, hi: int) -> Iterator[dict]:
     """The classification records of widths lo..hi, one width at a time:
     its representatives, the subgroups enumerated at widths up to
-    rc.FULL_ENUM_MAX_N, then a note on coinciding representatives."""
+    rc.FULL_ENUM_MAX_N, then a note on coinciding representatives.  Both
+    are built once per width and process (``verify`` shares them), by
+    the one gamma-function engine; the enumerated subgroups' generators
+    come from index-two growth inside each subgroup."""
     for n in range(lo, hi + 1):
         reps = rc.representatives(n)
         yield from (r.to_dict() | {"role": "representative"} for r in reps)
         if n <= rc.FULL_ENUM_MAX_N:
-            for r in rc.enumerate_regular_subgroups(n, reps):
+            for r in rc.enumerate_regular_subgroups(n):
                 yield r.to_dict() | {"role": "enumerated"}
         coincidences = [types for _, types in rc.canonical_classes(reps) if len(types) > 1]
         if coincidences:

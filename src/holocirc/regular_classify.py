@@ -8,29 +8,33 @@ match, and the closed-form normality answer for the cyclic regular
 subgroups inside the full holomorph.
 
 The enumeration is deliberately independent of the closed forms it is
-used to check.  Widths 3..5 grow subgroups bottom-up by index-two coset
-extensions inside the (2-group) holomorph, pruned only by brute-force
-fixed-point-freeness.  Widths 6..8 list the gamma functions, which are
-in bijection with the regular subgroups (Guarnieri and Vendramin, Math.
-Comp. 86 (2017); Rump, Classification of cyclic braces, JPAA 209
-(2007)).  Both give the subgroups as sets of (t, m) pairs, and one
-matcher conjugates every find onto its representative by solving
-congruences.  The records are built from the pairs too;
+used to check.  One engine serves every width: it lists the gamma
+functions, which are in bijection with the regular subgroups (Guarnieri
+and Vendramin, Math. Comp. 86 (2017); Rump, Classification of cyclic
+braces, JPAA 209 (2007)), checking each newly set point against the
+chosen points only.  At widths up to FULL_ENUM_MAX_N, those that
+``classify`` enumerates, the generators come from index-two growth inside
+each subgroup; above, each is the least pair outside the closure of
+those before.  The tests keep index-two coset growth over the whole
+holomorph as the reference engine at widths 3..5.  Representatives and
+enumerations are built once per width and process, and one matcher
+conjugates every find onto its representative by solving congruences.
+The records are built from the pairs too;
 ``ClassificationRecord.perm_group`` gives the permutation group on 2^n
 points to the brute checks that need one.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
+from functools import cache
 from math import gcd
 from typing import Collection, Optional, Sequence
 
 from .holomorph import HolElem2, Pair, PairArith, conj_normal_form, format_element, pair_perm, pow5
 from .permgroup import IsoType, Perm, PermSubgroup, from_elements, iso_type
 
-FULL_ENUM_MAX_N = 5
+FULL_ENUM_MAX_N = 5  # widths classify enumerates, their generators grown
 ENUM_MAX_N = 8
 
 _KINDS = (
@@ -297,8 +301,10 @@ def representative(rtype: RegularType, n: int) -> ClassificationRecord:
     return rec
 
 
-def representatives(n: int) -> list[ClassificationRecord]:
-    return [representative(rt, n) for rt in representative_types(n)]
+@cache
+def representatives(n: int) -> tuple[ClassificationRecord, ...]:
+    """The canonical representatives at width n, built once per width."""
+    return tuple(representative(rt, n) for rt in representative_types(n))
 
 
 def canonical_classes(
@@ -327,24 +333,21 @@ def intersection_with_translations(sub: PermSubgroup) -> int:
     return d if d else mod
 
 
-def enumerate_regular_subgroups(
-    n: int, reps: Optional[Sequence[ClassificationRecord]] = None
-) -> list[ClassificationRecord]:
+@cache
+def enumerate_regular_subgroups(n: int) -> tuple[ClassificationRecord, ...]:
     """Every regular subgroup of the holomorph at width n, in order of its
     sorted pairs, matched to the one canonical representative it is
-    conjugate to by the first conjugator w in (t, m) order, a witness;
-    ``reps`` are the records of ``representatives(n)``, when the caller
-    has them.  Both routes are exhaustive: widths 3..5 grow subgroups
-    over the multiplication table, 6..8 list gamma functions.
+    conjugate to by the first conjugator w in (t, m) order, a witness.
+    The subgroups are those of ``gamma_regular_sets(n)``; each width is
+    enumerated once per process.
     """
     _check_n(n)
     if n > ENUM_MAX_N:
         raise ValueError(f"enumeration supports widths 3..{ENUM_MAX_N}")
-    found = regular_subgroup_sets(n) if n <= FULL_ENUM_MAX_N else gamma_regular_sets(n)
-    classes = canonical_classes(representatives(n) if reps is None else reps)
+    classes = canonical_classes(representatives(n))
     arith = PairArith(1 << n)
     records = []
-    for sub, gens in sorted(found.items(), key=lambda kv: sorted(kv[0])):
+    for sub, gens in sorted(gamma_regular_sets(n).items(), key=lambda kv: sorted(kv[0])):
         matches = [
             (rep.rtype, min(sols)[:2])
             for rep, _ in classes
@@ -353,7 +356,7 @@ def enumerate_regular_subgroups(
         if len(matches) != 1:
             raise RuntimeError(f"subgroup matched {len(matches)} canonical representatives")
         records.append(_record(arith, sub, gens, *matches[0]))
-    return records
+    return tuple(records)
 
 
 def _conjugators(
@@ -423,104 +426,7 @@ def cyclic_regular_affine_subgroups(
     return [(gen, elems) for elems, gen in found.items()]
 
 
-# exhaustive engine (widths 3..5)
-
-
-class _HolTable:
-    """Integer-indexed multiplication table of the holomorph of Z_{2^n}.
-
-    Element id = t * 2^(n-1) + (m >> 1) over pairs (t, m) with m odd; the
-    rows are arrays of unsigned shorts (ids stay below 2^(2n-1) <= 2^9).
-    """
-
-    def __init__(self, n: int):
-        self.n = n
-        mod = self.mod = 1 << n
-        pairs = PairArith(mod)
-        inv_unit = pairs.inv_unit
-        self.elements = pairs.elements
-        half = 1 << (n - 1)
-        size = len(self.elements)
-        mul = []
-        for t1, m1 in self.elements:
-            mi = inv_unit[m1]
-            row = [0] * size
-            j = 0
-            for t2 in range(mod):
-                tt = (t1 + t2 * mi) % mod * half
-                for m2 in range(1, mod, 2):
-                    row[j] = tt + (m1 * m2 % mod >> 1)
-                    j += 1
-            mul.append(array("H", row))
-        self.mul = mul
-        self.inv = [t * half + (m >> 1) for t, m in map(pairs.inverse, self.elements)]
-        self.identity = 0  # (t=0, m=1)
-        self.fpf = [self._fixed_point_free(t, m) for t, m in self.elements]
-
-    def _fixed_point_free(self, t: int, m: int) -> bool:
-        if t == 0 and m == 1:
-            return False  # the identity fixes everything
-        return all((g + t) * m % self.mod != g for g in range(self.mod))
-
-
-def _semiregular_subgroup_levels(
-    table: _HolTable,
-    prune_semiregular: bool = True,
-    depth: Optional[int] = None,
-) -> list[dict[frozenset[int], tuple[int, ...]]]:
-    """Subgroups of order 2^level grown by index-two coset extensions,
-    level by level up to 2^depth (default 2^n); optionally restricted
-    to fixed-point-free (semiregular) subgroups, which loses no regular
-    subgroup."""
-    n = table.n
-    mul, inv, fpf = table.mul, table.inv, table.fpf
-    size = len(table.elements)
-    levels = [{frozenset([table.identity]): ()}]
-    for _ in range(depth if depth is not None else n):
-        nxt: dict[frozenset[int], tuple[int, ...]] = {}
-        for sub, gens in levels[-1].items():
-            mask = 0
-            for e in sub:
-                mask |= 1 << e
-            for g in range(size):
-                if mask >> g & 1:
-                    continue
-                if prune_semiregular and not fpf[g]:
-                    continue
-                if not mask >> mul[g][g] & 1:
-                    continue  # g^2 must land back in the subgroup
-                gi = inv[g]
-                if any(
-                    not mask >> mul[mul[gi][s]][g] & 1 for s in gens
-                ):
-                    continue  # g must normalize the subgroup
-                coset = [mul[s][g] for s in sub]
-                if prune_semiregular and not all(fpf[c] for c in coset):
-                    continue
-                grown = frozenset([*sub, *coset])
-                if grown not in nxt:
-                    nxt[grown] = (*gens, g)
-        levels.append(nxt)
-    return levels
-
-
-def regular_subgroup_sets(
-    n: int, prune_semiregular: bool = True
-) -> dict[frozenset[Pair], tuple[Pair, ...]]:
-    """All regular subgroups at width n <= 5 as pair sets with generators."""
-    if not 3 <= n <= FULL_ENUM_MAX_N:
-        raise ValueError(f"full enumeration supports widths 3..{FULL_ENUM_MAX_N}")
-    table = _HolTable(n)
-    elements = table.elements
-    out = {}
-    for sub, gens in _semiregular_subgroup_levels(table, prune_semiregular)[-1].items():
-        pairs = frozenset(elements[e] for e in sub)
-        if _is_regular(pairs, table.mod):
-            out[pairs] = tuple(elements[g] for g in gens)
-    return out
-
-
-# gamma-function engine (widths 6..8)
+# the enumeration engine
 
 
 def gamma_regular_sets(n: int) -> dict[frozenset[Pair], tuple[Pair, ...]]:
@@ -529,7 +435,18 @@ def gamma_regular_sets(n: int) -> dict[frozenset[Pair], tuple[Pair, ...]]:
     g(0) = 1 and g(x + g(x)*y) = g(x)*g(y).  Backtracks over g(x) at the
     least unset x, closing the law after each choice from a work queue of
     newly set points, which is also the trail that undoes the choice.
-    Each generator is the least pair not in the closure of those before.
+
+    Each new point is composed, on both sides, with the chosen points
+    only, not with every set point.  The pair of x is the map
+    y -> x + g(x)*y, and every word in the chosen pairs is reached from
+    its last-chosen letter by multiplying by chosen letters on the left
+    and the right.  So a closed table is the group the chosen points
+    generate, with its elements at distinct points, and a choice fails
+    exactly when the law over all set points would.
+
+    Generators: at widths up to FULL_ENUM_MAX_N, by index-two growth
+    inside the subgroup (``_grown_generators``); above, each is the
+    least pair not in the closure of those before.
     """
     _check_n(n)
     mod = 1 << n
@@ -537,14 +454,15 @@ def gamma_regular_sets(n: int) -> dict[frozenset[Pair], tuple[Pair, ...]]:
     inv = arith.inv_unit
     g = [1] + [0] * (mod - 1)  # g(0) = 1; 0 marks an unset point
     trail = [0]
+    chosen: list[int] = []
+    generators = _grown_generators if n <= FULL_ENUM_MAX_N else _least_generators
     out: dict[frozenset[Pair], tuple[Pair, ...]] = {}
 
     def propagate(i: int) -> bool:
-        # each point meets every point set before it, and itself, once
         while i < len(trail):
             p = trail[i]
             gp = g[p]
-            for y in trail[: i + 1]:
+            for y in chosen:
                 gy = g[y]
                 v = gp * gy % mod
                 for z in ((p + gp * y) % mod, (y + gy * p) % mod):
@@ -561,15 +479,10 @@ def gamma_regular_sets(n: int) -> dict[frozenset[Pair], tuple[Pair, ...]]:
             x += 1
         if x == mod:
             sub = frozenset((y * inv[g[y]] % mod, g[y]) for y in range(mod))
-            gens: list[Pair] = []
-            elems = {arith.identity}
-            for pair in sorted(sub):
-                if pair not in elems:
-                    gens.append(pair)
-                    elems = arith.closure(gens)
-            out[sub] = tuple(gens)
+            out[sub] = generators(arith, sub)
             return
         mark = len(trail)
+        chosen.append(x)
         for u in arith.units:
             g[x] = u
             trail.append(x)
@@ -578,9 +491,47 @@ def gamma_regular_sets(n: int) -> dict[frozenset[Pair], tuple[Pair, ...]]:
             for p in trail[mark:]:
                 g[p] = 0
             del trail[mark:]
+        chosen.pop()
 
     search(1)
     return out
+
+
+def _least_generators(arith: PairArith, sub: frozenset[Pair]) -> tuple[Pair, ...]:
+    """Each generator the least pair of ``sub`` not in the closure of
+    those before."""
+    gens: list[Pair] = []
+    elems = {arith.identity}
+    for pair in sorted(sub):
+        if pair not in elems:
+            gens.append(pair)
+            elems = arith.closure(gens)
+    return tuple(gens)
+
+
+def _grown_generators(arith: PairArith, sub: frozenset[Pair]) -> tuple[Pair, ...]:
+    """Generators of ``sub`` from a chain of index-two subgroups, grown
+    from the identity one level at a time: each subgroup H of a level, in
+    the order met, is joined by each g of ``sub`` in (t, m) order with g
+    outside H, g^2 in H and g normalizing H, and the first path to each
+    H u Hg is kept.  These are the generators of the coset growth over
+    the whole holomorph, which the tests keep as the reference engine:
+    every subgroup on a path to ``sub`` lies inside it."""
+    then = arith.then
+    order = sorted(sub)
+    level = {frozenset([arith.identity]): ()}
+    while sub not in level:
+        grown: dict[frozenset[Pair], tuple[Pair, ...]] = {}
+        for h, gens in level.items():
+            for g in order:
+                if g in h or then(g, g) not in h:
+                    continue
+                gi = arith.inverse(g)
+                if any(then(then(gi, s), g) not in h for s in gens):
+                    continue  # g must normalize h
+                grown.setdefault(h.union([then(s, g) for s in h]), (*gens, g))
+        level = grown
+    return level[sub]
 
 
 def _check_n(n: int) -> None:

@@ -552,6 +552,30 @@ def test_abelian_scan_indices_two_power():
     assert seen_two  # 4 | 12 allows a second abelian regular subgroup
 
 
+def test_abelian_scan_searches_once_per_multiplier_group(monkeypatch):
+    # the subgroups are searched once per distinct aut_G_S, and each
+    # normal record reads what a search of its own mask would give
+    search = circulant._abelian_regular_subgroups
+    calls = []
+
+    def counted(n, elements):
+        calls.append(n)
+        return search(n, elements)
+
+    monkeypatch.setattr(circulant, "_abelian_regular_subgroups", counted)
+    for n, searches in ((12, 2), (9, 1), (10, 1)):
+        calls.clear()
+        records = abelian_regular_scan(n)
+        assert len(calls) == searches, n
+        for r in records:
+            if r.normal:
+                mults = aut_G_S(build(n, r.conn))
+                subs = search(n, [(t, m) for t in range(n) for m in mults])
+                indices = sorted(n // sum(m == 1 for _t, m in h) for h in subs)
+                assert r.abelian_regular_count == len(subs)
+                assert list(r.intersection_indices) == indices
+
+
 def test_abelian_scan_rejects_eights():
     with pytest.raises(ValueError):
         abelian_regular_scan(16)

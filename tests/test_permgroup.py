@@ -18,7 +18,7 @@ from holocirc.permgroup import (
     iso_type,
     orbits,
 )
-from holocirc.regular_classify import _HolTable, _semiregular_subgroup_levels
+from table_engine import HolTable, semiregular_subgroup_levels
 
 
 def perm_iso_type(sub):
@@ -115,8 +115,8 @@ def test_orbits():
 
 def test_regular_iff_semiregular_and_transitive_over_all_subgroups():
     # every subgroup of the order-32 holomorph at width 3
-    table = _HolTable(3)
-    levels = _semiregular_subgroup_levels(table, prune_semiregular=False, depth=5)
+    table = HolTable(3)
+    levels = semiregular_subgroup_levels(table, prune_semiregular=False, depth=5)
     seen = 0
     for level in levels:
         for ids in level:

@@ -21,12 +21,12 @@ from holocirc.regular_classify import (
     is_semiregular_closed_form,
     normalizer_index,
     pair_from_perm,
-    regular_subgroup_sets,
     representative,
     representative_generators,
     representative_types,
     representatives,
 )
+from table_engine import regular_subgroup_sets
 
 # frozen by the exhaustive engines themselves (see test_counts_are_stable)
 REGULAR_COUNTS = {3: 6, 4: 16, 5: 28, 6: 52, 7: 100}
@@ -39,6 +39,9 @@ ENUMERATED_SHA256 = {
 }
 
 CLASSIFY_GOLDEN = Path(__file__).parents[1] / "perfbench" / "golden" / "classify_n3-8.json"
+
+# sha256 of `holocirc verify all --format ndjson`, as the CI step pins it
+VERIFY_ALL_NDJSON_SHA256 = "ee7a427d765b24bd6661f568ceccb9444b9adbb3da8b8a8302a47e163b7a212a"
 
 
 def brute_semiregular(h):
@@ -226,15 +229,60 @@ def test_intersection_is_conjugation_invariant_fact():
 
 
 def test_prune_loses_no_regular_subgroup():
+    # in the reference engine
     pruned = regular_subgroup_sets(3, prune_semiregular=True)
     unpruned = regular_subgroup_sets(3, prune_semiregular=False)
     assert set(pruned) == set(unpruned)
 
 
 def test_gamma_sets_equal_the_table_engine():
-    # two exhaustive routes: gamma functions and index-two coset growth
+    # two exhaustive routes: gamma functions, and index-two coset growth
+    # over the whole holomorph (the reference engine of the tests); the
+    # same sets with the same generator tuples, and the records come out
+    # in the order of the table engine's sorted sets
     for n in (3, 4, 5):
-        assert set(gamma_regular_sets(n)) == set(regular_subgroup_sets(n))
+        table = regular_subgroup_sets(n)
+        assert gamma_regular_sets(n) == table
+        records = enumerate_regular_subgroups(n)
+        want = sorted(table.items(), key=lambda kv: sorted(kv[0]))
+        assert [(r.elements, r.generators) for r in records] == want
+
+
+def test_gamma_sets_are_closed_regular_subgroups():
+    # the engine checks each new point against its chosen points only;
+    # here every set it returns is checked on all pairs of its elements,
+    # and its generators on the closure they give
+    for n in range(3, 7):
+        mod = 1 << n
+        arith = PairArith(mod)
+        found = gamma_regular_sets(n)
+        assert len(found) == REGULAR_COUNTS[n]
+        for sub, gens in found.items():
+            assert all(arith.then(a, b) in sub for a in sub for b in sub)
+            assert len(sub) == mod
+            assert {t * m % mod for t, m in sub} == set(range(mod))
+            assert arith.closure(gens) == sub
+
+
+def test_claims_pass_enumerates_each_width_once(monkeypatch, capsys):
+    # the benchmark's claims pass in one process: verify all (thm-1.4 at
+    # widths 3..5, thm-3.4-normality at 3..6), then classify --n 3..8,
+    # which enumerates 3..5; every width goes through the engine once
+    calls = []
+    engine = rc.gamma_regular_sets
+
+    def counted(n):
+        calls.append(n)
+        return engine(n)
+
+    rc.enumerate_regular_subgroups.cache_clear()
+    monkeypatch.setattr(rc, "gamma_regular_sets", counted)
+    assert cli.main(["verify", "all", "--format", "ndjson"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == VERIFY_ALL_NDJSON_SHA256
+    assert cli.main(["classify", "--n", "3..8", "--format", "json"]) == 0
+    assert capsys.readouterr().out == CLASSIFY_GOLDEN.read_text()
+    assert calls == [3, 4, 5, 6]
 
 
 def _scan_conjugator(arith, gens, rep_set):
@@ -251,7 +299,7 @@ def test_closed_form_conjugator_matches_the_scan():
     for n in (3, 4, 5, 6):
         arith = PairArith(1 << n)
         classes = canonical_classes(representatives(n))
-        found = regular_subgroup_sets(n) if n <= 5 else gamma_regular_sets(n)
+        found = gamma_regular_sets(n)
         records = enumerate_regular_subgroups(n)
         assert [r.elements for r in records] == sorted(found, key=sorted)
         for rec in records:
@@ -281,8 +329,8 @@ def test_thm_1_4_fails_on_a_missing_subgroup(monkeypatch):
     # family is still met, but its class is short of [Hol : N(R)]
     enumerate_all = rc.enumerate_regular_subgroups
 
-    def drop_one(n, reps=None):
-        records = enumerate_all(n, reps)
+    def drop_one(n):
+        records = enumerate_all(n)
         i = next(i for i, r in enumerate(records) if r.rtype.kind == "direct_product")
         return records[:i] + records[i + 1 :]
 
