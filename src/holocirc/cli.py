@@ -234,7 +234,8 @@ def _classification(lo: int, hi: int) -> Iterator[dict]:
     rc.FULL_ENUM_MAX_N, then a note on coinciding representatives.  Both
     are built once per width and process (``verify`` shares them), by
     the one gamma-function engine; the enumerated subgroups' generators
-    come from index-two growth inside each subgroup."""
+    come from index-two growth inside each subgroup, as they do at widths
+    up to rc.GROWN_GENERATORS_MAX_N."""
     for n in range(lo, hi + 1):
         reps = rc.representatives(n)
         yield from (r.to_dict() | {"role": "representative"} for r in reps)

@@ -12,11 +12,12 @@ used to check.  One engine serves every width: it lists the gamma
 functions, which are in bijection with the regular subgroups (Guarnieri
 and Vendramin, Math. Comp. 86 (2017); Rump, Classification of cyclic
 braces, JPAA 209 (2007)), checking each newly set point against the
-chosen points only.  At widths up to FULL_ENUM_MAX_N, those that
-``classify`` enumerates, the generators come from index-two growth inside
-each subgroup; above, each is the least pair outside the closure of
-those before.  The tests keep index-two coset growth over the whole
-holomorph as the reference engine at widths 3..5.  Representatives and
+chosen points only.  At widths up to GROWN_GENERATORS_MAX_N the
+generators come from index-two growth inside each subgroup; above, each
+is the least pair outside the closure of those before.  The widths
+``classify`` enumerates, up to FULL_ENUM_MAX_N, lie within the first.
+The tests keep index-two coset growth over the whole holomorph as the
+reference engine at widths 3..5.  Representatives and
 enumerations are built once per width and process, and one matcher
 conjugates every find onto its representative by solving congruences.
 The records are built from the pairs too;
@@ -34,7 +35,8 @@ from typing import Collection, Optional, Sequence
 from .holomorph import HolElem2, Pair, PairArith, conj_normal_form, format_element, pair_perm, pow5
 from .permgroup import IsoType, Perm, PermSubgroup, from_elements, iso_type
 
-FULL_ENUM_MAX_N = 5  # widths classify enumerates, their generators grown
+FULL_ENUM_MAX_N = 5  # widths classify enumerates
+GROWN_GENERATORS_MAX_N = 5  # widths whose generators come from growth
 ENUM_MAX_N = 8
 
 _KINDS = (
@@ -444,7 +446,7 @@ def gamma_regular_sets(n: int) -> dict[frozenset[Pair], tuple[Pair, ...]]:
     generate, with its elements at distinct points, and a choice fails
     exactly when the law over all set points would.
 
-    Generators: at widths up to FULL_ENUM_MAX_N, by index-two growth
+    Generators: at widths up to GROWN_GENERATORS_MAX_N, by index-two growth
     inside the subgroup (``_grown_generators``); above, each is the
     least pair not in the closure of those before.
     """
@@ -455,7 +457,7 @@ def gamma_regular_sets(n: int) -> dict[frozenset[Pair], tuple[Pair, ...]]:
     g = [1] + [0] * (mod - 1)  # g(0) = 1; 0 marks an unset point
     trail = [0]
     chosen: list[int] = []
-    generators = _grown_generators if n <= FULL_ENUM_MAX_N else _least_generators
+    generators = _grown_generators if n <= GROWN_GENERATORS_MAX_N else _least_generators
     out: dict[frozenset[Pair], tuple[Pair, ...]] = {}
 
     def propagate(i: int) -> bool:
