@@ -20,14 +20,14 @@ The tests keep index-two coset growth over the whole holomorph as the
 reference engine at widths 3..5.  Representatives and
 enumerations are built once per width and process, and one matcher
 conjugates every find onto its representative by solving congruences.
-The records are built from the pairs too;
-``ClassificationRecord.perm_group`` gives the permutation group on 2^n
-points to the brute checks that need one.
+The records are built from the pairs too; no claim builds a permutation
+group on 2^n points from them, and ``ClassificationRecord.perm_group``
+gives one to the tests' brute checks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache
 from math import gcd
 from typing import Collection, Optional, Sequence
@@ -116,39 +116,6 @@ class ClassificationRecord:
             else list(pair_perm(1 << n, self.conjugator).images),
             "n": n,
         }
-
-
-def _record(
-    arith: PairArith,
-    elems: frozenset[Pair],
-    gens: tuple[Pair, ...],
-    rtype: RegularType,
-    conjugator: Optional[Pair],
-) -> ClassificationRecord:
-    """A record of the regular subgroup ``elems`` of the holomorph of
-    Z_{2^n}, n the width of ``arith``.  An element's order is found by
-    repeated squaring, the holomorph being a 2-group; the translations in
-    the subgroup are the pairs (t, 1), a cyclic group <a^d> with d the
-    gcd of their t and 2^n."""
-    mod = arith.n
-    ident = arith.identity
-
-    def order(h: Pair) -> int:
-        k = 1
-        while h != ident:
-            h = arith.then(h, h)
-            k <<= 1
-        return k
-
-    return ClassificationRecord(
-        mod.bit_length() - 1,
-        elems,
-        gens,
-        rtype,
-        iso_type(elems, gens, arith.then, order),
-        gcd(mod, *(t for t, m in elems if m == 1)),
-        conjugator,
-    )
 
 
 def _is_regular(elems: Collection[Pair], mod: int) -> bool:
@@ -281,26 +248,37 @@ def expected_intersection_exponent(rtype: RegularType, n: int) -> int:
 def representative(rtype: RegularType, n: int) -> ClassificationRecord:
     """Build the canonical representative, the pair closure of its literal
     generators, and check its contract: regular, the stated intersection
-    exponent, the stated iso type."""
+    exponent, the stated iso type.  An element's order is found by
+    repeated squaring, the holomorph being a 2-group; the translations in
+    the subgroup are the pairs (t, 1), a cyclic group <a^d> with d the
+    gcd of their t and 2^n."""
     mod = 1 << n
     arith = PairArith(mod)
     gens = tuple(h.pair for h in representative_generators(rtype, n))
     elems = arith.closure(gens)
     if not _is_regular(elems, mod):
         raise RuntimeError(f"representative {rtype.label()} is not regular at n={n}")
-    rec = _record(arith, elems, gens, rtype, None)
-    d = rec.intersection_exponent
+
+    def order(h: Pair) -> int:
+        k = 1
+        while h != arith.identity:
+            h = arith.then(h, h)
+            k <<= 1
+        return k
+
+    d = gcd(mod, *(t for t, m in elems if m == 1))
     want_d = expected_intersection_exponent(rtype, n)
     if d != want_d:
         raise RuntimeError(
             f"{rtype.label()} at n={n}: intersection a^{d}, expected a^{want_d}"
         )
+    iso = iso_type(elems, gens, arith.then, order)
     want_kind = expected_iso_kind(rtype, n)
-    if rec.iso.kind != want_kind:
+    if iso.kind != want_kind:
         raise RuntimeError(
-            f"{rtype.label()} at n={n}: iso {rec.iso.kind}, expected {want_kind}"
+            f"{rtype.label()} at n={n}: iso {iso.kind}, expected {want_kind}"
         )
-    return rec
+    return ClassificationRecord(n, elems, gens, rtype, iso, d, None)
 
 
 @cache
@@ -341,7 +319,9 @@ def enumerate_regular_subgroups(n: int) -> tuple[ClassificationRecord, ...]:
     sorted pairs, matched to the one canonical representative it is
     conjugate to by the first conjugator w in (t, m) order, a witness.
     The subgroups are those of ``gamma_regular_sets(n)``; each width is
-    enumerated once per process.
+    enumerated once per process.  A record takes its iso type and
+    intersection exponent from its representative: both are conjugacy
+    invariants, the translations being normal in the holomorph.
     """
     _check_n(n)
     if n > ENUM_MAX_N:
@@ -351,13 +331,14 @@ def enumerate_regular_subgroups(n: int) -> tuple[ClassificationRecord, ...]:
     records = []
     for sub, gens in sorted(gamma_regular_sets(n).items(), key=lambda kv: sorted(kv[0])):
         matches = [
-            (rep.rtype, min(sols)[:2])
+            (rep, min(sols)[:2])
             for rep, _ in classes
             if (sols := _conjugators(arith, gens, rep))
         ]
         if len(matches) != 1:
             raise RuntimeError(f"subgroup matched {len(matches)} canonical representatives")
-        records.append(_record(arith, sub, gens, *matches[0]))
+        rep, w = matches[0]
+        records.append(replace(rep, elements=sub, generators=gens, conjugator=w))
     return tuple(records)
 
 

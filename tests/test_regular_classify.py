@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -346,6 +347,62 @@ def test_thm_1_4_fails_on_a_missing_subgroup(monkeypatch):
     report = claims.run_claim("thm-1.4", {"n": 4})
     assert report.status == "fail"
     assert report.evidence == [{"n": 4, "type": "direct_product", "subgroups": 3}]
+
+
+def test_witness_check_rejects_mutated_records():
+    # the generator check of thm-1.4 against three mutations: the identity
+    # conjugator (wrong for every subgroup that is not its representative),
+    # another class's representative, and the last generator dropped
+    rejected_identity = {}
+    for n in range(3, 7):
+        classes = canonical_classes(representatives(n))
+        in_rep = {rep.rtype: claims._regular_member(1 << n, rep.elements) for rep, _ in classes}
+        rejected_identity[n] = 0
+        for rec in enumerate_regular_subgroups(n):
+            assert claims._witness_holds(rec, in_rep[rec.rtype])
+            if rec.conjugator != (0, 1):
+                assert not claims._witness_holds(replace(rec, conjugator=(0, 1)), in_rep[rec.rtype])
+                rejected_identity[n] += 1
+            for rtype, other in in_rep.items():
+                if rtype != rec.rtype:
+                    assert not claims._witness_holds(rec, other), (n, rec.rtype, rtype)
+            dropped = replace(rec, generators=rec.generators[:-1])
+            assert not claims._witness_holds(dropped, in_rep[rec.rtype])
+    assert rejected_identity == {3: 1, 4: 8, 5: 19, 6: 42}
+
+
+def test_normality_check_on_generators_matches_is_normal_in():
+    # on every enumerated subgroup, the cyclic ones that thm-3.4-normality
+    # checks among them; with its last generator dropped, none is checked
+    for n in range(3, 8):
+        ambient = holomorph_group(1 << n)
+        for rec in enumerate_regular_subgroups(n):
+            assert claims._normal_in_hol(rec) == is_normal_in(rec.perm_group(), ambient)
+            dropped = replace(rec, generators=rec.generators[:-1])
+            assert claims._normal_in_hol(dropped) is None
+
+
+def test_classification_claims_build_no_perm_group(monkeypatch, capsys, fresh_engine):
+    # thm-1.4 and thm-3.4-normality check their subgroups on the
+    # permutations of generators: no permutation group on 2^n points
+    def refuse(*args, **kwargs):
+        raise AssertionError("the claim builds no permutation group")
+
+    refused = {
+        "closure": permgroup.closure,
+        "from_elements": permgroup.from_elements,
+        "is_normal_in": permgroup.is_normal_in,
+        "holomorph_group": holomorph_group,
+    }
+    for name, module in list(sys.modules.items()):
+        if name.startswith("holocirc"):
+            for attr, func in refused.items():
+                if getattr(module, attr, None) is func:
+                    monkeypatch.setattr(module, attr, refuse)
+    monkeypatch.setattr(rc.ClassificationRecord, "perm_group", refuse)
+    for claim_id in ("thm-1.4", "thm-3.4-normality"):
+        assert cli.main(["verify", claim_id, "--n", "3..8"]) == 0
+    assert capsys.readouterr().err.count("[pass]") == 2
 
 
 def test_canonical_rep_sets_are_the_representatives():
