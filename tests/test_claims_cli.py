@@ -289,7 +289,6 @@ def test_cli_width_above_the_enumeration_is_usage_error(monkeypatch, capsys, cla
         ("lem-3.5", {"n": (1, 2)}, "elements"),
         ("thm-3.14", {"n": (1, 2)}, "elements"),
         ("thm-3.4-normality", {"n": (1, 2)}, "cyclic_subgroups"),
-        ("thm-1.4", {"n": (5, 4)}, "regular_subgroups"),
         ("lem-3.1", {"n": (1, 2)}, "powers"),
         ("lem-3.10", {"n": (1, 2)}, "points"),
         ("lem-3.2", {"samples": 0}, "samples"),
@@ -298,6 +297,7 @@ def test_cli_width_above_the_enumeration_is_usage_error(monkeypatch, capsys, cla
         ("lem-y-nonnormal", {"moduli": ()}, "five_stable_sets"),
         ("thm-2.7-unique", {"moduli": ()}, "normal_circulants"),
         ("thm-2.8-no8", {"moduli": ()}, "circulants"),
+        ("thm-1.4", {"n": (5, 4)}, "regular_subgroups"),
     ],
 )
 def test_claim_that_checked_nothing_fails(claim_id, params, key):
