@@ -12,7 +12,8 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import takewhile
+from math import gcd
 from typing import Callable, Collection, Iterator, Optional
 
 from . import circulant as circ_mod
@@ -96,30 +97,33 @@ def _powers(h: hol.HolElem2) -> Iterator[tuple[int, int]]:
         a, c = a * m % mod, (c * m + b) % mod
 
 
-def brute_order(h: hol.HolElem2) -> int:
-    return next(r for r, pair in enumerate(_powers(h), 1) if pair == (1, 0))
+def _power_by_squaring(h: hol.HolElem2, r: int) -> tuple[int, int]:
+    """h^r as the pair (a, c), composing the map of h by squaring."""
+    mod, a, c = h.modulus, 1, 0
+    m, b = _affine_pair(h)
+    while r:
+        if r & 1:
+            a, c = a * m % mod, (c * m + b) % mod
+        m, b, r = m * m % mod, (b * m + b) % mod, r >> 1
+    return a, c
 
 
-def brute_semiregular(h: hol.HolElem2) -> bool:
-    """All cycles of the permutation share one length."""
-    mod = h.modulus
-    alpha, m = h.alpha, h.multiplier
-    images = [(g + alpha) * m % mod for g in range(mod)]
-    seen = [False] * mod
-    length = None
-    for start in range(mod):
-        if seen[start]:
-            continue
-        size, g = 0, start
-        while not seen[g]:
-            seen[g] = True
-            size += 1
-            g = images[g]
-        if length is None:
-            length = size
-        elif size != length:
-            return False
-    return True
+def _by_cyclic_subgroup(n: int, brute: Callable) -> Iterator[tuple[hol.HolElem2, object]]:
+    """Every element h of Hol(Z_{2^n}), in the order of _all_elements, with
+    brute(g, o) for the first g in that order that generates <h> and the
+    length o of its walk to the identity: each g^k with gcd(k, o) = 1 shares
+    g's order and cycle type (a g-cycle stays one cycle), so one walk serves."""
+    shared: list = [None] * (1 << (2 * n - 1))  # at (a >> 1) * 2^n + c, one width
+    for h in _all_elements(n):
+        a, c = _affine_pair(h)
+        value = shared[a >> 1 << n | c]
+        if value is None:
+            walk = [*takewhile((1, 0).__ne__, _powers(h)), (1, 0)]
+            value = brute(h, len(walk))
+            for k, (a, c) in enumerate(walk, 1):
+                if gcd(k, len(walk)) == 1:
+                    shared[a >> 1 << n | c] = value
+        yield h, value
 
 
 def _regular_member(mod: int, elements: Collection[hol.Pair]) -> Callable[[Perm], bool]:
@@ -269,7 +273,7 @@ def _run_power_closed_form(params: dict) -> tuple[str, list, dict]:
             )
             r = rng.randint(1, 1 << n)
             checked += 1
-            if _affine_pair(hol.power(h, r)) != next(islice(_powers(h), r - 1, None)):
+            if _affine_pair(hol.power(h, r)) != _power_by_squaring(h, r):
                 bad.append({"n": n, "h": str(h), "r": r})
     status, evidence = _counted(bad, "comparisons", checked)
     return status, evidence, {"n": (lo, hi), "samples": samples, "seed": seed}
@@ -280,11 +284,11 @@ def _run_order_closed_form(params: dict) -> tuple[str, list, dict]:
     bad = []
     checked = 0
     for n in _widths(lo, hi):
-        for h in _all_elements(n):
+        for h, brute in _by_cyclic_subgroup(n, lambda g, o: o):
             if h.is_identity():
                 continue
             checked += 1
-            if hol.order(h) != brute_order(h):
+            if hol.order(h) != brute:
                 bad.append({"n": n, "h": str(h)})
     status, evidence = _counted(bad, "elements", checked)
     return status, evidence, {"n": (lo, hi)}
@@ -335,9 +339,9 @@ def _run_semiregular_classification(params: dict) -> tuple[str, list, dict]:
     bad = []
     checked = 0
     for n in _widths(lo, hi):
-        for h in _all_elements(n):
+        for h, brute in _by_cyclic_subgroup(n, lambda g, o: len(set(g.as_perm().cycle_lengths())) == 1):
             checked += 1
-            if rc.is_semiregular_closed_form(h) != brute_semiregular(h):
+            if rc.is_semiregular_closed_form(h) != brute:
                 bad.append({"n": n, "h": str(h)})
     status, evidence = _counted(bad, "elements", checked)
     return status, evidence, {"n": (lo, hi)}

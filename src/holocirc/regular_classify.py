@@ -32,7 +32,7 @@ from functools import cache
 from math import gcd
 from typing import Collection, Optional, Sequence
 
-from .holomorph import HolElem2, Pair, PairArith, conj_normal_form, format_element, pair_perm, pow5
+from .holomorph import HolElem2, Pair, PairArith, format_element, pair_perm, pow5
 from .permgroup import IsoType, Perm, PermSubgroup, from_elements, iso_type
 
 FULL_ENUM_MAX_N = 5  # widths classify enumerates
@@ -139,21 +139,17 @@ def pair_from_perm(p: Perm) -> Pair:
 def is_semiregular_closed_form(h: HolElem2) -> bool:
     """Semiregularity of a single holomorph element, without orbits.
 
-    After conjugating the translation part down to its 2-part 2**t, the
-    element is semiregular exactly when it is a pure translation, or has
-    no flip and 2**t < 4 * (2-part of gamma), or has a flip and odd
-    translation part.
+    Conjugating by an automorphism brings the translation part down to
+    its 2-part 2**t (``conj_normal_form``); then h is semiregular exactly
+    when it is a pure translation, or has no flip and 2**t < 4 * (2-part
+    of gamma), or has a flip and odd translation part.
     """
-    if h.is_identity():
-        return True
-    nf, _ = conj_normal_form(h)
-    if nf.alpha == 0:
-        return False  # fixes 0 and is not the identity
-    if nf.beta == 0:
-        if nf.gamma == 0:
-            return True
-        return nf.alpha < 4 * (nf.gamma & -nf.gamma)
-    return nf.alpha == 1
+    alpha2 = h.alpha & -h.alpha
+    if alpha2 == 0:
+        return h.is_identity()  # any other element fixes 0
+    if h.beta == 0:
+        return h.gamma == 0 or alpha2 < 4 * (h.gamma & -h.gamma)
+    return alpha2 == 1
 
 
 def is_normal_cyclic_regular_in_hol(rtype: RegularType, n: int) -> bool:

@@ -744,6 +744,93 @@ def test_lem_3_4_fails_on_a_wrong_order(monkeypatch):
     assert {"n": 3, "h": "y"} in report.evidence
 
 
+def test_power_by_squaring_matches_repeated_composition():
+    for n in range(3, 7):
+        for h in claims._all_elements(n):
+            for r, pair in zip(range(1, (1 << n) + 1), claims._powers(h)):
+                assert claims._power_by_squaring(h, r) == pair, (h, r)
+
+
+def test_brute_values_shared_over_a_cyclic_subgroup_match_each_element(monkeypatch):
+    # the brute values lem-3.4 and thm-3.14 compare, at every element of
+    # widths 3..7, against the per-element references of the acceptance
+    # suite and of the semiregularity tests
+    from test_acceptance import _brute_order
+    from test_regular_classify import brute_semiregular
+
+    inverses = {1 << n: {u: pow(u, -1, 1 << n) for u in range(1, 1 << n, 2)} for n in range(3, 8)}
+    shared = claims._by_cyclic_subgroup
+    compared = []
+    monkeypatch.setattr(
+        claims,
+        "_by_cyclic_subgroup",
+        lambda n, brute: (compared.append(pair) or pair for pair in shared(n, brute)),
+    )
+    for claim_id, reference in [
+        ("lem-3.4", lambda h: _brute_order(h, inverses[h.modulus])),
+        ("thm-3.14", brute_semiregular),
+    ]:
+        compared.clear()
+        assert claims.run_claim(claim_id, {"n": (3, 7)}).status == "pass"
+        assert len(compared) == sum(1 << (2 * n - 1) for n in range(3, 8)) == 10912
+        for h, value in compared:
+            assert value == reference(h), (claim_id, h)
+
+
+def test_brute_values_are_computed_once_per_cyclic_subgroup():
+    for n in range(3, 6):
+        subgroups = set()
+        for h in claims._all_elements(n):
+            walk, g = {h}, h
+            while not g.is_identity():
+                g = g.then(h)
+                walk.add(g)
+            subgroups.add(frozenset(walk))
+        walked = []
+        for _ in claims._by_cyclic_subgroup(n, lambda g, o: walked.append(g) or o):
+            pass
+        assert len(walked) == len(subgroups), n
+
+
+@pytest.mark.parametrize(
+    "claim_id, module, name, wrong",
+    [
+        ("lem-3.4", claims.hol, "order", lambda order, h: 2 * order(h)),
+        ("thm-3.14", claims.rc, "is_semiregular_closed_form", lambda closed, h: not closed(h)),
+        ("lem-3.3", claims.hol, "power", lambda power, h, r: power(h, r + 1)),
+    ],
+    ids=["lem-3.4", "thm-3.14", "lem-3.3"],
+)
+def test_element_claims_fail_on_a_closed_form_wrong_at_a_covered_generator(
+    monkeypatch, claim_id, module, name, wrong
+):
+    # wrong only at g = h^3 for h = a*x*y, of order 16: a generator of <h>
+    # that the walk from h covers first, so no walk starts at g
+    h = claims.hol.HolElem2(5, 1, 1, 1)
+    g = h.then(h).then(h)
+    elements = claims._all_elements(5)
+    assert elements.index(h) < elements.index(g)
+    right = getattr(module, name)
+    monkeypatch.setattr(
+        module, name, lambda x, *r: wrong(right, x, *r) if x == g else right(x, *r)
+    )
+    report = claims.run_claim(claim_id, {"n": (5, 5)})
+    assert report.status == "fail"
+    named = {"n": 5, "h": str(g), **({"r": 1} if claim_id == "lem-3.3" else {})}
+    assert report.evidence == [named]
+
+
+def test_lem_3_3_sampled_branch_fails_on_a_wrong_cube(monkeypatch):
+    # h^3 is the first power that squaring composes from two parts
+    power = claims.hol.power
+    monkeypatch.setattr(
+        claims.hol, "power", lambda h, r: power(h, r + 1) if r == 3 else power(h, r)
+    )
+    report = claims.run_claim("lem-3.3", {"n": (6, 7), "samples": 500})
+    assert report.status == "fail"
+    assert report.evidence and all(e["r"] == 3 for e in report.evidence)
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [
