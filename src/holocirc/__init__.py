@@ -1,81 +1,4 @@
 """Exact holomorph arithmetic, regular-subgroup classification, and
 normality scans for circulant graphs."""
 
-from .numtheory import (
-    ResidueSplit,
-    alt_sum,
-    alt_sum_L,
-    geom_series,
-    geom_sum_M,
-    pow5,
-    residue_split,
-)
-from .holomorph import (
-    Centralizer,
-    CrtFrame,
-    HolElem2,
-    PairArith,
-    centralizer_in_aut,
-    conj_normal_form,
-    crt_decompose,
-    format_element,
-    holomorph_group,
-    order,
-    pair_perm,
-    parse_element,
-    point_stabilizer,
-    power,
-)
-from .permgroup import (
-    IsoType,
-    NotSubgroupError,
-    Perm,
-    PermSubgroup,
-    StabChain,
-    are_conjugate,
-    closure,
-    from_elements,
-    is_normal_in,
-    is_regular,
-    is_semiregular,
-    is_transitive,
-    iso_type,
-    orbits,
-)
-from .regular_classify import (
-    ClassificationRecord,
-    RegularType,
-    canonical_classes,
-    cyclic_regular_affine_subgroups,
-    enumerate_regular_subgroups,
-    is_normal_cyclic_regular_in_hol,
-    is_semiregular_closed_form,
-    representative,
-    representative_types,
-    representatives,
-)
-from .circulant import (
-    AutResult,
-    Circulant,
-    DegreeBoundError,
-    NnnVerdict,
-    WitnessVerificationError,
-    abelian_regular_scan,
-    aut_G_S,
-    automorphism_group,
-    build,
-    census_size,
-    connection_set,
-    is_normal_cayley,
-    lex_exponent,
-    nnn_verdict,
-    pair_orbits,
-    scan_range,
-    scan_record,
-    shard_bounds,
-    theta_witness_2part,
-    theta_witness_p_odd,
-    w_subgroups,
-)
-
 __version__ = "0.1.0"

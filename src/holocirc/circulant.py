@@ -16,8 +16,6 @@ census stream.
 
 from __future__ import annotations
 
-import json
-import os
 from array import array
 from collections import deque
 from contextlib import contextmanager
@@ -45,60 +43,16 @@ class WitnessVerificationError(RuntimeError):
     """A constructed stabilizer witness failed its re-verification."""
 
 
-def load_config() -> dict:
-    """The JSON object in the file named by HOLOCIRC_CONFIG; {} when unset.
-
-    A file that is missing, unreadable, not JSON or not a JSON object
-    raises ValueError, which the CLI reports as a usage error."""
-    path = os.environ.get("HOLOCIRC_CONFIG")
-    if not path:
-        return {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except OSError as exc:
-        raise ValueError(f"HOLOCIRC_CONFIG {path}: {exc.strerror}") from None
-    except ValueError as exc:
-        raise ValueError(f"HOLOCIRC_CONFIG {path}: not JSON ({exc})") from None
-    if not isinstance(cfg, dict):
-        raise ValueError(f"HOLOCIRC_CONFIG {path}: not a JSON object")
-    return cfg
-
-
-def max_degree(config: Optional[dict] = None) -> int:
-    """The vertex-count bound: HOLOCIRC_MAX_DEGREE, else ``max_degree`` in
-    the config file (``config`` if given, else load_config()), else
-    DEFAULT_MAX_DEGREE."""
-    value = os.environ.get("HOLOCIRC_MAX_DEGREE")
-    if value:
-        return integer_setting(value, "HOLOCIRC_MAX_DEGREE")
-    cfg = load_config() if config is None else config
-    return integer_setting(cfg.get("max_degree", DEFAULT_MAX_DEGREE), "config max_degree")
-
-
-def integer_setting(value: object, name: str) -> int:
-    """A bound read from the environment or the config file, as an int:
-    an int, or a string that spells one.  Anything else raises a
-    ValueError that names the setting and the bad value."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, str):
-        try:
-            return int(value)
-        except ValueError:
-            pass
-    raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
-_SCOPED_BOUND: ContextVar[Optional[float]] = ContextVar("degree_bound", default=None)
+_SCOPED_BOUND: ContextVar[float] = ContextVar("degree_bound", default=DEFAULT_MAX_DEGREE)
 
 
 @contextmanager
 def using_degree_bound(bound: float) -> Iterator[None]:
-    """Inside the block, computations given no bound use ``bound`` rather
-    than resolving max_degree() on every call; ``math.inf`` lifts it.
+    """Inside the block, automorphism_group bounds graphs by ``bound``
+    vertices rather than DEFAULT_MAX_DEGREE; ``math.inf`` lifts it.
     The CLI resolves the bound once per invocation and runs the command
-    here, so claims see the same bound as the command's own check."""
+    here, so claims see the same bound as the command's own check, and
+    the worker processes of a parallel scan enter it again."""
     token = _SCOPED_BOUND.set(bound)
     try:
         yield
@@ -180,9 +134,7 @@ def aut_G_S(circ: Circulant) -> tuple[int, ...]:
     return tuple(out)
 
 
-def automorphism_group(
-    circ: Circulant, degree_bound: Optional[float] = None
-) -> AutResult:
+def automorphism_group(circ: Circulant) -> AutResult:
     """Exact automorphism group, by the twin quotient where the graph has
     twin vertices and by the stabilizer-chain search where it has none.
 
@@ -212,13 +164,11 @@ def automorphism_group(
     the affine symmetries and the coset representatives it finds (a
     strong generating set).
 
-    The vertex bound is ``degree_bound``, else the one set by
-    using_degree_bound(), else max_degree().
+    The vertex bound is the one set by using_degree_bound(), else
+    DEFAULT_MAX_DEGREE.
     """
     n = circ.n
-    if degree_bound is None:
-        degree_bound = _SCOPED_BOUND.get()
-    bound = degree_bound if degree_bound is not None else max_degree()
+    bound = _SCOPED_BOUND.get()
     if n > bound:
         raise DegreeBoundError(f"{n} vertices exceeds the bound {bound}")
     return _automorphism_group(circ)
@@ -734,12 +684,12 @@ def census_size(n: int) -> int:
     return 1 << len(pair_orbits(n))
 
 
-def scan_record(n: int, mask: int, degree_bound: Optional[float] = None) -> dict:
+def scan_record(n: int, mask: int) -> dict:
     """One census entry, JSON-ready; deterministic for a given (n, mask).
     A mask's connection set is a union of inverse pairs, so it needs none
     of build()'s checks."""
     circ = Circulant(n, connection_set(n, mask))
-    aut = automorphism_group(circ, degree_bound)
+    aut = automorphism_group(circ)
     verdict = nnn_verdict(circ, aut)
     witnesses = None
     if verdict.witness is not None:
@@ -812,7 +762,6 @@ def scan_range(
     start: int,
     stop: int,
     connected_only: bool = False,
-    degree_bound: Optional[float] = None,
     jobs: int = 1,
 ) -> Iterator[dict]:
     """Scan one contiguous mask range (a shard), yielding each record in
@@ -844,23 +793,17 @@ def scan_range(
     With ``jobs`` above 1 a pool of that many worker processes searches
     the leaders in batches of SCAN_CHUNK, in order, while this process
     walks the range and builds every record, so the records come out in
-    the same order with the same bytes.  A range of at most SCAN_CHUNK
-    masks runs without a pool.  Close the iterator to stop the workers
-    early.
+    the same order with the same bytes, each worker under the bound of
+    using_degree_bound() that holds when the scan starts.  A range of at
+    most SCAN_CHUNK masks runs without a pool.  Close the iterator to stop
+    the workers early.
     """
     if n < 2:
         raise ValueError(f"modulus must be >= 2, got {n}")
-    return _scan(n, start, stop, connected_only, degree_bound, jobs)
+    return _scan(n, start, stop, connected_only, jobs)
 
 
-def _scan(
-    n: int,
-    start: int,
-    stop: int,
-    connected_only: bool,
-    degree_bound: Optional[float],
-    jobs: int,
-) -> Iterator[dict]:
+def _scan(n: int, start: int, stop: int, connected_only: bool, jobs: int) -> Iterator[dict]:
     census_class = _census_class(n)
     connected = _connected_mask(n)
     # owner[mask - start] is a member's leader, which is below the member,
@@ -882,7 +825,7 @@ def _scan(
 
     pool = None
     if jobs == 1 or stop - start <= SCAN_CHUNK:
-        found = (scan_record(n, mask, degree_bound) for mask in leaders())
+        found = (scan_record(n, mask) for mask in leaders())
     else:
         from concurrent.futures import ProcessPoolExecutor
         from multiprocessing import get_context
@@ -891,8 +834,10 @@ def _scan(
         batches = iter(lambda: list(islice(walk, SCAN_CHUNK)), [])
         pool = ProcessPoolExecutor(jobs, mp_context=get_context("spawn"))
         # a bounded window of batches in flight keeps memory flat when the
-        # reader of the records is slower than the workers
-        found = _in_order(pool, ((n, batch, degree_bound) for batch in batches), 4 * jobs)
+        # reader of the records is slower than the workers; each batch
+        # carries the scope's bound, as a worker starts outside the scope
+        bound = _SCOPED_BOUND.get()
+        found = _in_order(pool, ((n, batch, bound) for batch in batches), 4 * jobs)
     classes: dict[int, tuple] = {}
     try:
         for mask in range(start, stop):
@@ -930,8 +875,9 @@ def _in_order(pool: Executor, tasks: Iterable[tuple], ahead: int) -> Iterator[di
 
 def _scan_leaders(task: tuple) -> list[dict]:
     """The records of one batch of class leaders: (n, masks, degree bound)."""
-    n, masks, degree_bound = task
-    return [scan_record(n, mask, degree_bound) for mask in masks]
+    n, masks, bound = task
+    with using_degree_bound(bound):
+        return [scan_record(n, mask) for mask in masks]
 
 
 def shard_bounds(total: int, shard: int, shards: int) -> tuple[int, int]:

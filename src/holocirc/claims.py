@@ -243,8 +243,9 @@ def _run_sum_valuations(params: dict) -> tuple[str, list, dict]:
             truncated += 1
         elif alt.two_part != expected:
             bad.append({"sum": "L", "k": ke, "j": j, "two_part": alt.two_part})
-        lhs = m.value * (1 - nt.pow5(-j, SUM_WIDTH)) % mod
-        rhs = (1 - nt.pow5(-k * j, SUM_WIDTH)) % mod
+        q = nt.pow5(-j, SUM_WIDTH)  # 5^(-kj) is q^k
+        lhs = m.value * (1 - q) % mod
+        rhs = (1 - pow(q, k, mod)) % mod
         if lhs != rhs:
             bad.append({"sum": "identity", "k": k, "j": j})
     evidence = [{"samples": samples, "width": SUM_WIDTH, "truncated": truncated}]

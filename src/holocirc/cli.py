@@ -49,15 +49,60 @@ VERIFY_FLAGS = ("n", "modulus", "samples", "seed")  # each claim reads some
 def _resolve_bounds(args: argparse.Namespace) -> None:
     """Resolve the invocation's bounds once, onto ``args``: the config
     file is read once, here, and --force lifts the degree bound (``inf``)
-    and raises the width bound."""
-    config = circ_mod.load_config()
+    and raises the width bound.  Nothing else reads the environment."""
+    config = _load_config()
     if args.force:
         args.max_degree, args.max_hol_width = inf, FORCED_MAX_HOL_WIDTH
     else:
-        args.max_degree = circ_mod.max_degree(config)
-        args.max_hol_width = circ_mod.integer_setting(
+        args.max_degree = _max_degree(config)
+        args.max_hol_width = _integer_setting(
             config.get("max_hol_width", DEFAULT_MAX_HOL_WIDTH), "config max_hol_width"
         )
+
+
+def _load_config() -> dict:
+    """The JSON object in the file named by HOLOCIRC_CONFIG; {} when unset.
+
+    A file that is missing, unreadable, not JSON or not a JSON object
+    raises ValueError, a usage error."""
+    path = os.environ.get("HOLOCIRC_CONFIG")
+    if not path:
+        return {}
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            cfg = json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"HOLOCIRC_CONFIG {path}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise ValueError(f"HOLOCIRC_CONFIG {path}: not JSON ({exc})") from None
+    if not isinstance(cfg, dict):
+        raise ValueError(f"HOLOCIRC_CONFIG {path}: not a JSON object")
+    return cfg
+
+
+def _max_degree(config: dict) -> int:
+    """The vertex-count bound: HOLOCIRC_MAX_DEGREE, else ``max_degree`` in
+    the config file, else circulant.DEFAULT_MAX_DEGREE."""
+    value = os.environ.get("HOLOCIRC_MAX_DEGREE")
+    if value:
+        return _integer_setting(value, "HOLOCIRC_MAX_DEGREE")
+    return _integer_setting(
+        config.get("max_degree", circ_mod.DEFAULT_MAX_DEGREE), "config max_degree"
+    )
+
+
+def _integer_setting(value: object, name: str) -> int:
+    """A bound read from the environment or the config file, as an int:
+    an int, or a string that spells one.  Anything else raises a
+    ValueError that names the setting and the bad value."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -266,7 +311,7 @@ def cmd_graph(args: argparse.Namespace, out: TextIO) -> int:
         with _opened(args.edges, "--edges") as fh:
             for u, v in circ.edges():
                 fh.write(f"{u} {v}\n")
-    aut = circ_mod.automorphism_group(circ, cap)
+    aut = circ_mod.automorphism_group(circ)
     verdict = circ_mod.nnn_verdict(circ, aut)
     record = {
         "n": n,
@@ -303,7 +348,7 @@ def cmd_scan(args: argparse.Namespace, out: TextIO) -> int:
     start, stop = circ_mod.shard_bounds(total, shard, shards)
 
     t0 = time.perf_counter()
-    records = circ_mod.scan_range(n, start, stop, args.connected_only, cap, args.jobs)
+    records = circ_mod.scan_range(n, start, stop, args.connected_only, args.jobs)
     with closing(records):
         _emit(records, args.format, out)
     print(

@@ -11,6 +11,7 @@ import pytest
 import holocirc.circulant as circulant
 import holocirc.regular_classify as regular_classify
 from holocirc.circulant import (
+    DEFAULT_MAX_DEGREE,
     AutResult,
     CyclicCopy,
     DegreeBoundError,
@@ -30,6 +31,7 @@ from holocirc.circulant import (
     shard_bounds,
     theta_witness_2part,
     theta_witness_p_odd,
+    using_degree_bound,
     w_subgroups,
     _census_class,
     _individualise,
@@ -195,7 +197,8 @@ def test_search_matches_plain_backtracking_on_twin_free_classes():
     ],
 )
 def test_twin_quotient_orders(n, conn, bound, order):
-    res = automorphism_group(build(n, conn), degree_bound=bound)
+    with using_degree_bound(bound or DEFAULT_MAX_DEGREE):
+        res = automorphism_group(build(n, conn))
     assert res.order == order
     if n <= 16:
         assert StabChain(n, res.generators).order() == order
@@ -270,7 +273,11 @@ def test_aut_order_invariant_under_relabeling():
 def test_degree_bound():
     with pytest.raises(DegreeBoundError):
         automorphism_group(build(64, {1, 63}))
-    assert automorphism_group(build(64, {1, 63}), degree_bound=64).order == 128
+    with using_degree_bound(64):
+        assert automorphism_group(build(64, {1, 63})).order == 128
+    # leaving the scope restores the default bound
+    with pytest.raises(DegreeBoundError, match="64 vertices exceeds the bound 32"):
+        automorphism_group(build(64, {1, 63}))
 
 
 def test_normality_examples():
@@ -664,9 +671,9 @@ def test_scan_range_searches_once_per_orbit(monkeypatch):
     calls = []
     search = circulant.automorphism_group
 
-    def counted(circ, degree_bound=None):
+    def counted(circ):
         calls.append(circ.conn)
-        return search(circ, degree_bound)
+        return search(circ)
 
     monkeypatch.setattr(circulant, "automorphism_group", counted)
     list(scan_range(16, 0, census_size(16)))
@@ -752,9 +759,9 @@ def test_chunked_scan_searches_each_orbit_once(monkeypatch, size):
 
         return counted
 
-    def counted_search(circ, degree_bound=None):
+    def counted_search(circ):
         searched.append(mask_of[circ.conn])
-        return search(circ, degree_bound)
+        return search(circ)
 
     monkeypatch.setattr(circulant, "_census_class", counted_class)
     monkeypatch.setattr(circulant, "automorphism_group", counted_search)
@@ -792,9 +799,9 @@ def test_connected_only_scan_searches_connected_orbits_only(monkeypatch):
     scanned = []
     scan = circulant.scan_record
 
-    def counted(n, mask, degree_bound=None):
+    def counted(n, mask):
         scanned.append(mask)
-        return scan(n, mask, degree_bound)
+        return scan(n, mask)
 
     monkeypatch.setattr(circulant, "scan_record", counted)
     records = list(scan_range(16, 0, census_size(16), connected_only=True))
@@ -805,7 +812,7 @@ def test_connected_only_scan_searches_connected_orbits_only(monkeypatch):
 def test_in_order_keeps_a_bounded_window():
     pool = _InlinePool()
     read = []
-    tasks = ((8, [mask], None) for mask in range(10))
+    tasks = ((8, [mask], DEFAULT_MAX_DEGREE) for mask in range(10))
     for record in circulant._in_order(pool, tasks, 3):
         read.append(record)
         assert pool.submitted - len(read) < 3
@@ -819,9 +826,9 @@ def test_scan_range_copies_an_nnn_record_and_its_witness(monkeypatch):
     scan = circulant.scan_record
     witnesses = {"normal_copy": [1, 1], "non_normal_copy": [1, 5]}
 
-    def nnn_everywhere(n, mask, degree_bound=None):
+    def nnn_everywhere(n, mask):
         scanned.append(mask)
-        return dict(scan(n, mask, degree_bound), nnn=True, witnesses=witnesses)
+        return dict(scan(n, mask), nnn=True, witnesses=witnesses)
 
     monkeypatch.setattr(circulant, "scan_record", nnn_everywhere)
     records = list(scan_range(16, 0, census_size(16)))

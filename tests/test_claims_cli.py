@@ -213,6 +213,25 @@ def test_cli_config_cap_reaches_claims(tmp_path):
         assert "16 vertices exceeds the bound 10" in proc.stderr
 
 
+def test_cli_parallel_scan_above_the_default_bound():
+    # 64 masks of Z_34, above the default bound of 32, in two pool
+    # batches: the workers start outside the CLI's scope, so each batch
+    # carries the lifted bound to them
+    argv = ("scan", "--modulus", "34", "--force", "--shard", "0/2048")
+    parallel = run_cli(*argv, "--jobs", "2")
+    assert parallel.returncode == 0, parallel.stderr
+    serial = run_cli(*argv, "--jobs", "1")
+    assert serial.returncode == 0, serial.stderr
+    assert parallel.stdout == serial.stdout
+    assert len(parallel.stdout.splitlines()) == 64
+    digest = hashlib.sha256(parallel.stdout.encode()).hexdigest()
+    assert digest == "162346eeda687a8cea54f006f874f72d55e3dcf10f7e20e7ec4a8960b8254b84"
+    unforced = run_cli("scan", "--modulus", "34", "--jobs", "2", "--shard", "0/2048")
+    assert unforced.returncode == 3
+    assert "modulus 34 exceeds bound 32" in unforced.stderr
+    assert unforced.stdout == ""
+
+
 def test_cli_missing_config_is_usage_error(tmp_path):
     missing = tmp_path / "no-such-config.json"
     proc = run_cli("scan", "--modulus", "8", env={"HOLOCIRC_CONFIG": str(missing)})
@@ -548,9 +567,9 @@ def test_cli_scan_flushes_each_record_before_the_next_search(monkeypatch):
 
     search = circulant.automorphism_group
 
-    def logged(circ, degree_bound=None):
+    def logged(circ):
         events.append(("search", sorted(circ.conn)))
-        return search(circ, degree_bound)
+        return search(circ)
 
     monkeypatch.setattr(circulant, "automorphism_group", logged)
     monkeypatch.setattr(sys, "stdout", Spy())
@@ -680,9 +699,9 @@ def test_census_claims_search_once_per_orbit(monkeypatch, claim_id, modulus, sea
     calls = []
     search = circulant.automorphism_group
 
-    def counted(circ, degree_bound=None):
+    def counted(circ):
         calls.append(circ.conn)
-        return search(circ, degree_bound)
+        return search(circ)
 
     monkeypatch.setattr(circulant, "automorphism_group", counted)
     assert main(["verify", claim_id, "--modulus", str(modulus)]) == 0
