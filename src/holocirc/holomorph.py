@@ -22,7 +22,7 @@ from math import gcd
 from typing import Optional, Sequence
 
 from .numtheory import pow5, geom_series, alt_sum
-from .permgroup import Perm, PermSubgroup, _perm, closure
+from .permgroup import Perm, PermSubgroup, _perm, closure, grow, least_generators
 
 
 Pair = tuple[int, int]
@@ -63,22 +63,9 @@ class PairArith:
     def closure(
         self, gens: Sequence[Pair], bound: Optional[int] = None
     ) -> Optional[frozenset[Pair]]:
-        """The subgroup generated by ``gens``, grown breadth-first from the
-        identity; None as soon as it has more than ``bound`` elements."""
-        elems = {self.identity}
-        frontier = [self.identity]
-        while frontier:
-            nxt = []
-            for e in frontier:
-                for g in gens:
-                    f = self.then(e, g)
-                    if f not in elems:
-                        if bound is not None and len(elems) >= bound:
-                            return None
-                        elems.add(f)
-                        nxt.append(f)
-            frontier = nxt
-        return frozenset(elems)
+        """The subgroup generated by ``gens`` (``permgroup.grow``); None as
+        soon as it has more than ``bound`` elements."""
+        return grow(gens, self.then, self.identity, bound)
 
 
 class _Slots:
@@ -285,7 +272,7 @@ def point_stabilizer(g: int, n: int) -> tuple[HolElem2, HolElem2]:
     return HolElem2(n, -2 * g, 1, 0), HolElem2(n, g * (inv5 - 1), 0, 1)
 
 
-# textual element notation: "a^3*x*y^2", identity "1"
+# textual element notation, for output only: "a^3*x*y^2", identity "1"
 
 
 def format_element(h: HolElem2) -> str:
@@ -299,73 +286,13 @@ def format_element(h: HolElem2) -> str:
     return "*".join(parts) if parts else "1"
 
 
-def parse_element(text: str, n: int) -> HolElem2:
-    """Parse "a^alpha*x^beta*y^gamma" notation (any factor optional).
-
-    Factors compose left to right, so non-canonical orderings like
-    "x*a^3" mean exactly what they say as group words.
-    """
-    text = text.strip()
-    if text in ("1", ""):
-        return HolElem2.identity(n)
-    result = HolElem2.identity(n)
-    for token in text.split("*"):
-        token = token.strip()
-        name, _, exp = token.partition("^")
-        try:
-            e = int(exp) if exp else 1
-        except ValueError:
-            raise ValueError(f"bad exponent in {token!r}") from None
-        if name == "a":
-            factor = HolElem2(n, e, 0, 0)
-        elif name == "x":
-            factor = HolElem2(n, 0, e, 0)
-        elif name == "y":
-            factor = HolElem2(n, 0, 0, e)
-        else:
-            raise ValueError(f"unknown factor {token!r}")
-        result = result.then(factor)
-    return result
-
-
-def holomorph_group(n: int, element_bound: int = 1 << 16) -> PermSubgroup:
-    """Hol(Z_n) as a permutation group on n points, with elements."""
-    gens = [pair_perm(n, (1, 1))]
-    gens += [pair_perm(n, (0, u)) for u in _unit_group_generators(n)]
-    return closure(gens, degree=n, element_bound=element_bound)
-
-
-def _unit_group_generators(n: int) -> list[int]:
-    """A small generating set of the units mod n (via CRT coordinates)."""
-    frame = crt_decompose(n)
-    gens = []
-    for (p, k), q in zip(frame.prime_powers, frame.moduli):
-        if p == 2:
-            if k >= 3:
-                for local in (q - 1, 5):
-                    gens.append(frame.from_coords(_unit_vector(frame, q, local)))
-            elif k == 2:
-                gens.append(frame.from_coords(_unit_vector(frame, q, 3)))
-        else:
-            g = _primitive_root(p, q)
-            gens.append(frame.from_coords(_unit_vector(frame, q, g)))
-    return [g for g in gens if g % n != 1]
-
-
-def _unit_vector(frame: "CrtFrame", q: int, local: int) -> list[int]:
-    return [local % qq if qq == q else 1 for qq in frame.moduli]
-
-
-def _primitive_root(p: int, q: int) -> int:
-    """A generator of the units mod q = p**k, p odd."""
-    phi = q // p * (p - 1)
-    factors = [f for f, _ in crt_decompose(phi).prime_powers]
-    for g in range(2, q):
-        if gcd(g, q) != 1:
-            continue
-        if all(pow(g, phi // f, q) != 1 for f in factors):
-            return g
-    raise RuntimeError(f"no primitive root mod {q}")  # unreachable for p odd
+def holomorph_group(n: int) -> PermSubgroup:
+    """Hol(Z_n) as a permutation group on n points, with elements: the
+    translation by 1 and the least unit multipliers that generate the
+    units (``least_generators``)."""
+    arith = PairArith(n)
+    scalings = least_generators([(0, u) for u in arith.units], arith.closure)
+    return closure([pair_perm(n, g) for g in [(1, 1), *scalings]], degree=n)
 
 
 # CRT frames

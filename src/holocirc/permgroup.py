@@ -1,8 +1,10 @@
 """Permutation subgroups on {0..n-1}.
 
-Closure, orbits, transitivity/semiregularity/regularity, normality,
-exhaustive conjugacy, order via a deterministic stabilizer chain, and
-recognition of the 2-group families with a cyclic subgroup of index two.
+The package's one bounded closure (``grow``) and one generator search
+(``least_generators``), for any element type; orbits, transitivity/
+semiregularity/regularity, normality, exhaustive conjugacy, order via a
+deterministic stabilizer chain, and recognition of the 2-group families
+with a cyclic subgroup of index two.
 
 Composition reads left to right: ``p.then(q)`` applies p first.  Groups
 are kept two ways: a full element set while the order stays below a
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Callable, Iterable, Optional, Sequence, TypeVar
+from typing import Callable, Collection, Iterable, Optional, Sequence, TypeVar
 
 DEFAULT_ELEMENT_BOUND = 1 << 16
 
@@ -262,15 +264,55 @@ class PermSubgroup:
         return orbits(self.degree, self.generators)
 
 
+def grow(
+    generators: Sequence[T],
+    then: Callable[[T, T], T],
+    identity: T,
+    bound: Optional[int] = None,
+) -> Optional[frozenset[T]]:
+    """The group generated by ``generators`` under the product ``then``,
+    grown breadth-first from ``identity``; None as soon as it has more
+    than ``bound`` elements."""
+    elems = {identity}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for e in frontier:
+            for g in generators:
+                f = then(e, g)
+                if f not in elems:
+                    if bound is not None and len(elems) >= bound:
+                        return None
+                    elems.add(f)
+                    nxt.append(f)
+        frontier = nxt
+    return frozenset(elems)
+
+
+def least_generators(
+    elements: Collection[T], close: Callable[[list[T]], frozenset[T]]
+) -> list[T]:
+    """Generators of the group ``elements``, each the least element
+    outside ``close`` of those chosen before, until they generate it."""
+    gens: list[T] = []
+    have = close(gens)
+    for e in sorted(elements):
+        if len(have) == len(elements):
+            break
+        if e not in have:
+            gens.append(e)
+            have = close(gens)
+    return gens
+
+
 def closure(
     generators: Sequence[Perm],
     degree: Optional[int] = None,
     element_bound: int = DEFAULT_ELEMENT_BOUND,
 ) -> PermSubgroup:
-    """Breadth-first closure of a generating set.
-
-    Falls back to a chain-only representation (order still exact) when
-    the element count passes ``element_bound``.
+    """The group a generating set spans, its element set grown by
+    ``grow``; a chain-only representation (order still exact) when the
+    element count passes ``element_bound``.
     """
     gens = [g for g in generators if not g.is_identity()]
     if degree is None:
@@ -279,31 +321,11 @@ def closure(
         degree = gens[0].degree
     if any(g.degree != degree for g in gens):
         raise ValueError("generators act on different point sets")
-    ident = Perm.identity(degree)
-    if not gens:
-        return PermSubgroup(degree, (), frozenset([ident]), None, 1)
-
-    elems = {ident}
-    frontier = [ident]
-    overflow = False
-    while frontier and not overflow:
-        nxt = []
-        for e in frontier:
-            for g in gens:
-                f = e.then(g)
-                if f not in elems:
-                    elems.add(f)
-                    nxt.append(f)
-                    if len(elems) > element_bound:
-                        overflow = True
-                        break
-            if overflow:
-                break
-        frontier = nxt
-    if overflow:
+    elems = grow(gens, Perm.then, Perm.identity(degree), element_bound)
+    if elems is None:
         chain = StabChain(degree, gens)
         return PermSubgroup(degree, tuple(gens), None, chain, chain.order())
-    return PermSubgroup(degree, tuple(gens), frozenset(elems), None, len(elems))
+    return PermSubgroup(degree, tuple(gens), elems, None, len(elems))
 
 
 def from_elements(
@@ -313,20 +335,8 @@ def from_elements(
     elems = frozenset(elements)
     degree = next(iter(elems)).degree
     if generators is None:
-        generators = _greedy_generators(elems, degree)
+        generators = least_generators(elems, lambda gens: closure(gens, degree).elements)
     return PermSubgroup(degree, tuple(generators), elems, None, len(elems))
-
-
-def _greedy_generators(elems: frozenset[Perm], degree: int) -> list[Perm]:
-    gens: list[Perm] = []
-    have = {Perm.identity(degree)}
-    for e in sorted(elems):
-        if e not in have:
-            gens.append(e)
-            have = set(closure(gens, degree).elements or ())
-            if len(have) == len(elems):
-                break
-    return gens
 
 
 def orbits(degree: int, gens: Sequence[Perm]) -> list[set[int]]:

@@ -33,7 +33,7 @@ from math import gcd
 from typing import Collection, Optional, Sequence
 
 from .holomorph import HolElem2, Pair, PairArith, format_element, pair_perm, pow5
-from .permgroup import IsoType, Perm, PermSubgroup, from_elements, iso_type
+from .permgroup import IsoType, Perm, PermSubgroup, from_elements, iso_type, least_generators
 
 FULL_ENUM_MAX_N = 5  # widths classify enumerates
 GROWN_GENERATORS_MAX_N = 5  # widths whose generators come from growth
@@ -478,14 +478,8 @@ def gamma_regular_sets(n: int) -> dict[frozenset[Pair], tuple[Pair, ...]]:
 
 def _least_generators(arith: PairArith, sub: frozenset[Pair]) -> tuple[Pair, ...]:
     """Each generator the least pair of ``sub`` not in the closure of
-    those before."""
-    gens: list[Pair] = []
-    elems = {arith.identity}
-    for pair in sorted(sub):
-        if pair not in elems:
-            gens.append(pair)
-            elems = arith.closure(gens)
-    return tuple(gens)
+    those before (``permgroup.least_generators``)."""
+    return tuple(least_generators(sub, arith.closure))
 
 
 def _grown_generators(arith: PairArith, sub: frozenset[Pair]) -> tuple[Pair, ...]:

@@ -753,6 +753,20 @@ def test_lem_3_3_exhaustive_branch_fails_on_a_power_wrong_at_the_top(monkeypatch
     assert all(e["r"] == 1 << e["n"] for e in report.evidence)
 
 
+def test_lem_3_10_fails_on_a_wrong_stabilizer_at_one_point(monkeypatch):
+    # the generators of the stabilizer of 4 given at 3: a group of the
+    # right order, but not the stabilizer of 3
+    stabilizer = claims.hol.point_stabilizer
+    monkeypatch.setattr(
+        claims.hol,
+        "point_stabilizer",
+        lambda g, n: stabilizer(g + 1, n) if (g, n) == (3, 4) else stabilizer(g, n),
+    )
+    report = claims.run_claim("lem-3.10", {"n": (3, 5)})
+    assert report.status == "fail"
+    assert report.evidence == [{"n": 4, "g": 3, "order": 8}]
+
+
 def test_lem_3_4_fails_on_a_wrong_order(monkeypatch):
     order = claims.hol.order
     monkeypatch.setattr(claims.hol, "order", lambda h: order(h) * (2 if h.gamma else 1))

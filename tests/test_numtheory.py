@@ -2,14 +2,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holocirc.numtheory import (
-    alt_sum,
-    alt_sum_L,
-    geom_series,
-    geom_sum_M,
-    pow5,
-    residue_split,
-)
+from holocirc.numtheory import alt_sum, geom_series, pow5
+
+
+def M(k, j, n):
+    """sum(5**(-s*j) for s in range(k)) mod 2**n, the paper's M."""
+    return geom_series(pow5(-j, n), k, 1 << n)
 
 
 def test_pow5_small_cases():
@@ -38,33 +36,28 @@ def test_geom_series_matches_naive():
 
 
 def test_geom_sum_M_examples():
-    one = geom_sum_M(1, 7, 6)
-    assert one.value == 1 and one.two_part == 1
-    m = geom_sum_M(4, 1, 6)
+    one = M(1, 7, 6)
+    assert one == 1 and one & -one == 1
+    m = M(4, 1, 6)
     # direct summation 1 + 13 + 41 + 21 = 76 = 12 mod 64
-    assert m.value == (1 + 13 + 41 + 21) % 64 == 12
-    assert m.two_part == 4
+    assert m == (1 + 13 + 41 + 21) % 64 == 12
+    assert m & -m == 4
 
 
 def test_alt_sum_L_examples():
-    l = alt_sum_L(2, 1, 5)
-    assert l.value == (1 - 13) % 32 == 20
-    assert l.two_part == 4  # 2 * k2 * j2 = 2 * 2 * 1
-    assert alt_sum_L(2, 2, 6).two_part == 8  # 2 * 2 * 2
-    truncated = alt_sum_L(2, 1, 2)
-    assert truncated.truncated and truncated.value == 0
-
-
-def test_alt_sum_L_rejects_odd_k():
-    with pytest.raises(ValueError):
-        alt_sum_L(3, 1, 6)
+    l = alt_sum(2, 1, 5)
+    assert l == (1 - 13) % 32 == 20
+    assert l & -l == 4  # 2 * k2 * j2 = 2 * 2 * 1
+    l = alt_sum(2, 2, 6)
+    assert l & -l == 8  # 2 * 2 * 2
+    assert alt_sum(2, 1, 2) == 0  # the modulus cannot see the 2-part
 
 
 def test_contract_errors():
     with pytest.raises(ValueError):
-        geom_sum_M(0, 1, 6)
+        geom_series(5, -1, 64)
     with pytest.raises(ValueError):
-        geom_sum_M(1, 0, 6)
+        alt_sum(-1, 1, 6)
     with pytest.raises(ValueError):
         pow5(1, 0)
 
@@ -72,14 +65,15 @@ def test_contract_errors():
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 1 << 10), st.integers(1, 1 << 10))
 def test_sum_valuations_at_width_40(k, j):
+    # a zero residue only bounds the valuation from below
     n = 40
-    m = geom_sum_M(k, j, n)
-    if not m.truncated:
-        assert m.two_part == k & -k
+    m = M(k, j, n)
+    if m:
+        assert m & -m == k & -k
     ke = k + (k & 1)
-    l = alt_sum_L(ke, j, n)
-    if not l.truncated:
-        assert l.two_part == 2 * (ke & -ke) * (j & -j)
+    l = alt_sum(ke, j, n)
+    if l:
+        assert l & -l == 2 * (ke & -ke) * (j & -j)
 
 
 @settings(max_examples=300, deadline=None)
@@ -87,8 +81,7 @@ def test_sum_valuations_at_width_40(k, j):
 def test_defining_identity_multiplication_form(k, j, n):
     # sum * (1 - 5^-j) = 1 - 5^-kj, valid although 1 - 5^-j is no unit
     mod = 1 << n
-    m = geom_sum_M(k, j, n)
-    assert m.value * (1 - pow5(-j, n)) % mod == (1 - pow5(-k * j, n)) % mod
+    assert M(k, j, n) * (1 - pow5(-j, n)) % mod == (1 - pow5(-k * j, n)) % mod
 
 
 @settings(max_examples=200, deadline=None)
@@ -99,9 +92,3 @@ def test_alternating_identity_multiplication_form(k, j, n):
     sign = -1 if k % 2 else 1
     assert value * (1 + pow5(-j, n)) % mod == (1 - sign * pow5(-k * j, n)) % mod
 
-
-def test_residue_split_flags_zero():
-    r = residue_split(0, 6)
-    assert r.truncated and r.two_part == 64 and r.odd_part == 1
-    r = residue_split(48, 6)
-    assert not r.truncated and r.two_part == 16 and r.odd_part == 3

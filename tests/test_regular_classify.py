@@ -37,6 +37,7 @@ CLASS_COUNTS = {3: 5, 4: 8, 5: 9, 6: 10, 7: 11}
 ENUMERATED_SHA256 = {
     6: "2e8ee0c8427e4008d8a7fbd738076ade017f55b052c4ca84f120359a0ba1d8e7",
     7: "da7ce944e517d5462a1be1637e6e609fcf00e50c041ad10bac85ece3a5c3e9e1",
+    8: "e764c23d0e2aadb5ae5b8eed91716956252f817350f616b9fd9f82bc985c5777",
 }
 
 CLASSIFY_GOLDEN = Path(__file__).parents[1] / "perfbench" / "golden" / "classify_n3-8.json"
