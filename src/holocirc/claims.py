@@ -24,7 +24,6 @@ from .permgroup import Perm, orbits
 
 DEFAULT_SAMPLES = 10_000
 DEFAULT_SEED = 20260810
-MIN_WIDTH = 3  # the normal form a^alpha*x^beta*y^gamma needs n >= 3
 SUM_WIDTH = 40  # lem-3.2 works modulo 2^SUM_WIDTH
 SUM_LENGTH_MAX = 1 << 10  # and draws both k and j from 1..SUM_LENGTH_MAX
 
@@ -173,7 +172,7 @@ def _normal_in_hol(rec: rc.ClassificationRecord) -> Optional[bool]:
 
 def _widths(lo: int, hi: int) -> range:
     """The widths of lo..hi that have a normal form."""
-    return range(max(lo, MIN_WIDTH), hi + 1)
+    return range(max(lo, rc.MIN_WIDTH), hi + 1)
 
 
 def _counted(
@@ -355,7 +354,7 @@ def _run_regular_classification(params: dict) -> tuple[str, list, dict]:
     evidence = []
     reps: dict[int, tuple[rc.ClassificationRecord, ...]] = {}  # the widths that hold
     coincidences: list[list[str]] = []
-    for n in range(3, rc.ENUM_MAX_N + 1):
+    for n in range(rc.MIN_WIDTH, rc.ENUM_MAX_N + 1):
         try:
             recs = rc.representatives(n)
         except RuntimeError as exc:

@@ -205,9 +205,9 @@ def cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
     params: dict = {}
     if args.n is not None:
         lo, hi = _parse_range(args.n)
-        if lo < claims.MIN_WIDTH:
+        if lo < rc.MIN_WIDTH:
             raise ValueError(
-                f"--n {args.n!r} starts below {claims.MIN_WIDTH}, the smallest width "
+                f"--n {args.n!r} starts below {rc.MIN_WIDTH}, the smallest width "
                 "with a normal form"
             )
         for claim_id in ids:
@@ -215,7 +215,7 @@ def cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
             if widest is not None and hi > widest:
                 raise ValueError(
                     f"--n {args.n!r} ends above {widest}: claim {claim_id} checks "
-                    f"widths {claims.MIN_WIDTH}..{widest}"
+                    f"widths {rc.MIN_WIDTH}..{widest}"
                 )
         cap = args.max_hol_width
         if hi > cap:
@@ -259,9 +259,9 @@ def cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
 
 def cmd_classify(args: argparse.Namespace, out: TextIO) -> int:
     lo, hi = _parse_range(args.n)
-    if lo < 3 or hi > rc.ENUM_MAX_N:
+    if lo < rc.MIN_WIDTH or hi > rc.ENUM_MAX_N:
         print(
-            f"classification covers widths 3..{rc.ENUM_MAX_N}",
+            f"classification covers widths {rc.MIN_WIDTH}..{rc.ENUM_MAX_N}",
             file=sys.stderr,
         )
         return EXIT_USAGE
@@ -279,8 +279,8 @@ def _classification(lo: int, hi: int) -> Iterator[dict]:
     rc.FULL_ENUM_MAX_N, then a note on coinciding representatives.  Both
     are built once per width and process (``verify`` shares them), by
     the one gamma-function engine; the enumerated subgroups' generators
-    come from index-two growth inside each subgroup, as they do at widths
-    up to rc.GROWN_GENERATORS_MAX_N."""
+    come from one greedy walk up an index-two chain inside each
+    subgroup."""
     for n in range(lo, hi + 1):
         reps = rc.representatives(n)
         yield from (r.to_dict() | {"role": "representative"} for r in reps)
@@ -378,7 +378,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_classify = sub.add_parser("classify", help="regular-subgroup classification")
-    p_classify.add_argument("--n", required=True, help="width or range, 3..8")
+    p_classify.add_argument(
+        "--n", required=True, help=f"width or range, {rc.MIN_WIDTH}..{rc.ENUM_MAX_N}"
+    )
     p_classify.set_defaults(func=cmd_classify)
 
     p_graph = sub.add_parser("graph", help="analyze one circulant")

@@ -2,14 +2,13 @@
 
 The package's one bounded closure (``grow``) and one generator search
 (``least_generators``), for any element type; orbits, transitivity/
-semiregularity/regularity, normality, exhaustive conjugacy, order via a
+semiregularity/regularity, normality, exhaustive conjugacy, a
 deterministic stabilizer chain, and recognition of the 2-group families
 with a cyclic subgroup of index two.
 
-Composition reads left to right: ``p.then(q)`` applies p first.  Groups
-are kept two ways: a full element set while the order stays below a
-configured bound, and a stabilizer chain beyond that (graph automorphism
-groups easily overflow any element budget).
+Composition reads left to right: ``p.then(q)`` applies p first.  A group
+is kept one way, as its full element set; the stabilizer chain is the
+tests' independent route to orders and membership.
 """
 
 from __future__ import annotations
@@ -17,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 from typing import Callable, Collection, Iterable, Optional, Sequence, TypeVar
-
-DEFAULT_ELEMENT_BOUND = 1 << 16
 
 T = TypeVar("T")
 
@@ -241,23 +238,17 @@ class IsoType:
 
 @dataclass(frozen=True)
 class PermSubgroup:
-    """A subgroup of Sym({0..n-1}) with elements and/or a stabilizer chain."""
+    """A subgroup of Sym({0..n-1}) with its element set."""
 
     degree: int
     generators: tuple[Perm, ...]
-    elements: Optional[frozenset[Perm]]
-    chain: Optional[StabChain]
+    elements: frozenset[Perm]
     order: int
 
     def contains(self, p: Perm) -> bool:
-        if self.elements is not None:
-            return p in self.elements
-        assert self.chain is not None
-        return self.chain.contains(p)
+        return p in self.elements
 
     def sorted_elements(self) -> list[Perm]:
-        if self.elements is None:
-            raise ValueError("element set unavailable (order above bound)")
         return sorted(self.elements)
 
     def orbits(self) -> list[set[int]]:
@@ -305,15 +296,8 @@ def least_generators(
     return gens
 
 
-def closure(
-    generators: Sequence[Perm],
-    degree: Optional[int] = None,
-    element_bound: int = DEFAULT_ELEMENT_BOUND,
-) -> PermSubgroup:
-    """The group a generating set spans, its element set grown by
-    ``grow``; a chain-only representation (order still exact) when the
-    element count passes ``element_bound``.
-    """
+def closure(generators: Sequence[Perm], degree: Optional[int] = None) -> PermSubgroup:
+    """The group a generating set spans, its element set grown by ``grow``."""
     gens = [g for g in generators if not g.is_identity()]
     if degree is None:
         if not gens:
@@ -321,11 +305,8 @@ def closure(
         degree = gens[0].degree
     if any(g.degree != degree for g in gens):
         raise ValueError("generators act on different point sets")
-    elems = grow(gens, Perm.then, Perm.identity(degree), element_bound)
-    if elems is None:
-        chain = StabChain(degree, gens)
-        return PermSubgroup(degree, tuple(gens), None, chain, chain.order())
-    return PermSubgroup(degree, tuple(gens), elems, None, len(elems))
+    elems = grow(gens, Perm.then, Perm.identity(degree))
+    return PermSubgroup(degree, tuple(gens), elems, len(elems))
 
 
 def from_elements(
@@ -336,7 +317,7 @@ def from_elements(
     degree = next(iter(elems)).degree
     if generators is None:
         generators = least_generators(elems, lambda gens: closure(gens, degree).elements)
-    return PermSubgroup(degree, tuple(generators), elems, None, len(elems))
+    return PermSubgroup(degree, tuple(generators), elems, len(elems))
 
 
 def orbits(degree: int, gens: Sequence[Perm]) -> list[set[int]]:
@@ -388,13 +369,8 @@ def is_normal_in(sub: PermSubgroup, ambient: PermSubgroup) -> bool:
 def are_conjugate(
     sub: PermSubgroup, other: PermSubgroup, ambient: PermSubgroup
 ) -> Optional[Perm]:
-    """Exhaustive search for w in ambient with sub^w = other.
-
-    The ambient group must carry its full element set; the witness (when
-    any) is the least such w in image order.
-    """
-    if ambient.elements is None:
-        raise ValueError("conjugacy search needs the ambient element set")
+    """Exhaustive search for w in ambient with sub^w = other; the witness
+    (when any) is the least such w in image order."""
     if sub.order != other.order:
         return None
     for w in ambient.sorted_elements():
@@ -407,7 +383,7 @@ def are_conjugate(
 
 
 def iso_type(
-    elements: Optional[Iterable[T]],
+    elements: Iterable[T],
     generators: Sequence[T],
     then: Callable[[T, T], T],
     order: Callable[[T], int],
@@ -425,8 +401,6 @@ def iso_type(
     involution of <s> is generalized quaternion, s^t = s^(|s|/2 - 1) is
     quasidihedral and s^t = s^(|s|/2 + 1) is the modular family.
     """
-    if elements is None:
-        raise ValueError("iso_type needs the element set")
     elems = sorted(elements)
     m = len(elems)
     if m == 1:

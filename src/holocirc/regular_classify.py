@@ -12,17 +12,17 @@ used to check.  One engine serves every width: it lists the gamma
 functions, which are in bijection with the regular subgroups (Guarnieri
 and Vendramin, Math. Comp. 86 (2017); Rump, Classification of cyclic
 braces, JPAA 209 (2007)), checking each newly set point against the
-chosen points only.  At widths up to GROWN_GENERATORS_MAX_N the
-generators come from index-two growth inside each subgroup; above, each
-is the least pair outside the closure of those before.  The widths
-``classify`` enumerates, up to FULL_ENUM_MAX_N, lie within the first.
-The tests keep index-two coset growth over the whole holomorph as the
-reference engine at widths 3..5.  Representatives and
-enumerations are built once per width and process, and one matcher
-conjugates every find onto its representative by solving congruences.
-The records are built from the pairs too; no claim builds a permutation
-group on 2^n points from them, and ``ClassificationRecord.perm_group``
-gives one to the tests' brute checks.
+chosen points only.  At the widths ``classify`` enumerates, up to
+FULL_ENUM_MAX_N, the generators come from one greedy walk up a chain of
+index-two subgroups inside each subgroup; above, each is the least pair
+outside the closure of those before.  The tests keep index-two coset
+growth over the whole holomorph as the reference engine at widths 3..5.
+Representatives and enumerations are built once per width and process,
+and one matcher conjugates every find onto its representative by
+solving congruences.  The records are built from the pairs too; no
+claim builds a permutation group on 2^n points from them, and
+``ClassificationRecord.perm_group`` gives one to the tests' brute
+checks.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ from typing import Collection, Optional, Sequence
 from .holomorph import HolElem2, Pair, PairArith, format_element, pair_perm, pow5
 from .permgroup import IsoType, Perm, PermSubgroup, from_elements, iso_type, least_generators
 
-FULL_ENUM_MAX_N = 5  # widths classify enumerates
-GROWN_GENERATORS_MAX_N = 5  # widths whose generators come from growth
+MIN_WIDTH = 3  # the normal form a^alpha*x^beta*y^gamma needs n >= 3
+FULL_ENUM_MAX_N = 5  # widths classify enumerates, generators from the walk
 ENUM_MAX_N = 8
 
 _KINDS = (
@@ -321,7 +321,7 @@ def enumerate_regular_subgroups(n: int) -> tuple[ClassificationRecord, ...]:
     """
     _check_n(n)
     if n > ENUM_MAX_N:
-        raise ValueError(f"enumeration supports widths 3..{ENUM_MAX_N}")
+        raise ValueError(f"enumeration supports widths {MIN_WIDTH}..{ENUM_MAX_N}")
     classes = canonical_classes(representatives(n))
     arith = PairArith(1 << n)
     records = []
@@ -423,9 +423,9 @@ def gamma_regular_sets(n: int) -> dict[frozenset[Pair], tuple[Pair, ...]]:
     generate, with its elements at distinct points, and a choice fails
     exactly when the law over all set points would.
 
-    Generators: at widths up to GROWN_GENERATORS_MAX_N, by index-two growth
-    inside the subgroup (``_grown_generators``); above, each is the
-    least pair not in the closure of those before.
+    Generators: at widths up to FULL_ENUM_MAX_N, by a greedy walk up an
+    index-two chain inside the subgroup (``_grown_generators``); above,
+    each is the least pair not in the closure of those before.
     """
     _check_n(n)
     mod = 1 << n
@@ -434,7 +434,6 @@ def gamma_regular_sets(n: int) -> dict[frozenset[Pair], tuple[Pair, ...]]:
     g = [1] + [0] * (mod - 1)  # g(0) = 1; 0 marks an unset point
     trail = [0]
     chosen: list[int] = []
-    generators = _grown_generators if n <= GROWN_GENERATORS_MAX_N else _least_generators
     out: dict[frozenset[Pair], tuple[Pair, ...]] = {}
 
     def propagate(i: int) -> bool:
@@ -458,7 +457,10 @@ def gamma_regular_sets(n: int) -> dict[frozenset[Pair], tuple[Pair, ...]]:
             x += 1
         if x == mod:
             sub = frozenset((y * inv[g[y]] % mod, g[y]) for y in range(mod))
-            out[sub] = generators(arith, sub)
+            if n <= FULL_ENUM_MAX_N:
+                out[sub] = _grown_generators(arith, sub)
+            else:
+                out[sub] = tuple(least_generators(sub, arith.closure))
             return
         mark = len(trail)
         chosen.append(x)
@@ -476,40 +478,34 @@ def gamma_regular_sets(n: int) -> dict[frozenset[Pair], tuple[Pair, ...]]:
     return out
 
 
-def _least_generators(arith: PairArith, sub: frozenset[Pair]) -> tuple[Pair, ...]:
-    """Each generator the least pair of ``sub`` not in the closure of
-    those before (``permgroup.least_generators``)."""
-    return tuple(least_generators(sub, arith.closure))
-
-
 def _grown_generators(arith: PairArith, sub: frozenset[Pair]) -> tuple[Pair, ...]:
     """Generators of ``sub`` from a chain of index-two subgroups, grown
-    from the identity one level at a time: each subgroup H of a level, in
-    the order met, is joined by each g of ``sub`` in (t, m) order with g
-    outside H, g^2 in H and g normalizing H, and the first path to each
-    H u Hg is kept.  These are the generators of the coset growth over
-    the whole holomorph, which the tests keep as the reference engine:
-    every subgroup on a path to ``sub`` lies inside it."""
+    from the identity: H is joined by the least g of ``sub`` in (t, m)
+    order with g outside H, g^2 in H and g normalizing H, until H u Hg is
+    ``sub``.  In a 2-group every proper subgroup lies properly inside its
+    normalizer, so each step finds such a g, and the walk gives the
+    lexicographically least chain: the generators of the coset growth
+    over the whole holomorph, which the tests keep as the reference
+    engine."""
     then = arith.then
     order = sorted(sub)
-    level = {frozenset([arith.identity]): ()}
-    while sub not in level:
-        grown: dict[frozenset[Pair], tuple[Pair, ...]] = {}
-        for h, gens in level.items():
-            for g in order:
-                if g in h or then(g, g) not in h:
-                    continue
-                gi = arith.inverse(g)
-                if any(then(then(gi, s), g) not in h for s in gens):
-                    continue  # g must normalize h
-                grown.setdefault(h.union([then(s, g) for s in h]), (*gens, g))
-        level = grown
-    return level[sub]
+    h = frozenset([arith.identity])
+    gens: tuple[Pair, ...] = ()
+    while len(h) < len(sub):
+        for g in order:
+            if g in h or then(g, g) not in h:
+                continue
+            gi = arith.inverse(g)
+            if all(then(then(gi, s), g) in h for s in gens):
+                break  # g normalizes h
+        h = h.union([then(s, g) for s in h])
+        gens = (*gens, g)
+    return gens
 
 
 def _check_n(n: int) -> None:
-    if n < 3:
-        raise ValueError(f"width must be >= 3, got {n}")
+    if n < MIN_WIDTH:
+        raise ValueError(f"width must be >= {MIN_WIDTH}, got {n}")
 
 
 def _check_twist(t: Optional[int], n: int) -> None:

@@ -4,7 +4,9 @@ Z_{2^n}, pruned only by brute-force fixed-point-freeness.
 
 The library enumerates by gamma functions alone; the tests compare its
 sets and generators with this engine, and read the engine's subgroup
-lattice (unpruned) at width 3.
+lattice (unpruned) at width 3.  ``searched_generators`` is the reference
+for the library's greedy walk: a breadth-first search over every
+index-two chain inside one subgroup.
 """
 
 from __future__ import annotations
@@ -110,3 +112,26 @@ def regular_subgroup_sets(
         if len(pairs) == mod and len({t * m % mod for t, m in pairs}) == mod:
             out[pairs] = tuple(elements[g] for g in gens)
     return out
+
+
+def searched_generators(arith: PairArith, sub: frozenset[Pair]) -> tuple[Pair, ...]:
+    """Generators of ``sub`` from a chain of index-two subgroups, grown
+    from the identity one level at a time: each subgroup H of a level, in
+    the order met, is joined by each g of ``sub`` in (t, m) order with g
+    outside H, g^2 in H and g normalizing H, and the first path to each
+    H u Hg is kept, which is the lexicographically least chain."""
+    then = arith.then
+    order = sorted(sub)
+    level = {frozenset([arith.identity]): ()}
+    while sub not in level:
+        grown: dict[frozenset[Pair], tuple[Pair, ...]] = {}
+        for h, gens in level.items():
+            for g in order:
+                if g in h or then(g, g) not in h:
+                    continue
+                gi = arith.inverse(g)
+                if any(then(then(gi, s), g) not in h for s in gens):
+                    continue  # g must normalize h
+                grown.setdefault(h.union([then(s, g) for s in h]), (*gens, g))
+        level = grown
+    return level[sub]

@@ -618,6 +618,17 @@ def test_cli_classify(tmp_path):
     assert main(["classify", "--n", "9"]) == 2
 
 
+def test_classify_width_bounds_come_from_regular_classify(monkeypatch, capsys):
+    # the usage check and the --n help both read rc's bounds
+    monkeypatch.setattr(rc, "MIN_WIDTH", 4)
+    monkeypatch.setattr(rc, "ENUM_MAX_N", 6)
+    for widths in ("3", "4..7"):
+        assert main(["classify", "--n", widths]) == 2
+        assert capsys.readouterr().err == "classification covers widths 4..6\n"
+    assert main(["classify", "--help"]) == 0
+    assert "width or range, 4..6" in capsys.readouterr().out
+
+
 def test_cli_text_format(capsys):
     assert main(["verify", "lem-3.1", "--format", "text"]) == 0
     out = capsys.readouterr().out

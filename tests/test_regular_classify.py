@@ -27,7 +27,7 @@ from holocirc.regular_classify import (
     representative_types,
     representatives,
 )
-from table_engine import regular_subgroup_sets
+from table_engine import regular_subgroup_sets, searched_generators
 
 # frozen by the exhaustive engines themselves (see test_counts_are_stable)
 REGULAR_COUNTS = {3: 6, 4: 16, 5: 28, 6: 52, 7: 100}
@@ -274,6 +274,36 @@ def test_gamma_sets_are_closed_regular_subgroups():
             assert len(sub) == mod
             assert {t * m % mod for t, m in sub} == set(range(mod))
             assert arith.closure(gens) == sub
+
+
+def test_walk_equals_the_chain_search():
+    # the greedy walk against the breadth-first search over every
+    # index-two chain, on every regular subgroup of widths 3..7
+    for n in range(3, 8):
+        arith = PairArith(1 << n)
+        found = gamma_regular_sets(n)
+        assert len(found) == REGULAR_COUNTS[n]
+        for sub in found:
+            assert rc._grown_generators(arith, sub) == searched_generators(arith, sub), n
+
+
+def test_every_walk_step_has_index_two():
+    # each generator g the walk adds to H lies outside H, squares into H
+    # and conjugates every element of H into H, and the last H is sub
+    for n in range(3, 9):
+        arith = PairArith(1 << n)
+        then = arith.then
+        for sub in gamma_regular_sets(n):
+            gens = rc._grown_generators(arith, sub)
+            h = arith.closure([])
+            for k, g in enumerate(gens):
+                gi = arith.inverse(g)
+                assert g in sub and g not in h and then(g, g) in h
+                assert all(then(then(gi, s), g) in h for s in h)
+                grown = arith.closure(gens[: k + 1])
+                assert len(grown) == 2 * len(h)
+                h = grown
+            assert h == sub
 
 
 def test_claims_pass_enumerates_each_width_once(monkeypatch, capsys, fresh_engine):
