@@ -11,7 +11,8 @@ closed form (the nnn verdict), coset-stable subgroups of S, the integer
 inequality behind the lexicographic non-normality bound, explicit
 stabilizer witnesses certifying non-normality, and the abelian
 regular-subgroup scan for moduli not divisible by 8, which reads the
-census stream.
+census stream.  Automorphisms, the witnesses among them, are plain
+tuples of the images of 0..n-1.
 """
 
 from __future__ import annotations
@@ -26,8 +27,7 @@ from itertools import islice
 from math import factorial, gcd
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
 
-from .holomorph import Pair, PairArith, crt_decompose, pair_perm
-from .permgroup import Perm
+from .holomorph import Pair, PairArith, crt_lift, prime_powers
 
 if TYPE_CHECKING:
     from concurrent.futures import Executor
@@ -114,10 +114,11 @@ def build(n: int, conn: Iterable[int]) -> Circulant:
 class AutResult:
     """Automorphism group: exact order, generators, whether the group
     lies inside the holomorph (affine maps only), and the multipliers
-    that preserve S (aut_G_S), which seed the generators."""
+    that preserve S (aut_G_S), which seed the generators.  A generator is
+    the tuple of the images of 0..n-1."""
 
     order: int
-    generators: tuple[Perm, ...]
+    generators: tuple[tuple[int, ...], ...]
     within_holomorph: bool
     multipliers: tuple[int, ...]
 
@@ -193,13 +194,13 @@ def _automorphism_group(circ: Circulant) -> AutResult:
         )
         order *= quotient.order
         gens += [
-            tuple(sigma.images[x % d] + x - x % d for x in range(n))
+            tuple(sigma[x % d] + x - x % d for x in range(n))
             for sigma in quotient.generators
         ]
     gens.append(tuple(d if x == 0 else 0 if x == d else x for x in range(n)))
     if h > 2:
         gens.append(tuple((x + d) % n if x % d == 0 else x for x in range(n)))
-    return AutResult(order, tuple(Perm(g) for g in gens), order == n * len(mults), mults)
+    return AutResult(order, tuple(gens), order == n * len(mults), mults)
 
 
 def _period(n: int, bits: int) -> int:
@@ -259,8 +260,7 @@ def _searched_group(circ: Circulant) -> AutResult:
                 orbit = _orbit_of(k, local, n)
         order *= len(orbit)
         level = dom
-    perms = tuple(Perm(g) for g in gens)
-    return AutResult(order, perms, order == n * len(mults), mults)
+    return AutResult(order, tuple(gens), order == n * len(mults), mults)
 
 
 def _orbit_of(point: int, gens: list[tuple[int, ...]], n: int) -> set[int]:
@@ -374,22 +374,18 @@ def _search_automorphism(
 
 def is_normal_cayley(circ: Circulant, aut: Optional[AutResult] = None) -> bool:
     """Whether the translation group is normal in the full automorphism
-    group: its generator must stay a translation under conjugation by
-    every automorphism generator."""
+    group: its generator x -> x + 1 must stay a translation under
+    conjugation by every automorphism generator w.  The conjugate sends
+    w(x) to w(x + 1), so it is a translation exactly when w(x + 1) - w(x)
+    is the same for every x."""
     if aut is None:
         aut = automorphism_group(circ)
     n = circ.n
-    rot = pair_perm(n, (1, 1))
     for w in aut.generators:
-        conj = rot.conjugated_by(w)
-        if not _is_translation_perm(conj, n):
+        shift = (w[1 % n] - w[0]) % n
+        if any((w[(x + 1) % n] - w[x]) % n != shift for x in range(n)):
             return False
     return True
-
-
-def _is_translation_perm(p: Perm, n: int) -> bool:
-    shift = p.images[0]
-    return all(p.images[g] == (g + shift) % n for g in range(n))
 
 
 @dataclass(frozen=True)
@@ -443,7 +439,7 @@ def cyclic_copies(n: int, mults: Iterable[int]) -> tuple[CyclicCopy, ...]:
     ``mults``.
     """
     mults = sorted(mults)
-    primes = [p for p, _k in crt_decompose(n).prime_powers]
+    primes = [p for p, _k in prime_powers(n)]
     copies = []
     for m in mults:
         if any((m - 1) % p for p in primes) or (n % 4 == 0 and (m - 1) % 4):
@@ -503,7 +499,7 @@ def lex_exponent(k: int, t: int) -> int:
     return (1 << (k - t)) * t + k - t
 
 
-def theta_witness_p_odd(circ: Circulant, p: int) -> Optional[Perm]:
+def theta_witness_p_odd(circ: Circulant, p: int) -> Optional[tuple[int, ...]]:
     """Non-normality witness for odd p with p^2 | n.
 
     Requires the order-p coordinate automorphism (multiplier congruent
@@ -515,7 +511,7 @@ def theta_witness_p_odd(circ: Circulant, p: int) -> Optional[Perm]:
     witness does not verify.
     """
     n = circ.n
-    if p < 3 or p % 2 == 0 or crt_decompose(p).prime_powers != ((p, 1),):
+    if p < 3 or p % 2 == 0 or prime_powers(p) != ((p, 1),):
         raise ValueError(f"{p} is not an odd prime")
     if n % (p * p):
         raise ValueError(f"{p}^2 does not divide {n}")
@@ -524,21 +520,16 @@ def theta_witness_p_odd(circ: Circulant, p: int) -> Optional[Perm]:
     while rest % p == 0:
         rest //= p
         k += 1
-    frame = crt_decompose(n)
-    phi = frame.lift_multiplier(
-        [p ** (k - 1) + 1 if q == p**k else 1 for q in frame.moduli]
-    )
+    phi = crt_lift(n, p**k, p ** (k - 1) + 1, 1)
     if {s * phi % n for s in circ.conn} != circ.conn:
         return None
     g_p = rest * p ** (k - 1)  # generator of the unique order-p subgroup
-    theta = Perm(
-        (x + g_p) % n if x % p == 2 else x for x in range(n)
-    )
+    theta = tuple((x + g_p) % n if x % p == 2 else x for x in range(n))
     _verify_witness(circ, theta)
     return theta
 
 
-def theta_witness_2part(circ: Circulant) -> Optional[Perm]:
+def theta_witness_2part(circ: Circulant) -> Optional[tuple[int, ...]]:
     """Non-normality witness for moduli whose 2-part 2^k has k >= 4.
 
     Requires the multiplier congruent to 5^(2^(k-4)) on the 2-part and
@@ -553,32 +544,27 @@ def theta_witness_2part(circ: Circulant) -> Optional[Perm]:
     if k < 4:
         raise ValueError(f"2-part of {n} is 2^{k}, need k >= 4")
     two_part = 1 << k
-    frame = crt_decompose(n)
-    rho = frame.lift_multiplier(
-        [pow(5, 1 << (k - 4), two_part) if q == two_part else 1 for q in frame.moduli]
-    )
+    rho = crt_lift(n, two_part, pow(5, 1 << (k - 4), two_part), 1)
     if {s * rho % n for s in circ.conn} != circ.conn:
         return None
-    half = frame.from_coords(
-        [two_part >> 1 if q == two_part else 0 for q in frame.moduli]
-    )
-    theta = Perm(
-        (x + half) % n if x % 4 == 2 else x for x in range(n)
-    )
+    half = crt_lift(n, two_part, two_part >> 1, 0)  # the 2-part's involution
+    theta = tuple((x + half) % n if x % 4 == 2 else x for x in range(n))
     _verify_witness(circ, theta)
     return theta
 
 
-def _verify_witness(circ: Circulant, theta: Perm) -> None:
-    """Edge-preserving, fixes 0 and the generator 1, not the identity."""
+def _verify_witness(circ: Circulant, theta: tuple[int, ...]) -> None:
+    """A bijection, edge-preserving, fixing 0 and 1, not the identity."""
     n = circ.n
-    if theta.is_identity():
+    if sorted(theta) != list(range(n)):
+        raise WitnessVerificationError("witness is not a bijection")
+    if theta == tuple(range(n)):
         raise WitnessVerificationError("witness collapsed to the identity")
-    if theta.images[0] != 0 or theta.images[1 % n] != 1 % n:
+    if theta[0] != 0 or theta[1 % n] != 1 % n:
         raise WitnessVerificationError("witness moves 0 or the generator")
     for g in range(n):
         for s in circ.conn:
-            u, v = theta.images[g], theta.images[(g + s) % n]
+            u, v = theta[g], theta[(g + s) % n]
             if (v - u) % n not in circ.conn:
                 raise WitnessVerificationError(
                     f"witness breaks the edge ({g}, {(g + s) % n})"
@@ -752,7 +738,7 @@ def _connected_mask(n: int) -> Callable[[int], bool]:
     orbits = pair_orbits(n)
     coprime = [
         sum(1 << i for i, orbit in enumerate(orbits) if orbit[0] % p)
-        for p, _k in crt_decompose(n).prime_powers
+        for p, _k in prime_powers(n)
     ]
     return lambda mask: all(mask & members for members in coprime)
 

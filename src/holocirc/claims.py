@@ -495,18 +495,17 @@ def _run_centralizer_order(params: dict) -> tuple[str, list, dict]:
     checked = 0
     for p, k_max in grid:
         for k in range(2, k_max + 1):
-            frame = hol.crt_decompose(p**k)
             for m in range(1, k + 1):
                 checked += 1
-                cent = hol.centralizer_in_aut([m], frame)
-                if cent.order != p ** (k - m):
-                    bad.append({"p": p, "k": k, "m": m, "order": cent.order})
+                cent = hol.centralizer_in_aut(p**k, [m])
+                if len(cent) != p ** (k - m):
+                    bad.append({"p": p, "k": k, "m": m, "order": len(cent)})
                     continue
                 full_aut = p == 2 and m == 1
                 phi = p ** (k - 1) * (p - 1)
-                if full_aut and cent.order != phi:
+                if full_aut and len(cent) != phi:
                     bad.append({"p": p, "k": k, "m": m, "why": "not the full unit group"})
-                if not full_aut and not _is_cyclic_multiplier_group(cent.multipliers, p**k):
+                if not full_aut and not _is_cyclic_multiplier_group(cent, p**k):
                     bad.append({"p": p, "k": k, "m": m, "why": "not cyclic"})
     status, evidence = _counted(bad, "cases", checked, [{"grid": list(grid)}])
     return status, evidence, {"grid": list(grid)}
@@ -529,22 +528,22 @@ def _run_centralizer_product(params: dict) -> tuple[str, list, dict]:
     bad = []
     checked = 0
     for n in moduli:
-        frame = hol.crt_decompose(n)
-        ranges = [range(1, k + 1) for _, k in frame.prime_powers]
+        parts = hol.prime_powers(n)
+        ranges = [range(1, k + 1) for _, k in parts]
         stack = [[]]
         for r in ranges:
             stack = [s + [m] for s in stack for m in r]
         for m_exps in stack:
-            cent = hol.centralizer_in_aut(m_exps, frame)
+            cent = hol.centralizer_in_aut(n, m_exps)
             want = 1
             sub_order = 1
-            for m, (p, k) in zip(m_exps, frame.prime_powers):
+            for m, (p, k) in zip(m_exps, parts):
                 want *= p ** (k - m)
                 sub_order *= p**m
             checked += 1
             # want == n / |N|, the index of the subgroup being centralized
-            if cent.order != want or want != n // sub_order:
-                bad.append({"n": n, "m_exps": m_exps, "order": cent.order, "want": want})
+            if len(cent) != want or want != n // sub_order:
+                bad.append({"n": n, "m_exps": m_exps, "order": len(cent), "want": want})
     status, evidence = _counted(bad, "cases", checked)
     return status, evidence, {"moduli": tuple(moduli)}
 
@@ -575,7 +574,7 @@ def _theta_census(n: int, witness: Callable, parameters: dict) -> tuple[str, lis
 def _run_theta_odd(params: dict) -> tuple[str, list, dict]:
     n = params.get("modulus", 9)
     # the least odd prime whose square divides n (the primes come in order)
-    p = next((q for q, k in hol.crt_decompose(n).prime_powers if q % 2 and k >= 2), None)
+    p = next((q for q, k in hol.prime_powers(n) if q % 2 and k >= 2), None)
     if p is None:
         return "skipped", [{"why": f"no odd prime with square dividing {n}"}], {"modulus": n}
     used = {"modulus": n, "p": p}

@@ -93,16 +93,19 @@ def _max_degree(config: dict) -> int:
 
 def _integer_setting(value: object, name: str) -> int:
     """A bound read from the environment or the config file, as an int:
-    an int, or a string that spells one.  Anything else raises a
-    ValueError that names the setting and the bad value."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
+    an int, or a string that spells one, of at least 1 (no graph or
+    width meets a lower bound).  Anything else raises a ValueError that
+    names the setting and the bad value."""
     if isinstance(value, str):
         try:
-            return int(value)
+            value = int(value)
         except ValueError:
             pass
-    raise ValueError(f"{name} must be an integer, got {value!r}")
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
+    return value
 
 
 def _parse_range(text: str) -> tuple[int, int]:

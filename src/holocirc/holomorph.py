@@ -11,12 +11,12 @@ automorphism part decomposes uniquely as (-1)**beta * 5**gamma with
 0 <= gamma < 2**(e-2); ``HolElem2`` keeps elements in that normal form
 (written ``a^alpha * x^beta * y^gamma``).  Every other modulus, widths
 e in {1, 2} among them, keeps its elements as plain (t, m) pairs
-(``PairArith``).
+(``PairArith``).  Prime-power coordinates of Z_n and multiplier
+centralizers are plain tuples too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 from typing import Optional, Sequence
@@ -295,37 +295,12 @@ def holomorph_group(n: int) -> PermSubgroup:
     return closure([pair_perm(n, g) for g in [(1, 1), *scalings]], degree=n)
 
 
-# CRT frames
+# prime-power coordinates
 
 
-@dataclass(frozen=True)
-class CrtFrame:
-    """Coordinates of Z_n as a product of its prime-power parts.
-
-    The 2-part, when present, comes first; odd primes follow in
-    increasing order.
-    """
-
-    n: int
-    prime_powers: tuple[tuple[int, int], ...]
-
-    @property
-    def moduli(self) -> tuple[int, ...]:
-        return tuple(p**k for p, k in self.prime_powers)
-
-    def from_coords(self, coords: Sequence[int]) -> int:
-        g = 0
-        for q, c in zip(self.moduli, coords):
-            rest = self.n // q
-            g = (g + c * rest * pow(rest, -1, q)) % self.n
-        return g
-
-    def lift_multiplier(self, locals_: Sequence[int]) -> int:
-        return self.from_coords([u % q for u, q in zip(locals_, self.moduli)])
-
-
-def crt_decompose(n: int) -> CrtFrame:
-    """Factor n into prime powers, 2-part first."""
+def prime_powers(n: int) -> tuple[tuple[int, int], ...]:
+    """The pairs (p, k) with p**k exactly dividing n: the 2-part, when
+    present, first; odd primes follow in increasing order."""
     if n < 2:
         raise ValueError(f"modulus must be >= 2, got {n}")
     rest, pairs = n, []
@@ -340,48 +315,42 @@ def crt_decompose(n: int) -> CrtFrame:
             pairs.append((d, k))
     if rest > 1:
         pairs.append((rest, 1))
-    pairs.sort(key=lambda pk: (pk[0] != 2, pk[0]))
-    return CrtFrame(n, tuple(pairs))
+    return tuple(pairs)
+
+
+def crt_lift(n: int, q: int, a: int, b: int) -> int:
+    """The residue x in [0, n) with x = a mod q and x = b mod n/q, for a
+    prime power q exactly dividing n."""
+    r = n // q
+    b %= r
+    return b + r * ((a - b) * pow(r, -1, q) % q)
 
 
 # centralizers of characteristic subgroups inside Aut(Z_n)
 
 
-@dataclass(frozen=True)
-class Centralizer:
-    """Multipliers of Z_n acting trivially on a chosen subgroup."""
-
-    n: int
-    multipliers: tuple[int, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.multipliers)
-
-
-def centralizer_in_aut(m_exps: Sequence[int], frame: CrtFrame) -> Centralizer:
-    """Pointwise stabilizer in Aut(Z_n) of the subgroup of order
-    prod(p_i ** m_i), found by exhaustive multiplier filtering.
+def centralizer_in_aut(n: int, m_exps: Sequence[int]) -> tuple[int, ...]:
+    """The multipliers of Z_n fixing pointwise its subgroup of order
+    prod(p_i ** m_i), one exponent per prime power of n in the order of
+    ``prime_powers``; found by exhaustive filtering, in increasing order.
 
     Each coordinate contributes p**(k-m) multipliers; for p = 2, m = 1
     that count equals the whole unit group of the 2-part.
     """
-    if len(m_exps) != len(frame.prime_powers):
+    parts = prime_powers(n)
+    if len(m_exps) != len(parts):
         raise ValueError("one exponent per prime power required")
-    for m, (p, k) in zip(m_exps, frame.prime_powers):
+    sub_order = 1
+    for m, (p, k) in zip(m_exps, parts):
         if not 1 <= m <= k:
             raise ValueError(f"exponent {m} out of range for {p}^{k}")
-    n = frame.n
-    sub_order = 1
-    for m, (p, _k) in zip(m_exps, frame.prime_powers):
         sub_order *= p**m
     d = n // sub_order  # generator of the subgroup of order sub_order
-    fixing = tuple(
+    return tuple(
         u
         for u in range(1, n)
         if gcd(u, n) == 1 and all(x * u % n == x for x in range(0, n, d))
     )
-    return Centralizer(n, fixing)
 
 
 # discrete log base 5 on the 1-mod-4 units

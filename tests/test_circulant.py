@@ -5,6 +5,7 @@ import math
 import random
 import concurrent.futures
 from concurrent.futures import Future
+from dataclasses import replace
 
 import pytest
 
@@ -38,8 +39,8 @@ from holocirc.circulant import (
     _refine,
 )
 from holocirc.cli import main
-from holocirc.holomorph import PairArith, holomorph_group, pair_perm
-from holocirc.permgroup import StabChain, closure, is_normal_in
+from holocirc.holomorph import PairArith, holomorph_group, pair_perm, prime_powers
+from holocirc.permgroup import Perm, StabChain, closure, is_normal_in
 from holocirc.regular_classify import (
     cyclic_regular_affine_subgroups,
     enumerate_regular_subgroups,
@@ -140,7 +141,7 @@ def test_aut_generators_generate_stated_order():
     for S in [{1, 7}, {1, 3, 5, 7}, {2, 6}, {4}, {1, 4, 7}]:
         c = build(8, S)
         res = automorphism_group(c)
-        chain = StabChain(8, res.generators)
+        chain = StabChain(8, map(Perm, res.generators))
         assert chain.order() == res.order
 
 
@@ -148,7 +149,7 @@ def test_aut_generators_generate_stated_order_whole_census():
     for n in range(2, 13):
         for mask in range(census_size(n)):
             res = automorphism_group(build(n, connection_set(n, mask)))
-            assert StabChain(n, res.generators).order() == res.order, (n, mask)
+            assert StabChain(n, map(Perm, res.generators)).order() == res.order, (n, mask)
 
 
 def test_twin_quotient_agrees_with_the_search_whole_census():
@@ -201,7 +202,7 @@ def test_twin_quotient_orders(n, conn, bound, order):
         res = automorphism_group(build(n, conn))
     assert res.order == order
     if n <= 16:
-        assert StabChain(n, res.generators).order() == order
+        assert StabChain(n, map(Perm, res.generators)).order() == order
 
 
 def test_level_colourings_refine_incrementally_to_the_from_scratch_partition():
@@ -337,12 +338,12 @@ def test_theta_p_odd():
     c9 = build(9, {1, 2, 4, 5, 7, 8})
     theta = theta_witness_p_odd(c9, 3)
     assert theta is not None
-    assert theta.images[0] == 0 and theta.images[1] == 1
-    assert not theta.is_identity()
+    assert theta[0] == 0 and theta[1] == 1
+    assert theta != tuple(range(9))
     # edge preservation, re-checked here
     for g in range(9):
         for s in c9.conn:
-            assert (theta.images[(g + s) % 9] - theta.images[g]) % 9 in c9.conn
+            assert (theta[(g + s) % 9] - theta[g]) % 9 in c9.conn
     assert theta_witness_p_odd(build(9, {1, 8}), 3) is None
     for p in (1, 2):
         with pytest.raises(ValueError):
@@ -369,8 +370,8 @@ def test_theta_2part():
     c16 = build(16, {1, 3, 5, 7, 9, 11, 13, 15})
     theta = theta_witness_2part(c16)
     assert theta is not None
-    assert theta.images[0] == 0 and theta.images[1] == 1
-    moved = [g for g in range(16) if theta.images[g] != g]
+    assert theta[0] == 0 and theta[1] == 1
+    moved = [g for g in range(16) if theta[g] != g]
     assert moved == [g for g in range(16) if g % 4 == 2]
     assert theta_witness_2part(build(16, {1, 15})) is None
     with pytest.raises(ValueError):
@@ -384,10 +385,63 @@ def test_theta_2part_on_composite_modulus():
     c = build(n, conn)
     theta = theta_witness_2part(c)
     assert theta is not None
-    assert theta.images[0] == 0 and theta.images[1] == 1
+    assert theta[0] == 0 and theta[1] == 1
     for g in range(n):
         for s in c.conn:
-            assert (theta.images[(g + s) % n] - theta.images[g]) % n in c.conn
+            assert (theta[(g + s) % n] - theta[g]) % n in c.conn
+
+
+def test_theta_witnesses_certify_every_non_normal_copy_up_to_32():
+    # the paper's route: a multiplier group with a non-normal cyclic copy
+    # makes the graph non-normal, and a coset twist witnesses it; at 18
+    # the odd witness lifts its multiplier across a nontrivial 2-part
+    members = {}
+    for n in range(2, 33):
+        key = _census_class(n)
+        seen = set()
+        for mask in range(census_size(n)):
+            if mask in seen:
+                continue
+            cls = key(mask)
+            seen |= cls
+            mults = aut_G_S(build(n, connection_set(n, mask)))
+            if all(copy.normal_in_aut for copy in cyclic_copies(n, mults)):
+                continue
+            odd = [p for p, k in prime_powers(n) if p % 2 and k >= 2]
+            for member in cls:
+                c = build(n, connection_set(n, member))
+                thetas = [theta_witness_p_odd(c, p) for p in odd]  # raises if one fails
+                if n % 16 == 0:
+                    thetas.append(theta_witness_2part(c))
+                assert any(theta is not None for theta in thetas), (n, member)
+                assert not is_normal_cayley(c), (n, member)
+            members[n] = members.get(n, 0) + len(cls)
+    assert members == {9: 4, 16: 16, 18: 32, 25: 16, 27: 128, 32: 256}
+
+
+def _conjugation_normality(circ, aut):
+    # the reference test: conjugate the translation by 1 by each generator
+    # as a Perm and check that the result is a translation
+    n = circ.n
+    rot = pair_perm(n, (1, 1))
+    for w in aut.generators:
+        conj = rot.conjugated_by(Perm(w))
+        shift = conj.images[0]
+        if any(conj.images[g] != (g + shift) % n for g in range(n)):
+            return False
+    return True
+
+
+def test_normality_matches_conjugating_the_translation():
+    # generator by generator, so that one generator's answer cannot hide
+    # another's
+    for n in range(2, 17):
+        for mask in range(census_size(n)):
+            c = build(n, connection_set(n, mask))
+            for aut in (automorphism_group(c), circulant._searched_group(c)):
+                for w in aut.generators:
+                    one = replace(aut, generators=(w,))
+                    assert is_normal_cayley(c, one) == _conjugation_normality(c, one), (n, mask, w)
 
 
 def test_nnn_verdict_structure():
@@ -431,7 +485,8 @@ def test_copy_normality_in_full_affine_group(k):
     n = 1 << k
     hol = holomorph_group(n)
     empty = build(n, [])
-    aut = AutResult(hol.order, hol.generators, True, aut_G_S(empty))
+    gens = tuple(g.images for g in hol.generators)
+    aut = AutResult(hol.order, gens, True, aut_G_S(empty))
     verdict = nnn_verdict(empty, aut)
     cyclic = {
         rec.perm_group().elements: rec
@@ -462,7 +517,7 @@ def test_copies_of_normal_circulants_match_perm_level_brute_route():
             if not is_normal_cayley(circ, aut):
                 continue
             normal += 1
-            group = closure(aut.generators, degree=n)
+            group = closure([Perm(w) for w in aut.generators], degree=n)
             brute = {}
             for p in group.elements:
                 if p.cycle_lengths() == [n]:

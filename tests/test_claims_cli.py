@@ -463,6 +463,19 @@ def test_cli_non_integer_bound_names_its_source(tmp_path):
     assert proc.stderr.splitlines() == [
         "usage error: config max_degree must be an integer, got 3.5"
     ]
+    # a bound below 1 admits no graph and no width: a usage error too
+    proc = run_cli("scan", "--modulus", "8", env={"HOLOCIRC_MAX_DEGREE": "0"})
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        "usage error: HOLOCIRC_MAX_DEGREE must be at least 1, got 0"
+    ]
+    for key, value in (("max_degree", -5), ("max_hol_width", -1)):
+        cfg.write_text(json.dumps({key: value}))
+        proc = run_cli("scan", "--modulus", "8", env={"HOLOCIRC_CONFIG": str(cfg)})
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            f"usage error: config {key} must be at least 1, got {value}"
+        ]
 
 
 def test_cli_scan_ndjson_deterministic(tmp_path):

@@ -11,7 +11,7 @@ from holocirc.holomorph import (
     PairArith,
     centralizer_in_aut,
     conj_normal_form,
-    crt_decompose,
+    crt_lift,
     format_element,
     holomorph_group,
     order,
@@ -19,6 +19,7 @@ from holocirc.holomorph import (
     point_stabilizer,
     pow5,
     power,
+    prime_powers,
 )
 from holocirc.permgroup import closure
 
@@ -350,23 +351,41 @@ def test_parse_format_roundtrip():
 
 
 def test_crt_frame_examples():
-    frame = crt_decompose(12)
-    assert frame.moduli == (4, 3)
+    assert tuple(p**k for p, k in prime_powers(12)) == (4, 3)
+
+
+def test_prime_powers_and_crt_lift_up_to_600():
+    for n in range(2, 601):
+        # trial division by every d = 2, 3, 4, ..., which meets the primes
+        # in increasing order, 2 first
+        want, rest = [], n
+        for d in range(2, n + 1):
+            k = 0
+            while rest % d == 0:
+                rest //= d
+                k += 1
+            if k:
+                want.append((d, k))
+        assert prime_powers(n) == tuple(want), n
+        for p, k in want:
+            q, r = p**k, n // p**k
+            for a, b in ((1, 0), (0, 1), (q - 1, r + 2), (p + 1, 1)):
+                x = crt_lift(n, q, a, b)
+                assert 0 <= x < n and (x - a) % q == 0 and (x - b) % r == 0, (n, q, a, b)
 
 
 def test_centralizer_examples():
-    assert centralizer_in_aut([1], crt_decompose(9)).order == 3
-    c16 = centralizer_in_aut([1], crt_decompose(16))
-    assert c16.order == 8  # the whole unit group of Z_16
-    c = centralizer_in_aut([2], crt_decompose(16))
-    assert c.order == 4 and c.multipliers == (1, 5, 9, 13)
+    assert len(centralizer_in_aut(9, [1])) == 3
+    c16 = centralizer_in_aut(16, [1])
+    assert len(c16) == 8  # the whole unit group of Z_16
+    c = centralizer_in_aut(16, [2])
+    assert len(c) == 4 and c == (1, 5, 9, 13)
     with pytest.raises(ValueError):
-        centralizer_in_aut([5], crt_decompose(16))
+        centralizer_in_aut(16, [5])
 
 
 def test_centralizer_composite():
-    frame = crt_decompose(36)  # 4 * 9
-    c = centralizer_in_aut([1, 1], frame)
+    c = centralizer_in_aut(36, [1, 1])  # 36 = 4 * 9
     # exhaustive filtering against the subgroup of order 2 * 3 = 6
     d = 36 // 6
     brute = [
@@ -375,8 +394,8 @@ def test_centralizer_composite():
         if __import__("math").gcd(u, 36) == 1
         and all(x * u % 36 == x for x in range(0, 36, d))
     ]
-    assert list(c.multipliers) == brute
-    assert c.order == 2 * 3
+    assert list(c) == brute
+    assert len(c) == 2 * 3
 
 
 def test_holomorph_group_orders():
