@@ -515,11 +515,8 @@ def theta_witness_p_odd(circ: Circulant, p: int) -> Optional[tuple[int, ...]]:
         raise ValueError(f"{p} is not an odd prime")
     if n % (p * p):
         raise ValueError(f"{p}^2 does not divide {n}")
-    k = 0
-    rest = n
-    while rest % p == 0:
-        rest //= p
-        k += 1
+    k = dict(prime_powers(n))[p]
+    rest = n // p**k
     phi = crt_lift(n, p**k, p ** (k - 1) + 1, 1)
     if {s * phi % n for s in circ.conn} != circ.conn:
         return None
