@@ -5,6 +5,10 @@ independent brute-force route (orbit walks, repeated composition,
 exhaustive filtering, full censuses) over an explicit finite range, and
 reports pass/fail with reproducible evidence.  The registry is what the
 ``verify`` CLI command dispatches on.
+
+The per-width claims give only their check of one width to ``_sweep``,
+which walks the widths of ``--n`` from 3 up, counts every case and
+reports each fault with its width first.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import time
 from dataclasses import dataclass, field
 from itertools import takewhile
 from math import gcd
-from typing import Callable, Collection, Iterator, Optional
+from typing import Callable, Collection, Iterable, Iterator, Optional
 
 from . import circulant as circ_mod
 from . import holomorph as hol
@@ -170,11 +174,6 @@ def _normal_in_hol(rec: rc.ClassificationRecord) -> Optional[bool]:
     )
 
 
-def _widths(lo: int, hi: int) -> range:
-    """The widths of lo..hi that have a normal form."""
-    return range(max(lo, rc.MIN_WIDTH), hi + 1)
-
-
 def _counted(
     bad: list, key: str, checked: int, evidence: Optional[list] = None
 ) -> tuple[str, list]:
@@ -204,21 +203,36 @@ def _range_param(params: dict, key: str, default: tuple[int, int]) -> tuple[int,
     return value
 
 
+def _sweep(
+    params: dict, default: tuple[int, int], key: str, faults: Callable[[int], Iterable]
+) -> tuple[str, list, dict]:
+    """Run a per-width claim over the widths of ``--n`` (``default`` when
+    unset) that have a normal form, in increasing order.  Each item that
+    ``faults(n)`` yields is one case, counted under ``key``: None when it
+    holds, else its fault, which is reported with its width first."""
+    lo, hi = _range_param(params, "n", default)
+    bad = []
+    checked = 0
+    for n in range(max(lo, rc.MIN_WIDTH), hi + 1):
+        for fault in faults(n):
+            checked += 1
+            if fault is not None:
+                bad.append({"n": n, **fault})
+    status, evidence = _counted(bad, key, checked)
+    return status, evidence, {"n": (lo, hi)}
+
+
 # claim runners
 
 
 def _run_pow5_congruences(params: dict) -> tuple[str, list, dict]:
-    lo, hi = _range_param(params, "n", (3, 20))
-    bad = []
-    checked = 0
-    for n in _widths(lo, hi):
+    def faults(n: int) -> Iterator[Optional[dict]]:
         for t in range(n - 2):
-            checked += 1
             v = nt.pow5(1 << t, n)
-            if v % (1 << (t + 2)) != 1 or v % (1 << (t + 3)) == 1:
-                bad.append({"n": n, "t": t, "value": v})
-    status, evidence = _counted(bad, "powers", checked)
-    return status, evidence, {"n": (lo, hi)}
+            holds = v % (1 << (t + 2)) == 1 and v % (1 << (t + 3)) != 1
+            yield None if holds else {"t": t, "value": v}
+
+    return _sweep(params, (3, 20), "powers", faults)
 
 
 def _run_sum_valuations(params: dict) -> tuple[str, list, dict]:
@@ -253,98 +267,77 @@ def _run_sum_valuations(params: dict) -> tuple[str, list, dict]:
 
 
 def _run_power_closed_form(params: dict) -> tuple[str, list, dict]:
-    lo, hi = _range_param(params, "n", (3, 8))
     samples = params.get("samples", 2000)
     seed = params.get("seed", DEFAULT_SEED)
-    rng = random.Random(seed)
-    bad = []
-    checked = 0
-    for n in range(max(lo, 3), min(hi, 5) + 1):
-        for h in _all_elements(n):
-            for r, pair in zip(range(1, (1 << n) + 1), _powers(h)):
-                checked += 1
-                if _affine_pair(hol.power(h, r)) != pair:
-                    bad.append({"n": n, "h": str(h), "r": r})
-                    break
-    for n in range(max(lo, 6), hi + 1):
+    rng = random.Random(seed)  # one stream across the sampled widths
+
+    def faults(n: int) -> Iterator[Optional[dict]]:
+        if n <= 5:  # every element, every r up to 2^n, to its first wrong power
+            for h in _all_elements(n):
+                for r, pair in zip(range(1, (1 << n) + 1), _powers(h)):
+                    if _affine_pair(hol.power(h, r)) != pair:
+                        yield {"h": str(h), "r": r}
+                        break
+                    yield None
+            return
         for _ in range(samples):
             h = hol.HolElem2(
                 n, rng.randrange(1 << n), rng.randrange(2), rng.randrange(1 << (n - 2))
             )
             r = rng.randint(1, 1 << n)
-            checked += 1
-            if _affine_pair(hol.power(h, r)) != _power_by_squaring(h, r):
-                bad.append({"n": n, "h": str(h), "r": r})
-    status, evidence = _counted(bad, "comparisons", checked)
-    return status, evidence, {"n": (lo, hi), "samples": samples, "seed": seed}
+            holds = _affine_pair(hol.power(h, r)) == _power_by_squaring(h, r)
+            yield None if holds else {"h": str(h), "r": r}
+
+    status, evidence, used = _sweep(params, (3, 8), "comparisons", faults)
+    return status, evidence, used | {"samples": samples, "seed": seed}
 
 
 def _run_order_closed_form(params: dict) -> tuple[str, list, dict]:
-    lo, hi = _range_param(params, "n", (3, 7))
-    bad = []
-    checked = 0
-    for n in _widths(lo, hi):
-        for h, brute in _by_cyclic_subgroup(n, lambda g, o: o):
-            if h.is_identity():
-                continue
-            checked += 1
-            if hol.order(h) != brute:
-                bad.append({"n": n, "h": str(h)})
-    status, evidence = _counted(bad, "elements", checked)
-    return status, evidence, {"n": (lo, hi)}
+    return _sweep(params, (3, 7), "elements", lambda n: (
+        None if hol.order(h) == brute else {"h": str(h)}
+        for h, brute in _by_cyclic_subgroup(n, lambda g, o: o)
+        if not h.is_identity()
+    ))
 
 
 def _run_conj_normal_form(params: dict) -> tuple[str, list, dict]:
-    lo, hi = _range_param(params, "n", (3, 6))
-    bad = []
-    checked = 0
-    for n in _widths(lo, hi):
+    def faults(n: int) -> Iterator[Optional[dict]]:
         for h in _all_elements(n):
-            checked += 1
             nf, rho = hol.conj_normal_form(h)
             if rho.alpha != 0:
-                bad.append({"n": n, "h": str(h), "why": "conjugator translates"})
-                continue
-            if rho.then(h).then(rho.inverse()) != nf:
-                bad.append({"n": n, "h": str(h), "why": "witness fails"})
-                continue
-            a = nf.alpha
-            if a and a & (a - 1):
-                bad.append({"n": n, "h": str(h), "why": "alpha not a 2-power"})
-    status, evidence = _counted(bad, "elements", checked)
-    return status, evidence, {"n": (lo, hi)}
+                yield {"h": str(h), "why": "conjugator translates"}
+            elif rho.then(h).then(rho.inverse()) != nf:
+                yield {"h": str(h), "why": "witness fails"}
+            elif nf.alpha & (nf.alpha - 1):
+                yield {"h": str(h), "why": "alpha not a 2-power"}
+            else:
+                yield None
+
+    return _sweep(params, (3, 6), "elements", faults)
 
 
 def _run_point_stabilizer(params: dict) -> tuple[str, list, dict]:
-    lo, hi = _range_param(params, "n", (3, 6))
-    bad = []
-    checked = 0
-    for n in _widths(lo, hi):
+    def faults(n: int) -> Iterator[Optional[dict]]:
         mod = 1 << n
         pairs = hol.PairArith(mod)
         elements = [(h.alpha, h.multiplier) for h in _all_elements(n)]
         for g in range(mod):
-            checked += 1
             g1, g2 = hol.point_stabilizer(g, n)
             got = pairs.closure([g1.pair, g2.pair])
             want = {(a, m) for a, m in elements if (g + a) * m % mod == g}
-            if got != want or len(got) != 1 << (n - 1):
-                bad.append({"n": n, "g": g, "order": len(got)})
-    status, evidence = _counted(bad, "points", checked)
-    return status, evidence, {"n": (lo, hi)}
+            holds = got == want and len(got) == 1 << (n - 1)
+            yield None if holds else {"g": g, "order": len(got)}
+
+    return _sweep(params, (3, 6), "points", faults)
 
 
 def _run_semiregular_classification(params: dict) -> tuple[str, list, dict]:
-    lo, hi = _range_param(params, "n", (3, 7))
-    bad = []
-    checked = 0
-    for n in _widths(lo, hi):
-        for h, brute in _by_cyclic_subgroup(n, lambda g, o: len(set(g.as_perm().cycle_lengths())) == 1):
-            checked += 1
-            if rc.is_semiregular_closed_form(h) != brute:
-                bad.append({"n": n, "h": str(h)})
-    status, evidence = _counted(bad, "elements", checked)
-    return status, evidence, {"n": (lo, hi)}
+    return _sweep(params, (3, 7), "elements", lambda n: (
+        None if rc.is_semiregular_closed_form(h) == brute else {"h": str(h)}
+        for h, brute in _by_cyclic_subgroup(
+            n, lambda g, o: len(set(g.as_perm().cycle_lengths())) == 1
+        )
+    ))
 
 
 def _run_regular_classification(params: dict) -> tuple[str, list, dict]:
@@ -395,20 +388,14 @@ def _run_regular_classification(params: dict) -> tuple[str, list, dict]:
 
 
 def _run_cyclic_normality(params: dict) -> tuple[str, list, dict]:
-    lo, hi = _range_param(params, "n", (3, 6))
-    bad = []
-    checked = 0
-    for n in _widths(lo, hi):
+    def faults(n: int) -> Iterator[Optional[dict]]:
         for rec in rc.enumerate_regular_subgroups(n):
-            if rec.iso.kind != "cyclic":
-                continue
-            checked += 1
-            brute = _normal_in_hol(rec)
-            closed = rc.is_normal_cyclic_regular_in_hol(rec.rtype, n)
-            if brute != closed:
-                bad.append({"n": n, "type": rec.rtype.label(), "brute": brute})
-    status, evidence = _counted(bad, "cyclic_subgroups", checked)
-    return status, evidence, {"n": (lo, hi)}
+            if rec.iso.kind == "cyclic":
+                brute = _normal_in_hol(rec)
+                closed = rc.is_normal_cyclic_regular_in_hol(rec.rtype, n)
+                yield None if brute == closed else {"type": rec.rtype.label(), "brute": brute}
+
+    return _sweep(params, (3, 6), "cyclic_subgroups", faults)
 
 
 def _run_nnn_multiplier_corollary(params: dict) -> tuple[str, list, dict]:

@@ -46,18 +46,28 @@ FORCED_MAX_HOL_WIDTH = 64
 VERIFY_FLAGS = ("n", "modulus", "samples", "seed")  # each claim reads some
 
 
+class BoundExceeded(Exception):
+    """A width or modulus above its bound; ``main`` exits EXIT_BOUND."""
+
+
 def _resolve_bounds(args: argparse.Namespace) -> None:
     """Resolve the invocation's bounds once, onto ``args``: the config
-    file is read once, here, and --force lifts the degree bound (``inf``)
-    and raises the width bound.  Nothing else reads the environment."""
+    file and the settings are read and checked once, here, and then
+    --force lifts the degree bound (``inf``) and raises the width bound.
+    Nothing else reads the environment."""
     config = _load_config()
+    args.max_degree = _max_degree(config)
+    args.max_hol_width = _integer_setting(
+        config.get("max_hol_width", DEFAULT_MAX_HOL_WIDTH), "config max_hol_width"
+    )
     if args.force:
         args.max_degree, args.max_hol_width = inf, FORCED_MAX_HOL_WIDTH
-    else:
-        args.max_degree = _max_degree(config)
-        args.max_hol_width = _integer_setting(
-            config.get("max_hol_width", DEFAULT_MAX_HOL_WIDTH), "config max_hol_width"
-        )
+
+
+def _within_bound(what: str, value: int, bound: float) -> None:
+    """Raise BoundExceeded when ``value`` exceeds the invocation's ``bound``."""
+    if value > bound:
+        raise BoundExceeded(f"{what} {value} exceeds bound {bound} (use --force)")
 
 
 def _load_config() -> dict:
@@ -82,13 +92,13 @@ def _load_config() -> dict:
 
 def _max_degree(config: dict) -> int:
     """The vertex-count bound: HOLOCIRC_MAX_DEGREE, else ``max_degree`` in
-    the config file, else circulant.DEFAULT_MAX_DEGREE."""
+    the config file (checked either way), else circulant.DEFAULT_MAX_DEGREE."""
     value = os.environ.get("HOLOCIRC_MAX_DEGREE")
-    if value:
-        return _integer_setting(value, "HOLOCIRC_MAX_DEGREE")
-    return _integer_setting(
+    variable = _integer_setting(value, "HOLOCIRC_MAX_DEGREE") if value else None
+    configured = _integer_setting(
         config.get("max_degree", circ_mod.DEFAULT_MAX_DEGREE), "config max_degree"
     )
+    return variable or configured
 
 
 def _integer_setting(value: object, name: str) -> int:
@@ -220,19 +230,12 @@ def cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
                     f"--n {args.n!r} ends above {widest}: claim {claim_id} checks "
                     f"widths {rc.MIN_WIDTH}..{widest}"
                 )
-        cap = args.max_hol_width
-        if hi > cap:
-            print(f"width {hi} exceeds bound {cap} (use --force)", file=sys.stderr)
-            return EXIT_BOUND
+        _within_bound("width", hi, args.max_hol_width)
         params["n"] = (lo, hi)
     if args.modulus is not None:
         if args.modulus < 2:
             raise ValueError(f"modulus must be >= 2, got {args.modulus}")
-        cap = args.max_degree
-        if args.modulus > cap:
-            print(f"modulus {args.modulus} exceeds bound {cap} (use --force)",
-                  file=sys.stderr)
-            return EXIT_BOUND
+        _within_bound("modulus", args.modulus, args.max_degree)
         params["modulus"] = args.modulus
     if args.samples is not None:
         params["samples"] = args.samples
@@ -268,10 +271,7 @@ def cmd_classify(args: argparse.Namespace, out: TextIO) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
-    cap = args.max_hol_width
-    if hi > cap:
-        print(f"width {hi} exceeds bound {cap} (use --force)", file=sys.stderr)
-        return EXIT_BOUND
+    _within_bound("width", hi, args.max_hol_width)
     _emit(_classification(lo, hi), args.format, out)
     return EXIT_OK
 
@@ -301,10 +301,7 @@ def _classification(lo: int, hi: int) -> Iterator[dict]:
 
 def cmd_graph(args: argparse.Namespace, out: TextIO) -> int:
     n = args.modulus
-    cap = args.max_degree
-    if n > cap:
-        print(f"modulus {n} exceeds bound {cap} (use --force)", file=sys.stderr)
-        return EXIT_BOUND
+    _within_bound("modulus", n, args.max_degree)
     try:
         conn = [int(tok) for tok in args.set.split(",") if tok.strip()]
     except ValueError:
@@ -342,10 +339,7 @@ def cmd_graph(args: argparse.Namespace, out: TextIO) -> int:
 
 def cmd_scan(args: argparse.Namespace, out: TextIO) -> int:
     n = args.modulus
-    cap = args.max_degree
-    if n > cap:
-        print(f"modulus {n} exceeds bound {cap} (use --force)", file=sys.stderr)
-        return EXIT_BOUND
+    _within_bound("modulus", n, args.max_degree)
     total = circ_mod.census_size(n)
     shard, shards = args.shard
     start, stop = circ_mod.shard_bounds(total, shard, shards)
@@ -429,6 +423,9 @@ def main(argv: Optional[list[str]] = None) -> int:
             args.out, "--out"
         ) as out:
             return args.func(args, out)
+    except BoundExceeded as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_BOUND
     except circ_mod.DegreeBoundError as exc:
         print(f"resource bound: {exc}", file=sys.stderr)
         return EXIT_BOUND

@@ -164,6 +164,30 @@ def test_cli_bound_exceeded_is_exit_3():
     assert main(["verify", "thm-1.3-scan", "--modulus", "40"]) == 3
 
 
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["verify", "lem-3.1", "--n", "3..9"], "width 9 exceeds bound 8 (use --force)"),
+        (["verify", "thm-1.3-scan", "--modulus", "40"], "modulus 40 exceeds bound 32 (use --force)"),
+        (["classify", "--n", "3..5"], "width 5 exceeds bound 4 (use --force)"),
+        (["graph", "--modulus", "40", "--set", "1,39"], "modulus 40 exceeds bound 32 (use --force)"),
+        (["scan", "--modulus", "40"], "modulus 40 exceeds bound 32 (use --force)"),
+    ],
+    ids=["verify-n", "verify-modulus", "classify", "graph", "scan"],
+)
+def test_cli_each_command_reports_its_bound_once(monkeypatch, capsys, tmp_path, argv, line):
+    if argv[0] == "classify":
+        # classify checks --n against 3..8 first, so its width bound
+        # shows only when the config sets it below 8
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"max_hol_width": 4}))
+        monkeypatch.setenv("HOLOCIRC_CONFIG", str(cfg))
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [line]
+    assert captured.out == ""
+
+
 def test_cli_env_cap(tmp_path):
     proc = run_cli(
         "scan",
@@ -475,6 +499,40 @@ def test_cli_non_integer_bound_names_its_source(tmp_path):
         assert proc.returncode == 2
         assert proc.stderr.splitlines() == [
             f"usage error: config {key} must be at least 1, got {value}"
+        ]
+    # --force lifts the bounds only after every setting is read and checked
+    for argv, setting, message in [
+        (("graph", "--modulus", "8", "--set", "1,7"), {"HOLOCIRC_MAX_DEGREE": "abc"},
+         "HOLOCIRC_MAX_DEGREE must be an integer, got 'abc'"),
+        (("scan", "--modulus", "8"), {"HOLOCIRC_MAX_DEGREE": "0"},
+         "HOLOCIRC_MAX_DEGREE must be at least 1, got 0"),
+        (("scan", "--modulus", "8"), {"max_degree": 3.5},
+         "config max_degree must be an integer, got 3.5"),
+        (("scan", "--modulus", "8"), {"max_degree": -5},
+         "config max_degree must be at least 1, got -5"),
+        (("scan", "--modulus", "8"), {"max_hol_width": -1},
+         "config max_hol_width must be at least 1, got -1"),
+        (("verify", "lem-3.1", "--n", "3..4"), {"max_hol_width": "x"},
+         "config max_hol_width must be an integer, got 'x'"),
+    ]:
+        env = setting
+        if "HOLOCIRC_MAX_DEGREE" not in setting:
+            cfg.write_text(json.dumps(setting))
+            env = {"HOLOCIRC_CONFIG": str(cfg)}
+        proc = run_cli(*argv, "--force", env=env)
+        assert proc.returncode == 2, (argv, setting)
+        assert proc.stderr.splitlines() == [f"usage error: {message}"]
+        assert proc.stdout == ""
+    # the config's max_degree is checked also where the variable wins
+    cfg.write_text(json.dumps({"max_degree": "x"}))
+    for force in ((), ("--force",)):
+        proc = run_cli(
+            "scan", "--modulus", "8", *force,
+            env={"HOLOCIRC_MAX_DEGREE": "10", "HOLOCIRC_CONFIG": str(cfg)},
+        )
+        assert proc.returncode == 2, force
+        assert proc.stderr.splitlines() == [
+            "usage error: config max_degree must be an integer, got 'x'"
         ]
 
 
@@ -877,6 +935,22 @@ def test_element_claims_fail_on_a_closed_form_wrong_at_a_covered_generator(
     assert report.evidence == [named]
 
 
+def test_lem_3_3_sampled_widths_share_one_stream(monkeypatch):
+    # width 7 draws where width 6 stopped, so its faults are not those of
+    # width 7 checked alone
+    power = claims.hol.power
+    monkeypatch.setattr(
+        claims.hol, "power", lambda h, r: power(h, r + 1) if r & 1 else power(h, r)
+    )
+    both = claims.run_claim("lem-3.3", {"n": (6, 7), "samples": 5, "seed": 7}).evidence
+    alone = claims.run_claim("lem-3.3", {"n": (7, 7), "samples": 5, "seed": 7}).evidence
+    assert alone and all(e["n"] == 7 for e in alone)
+    assert [e for e in both if e["n"] == 7] != alone
+    assert [e for e in both if e["n"] == 6] == claims.run_claim(
+        "lem-3.3", {"n": (6, 6), "samples": 5, "seed": 7}
+    ).evidence
+
+
 def test_lem_3_3_sampled_branch_fails_on_a_wrong_cube(monkeypatch):
     # h^3 is the first power that squaring composes from two parts
     power = claims.hol.power
@@ -886,6 +960,82 @@ def test_lem_3_3_sampled_branch_fails_on_a_wrong_cube(monkeypatch):
     report = claims.run_claim("lem-3.3", {"n": (6, 7), "samples": 500})
     assert report.status == "fail"
     assert report.evidence and all(e["r"] == 3 for e in report.evidence)
+
+
+@pytest.mark.parametrize(
+    "claim_id, widths, key, cases",
+    [
+        ("lem-3.1", (4, 5), "powers", 2 + 3),  # n - 2 per width
+        ("lem-3.3", (4, 5), "comparisons", 2**11 + 2**14),  # 2^(3n-1)
+        ("lem-3.3", (5, 6), "comparisons", 2**14 + 2000),  # exhaustive, then sampled
+        ("lem-3.4", (4, 5), "elements", 2**7 - 1 + 2**9 - 1),  # 2^(2n-1) - 1
+        ("lem-3.5", (4, 5), "elements", 2**7 + 2**9),  # 2^(2n-1)
+        ("thm-3.14", (4, 5), "elements", 2**7 + 2**9),
+        ("lem-3.10", (4, 5), "points", 2**4 + 2**5),  # 2^n
+        ("thm-3.4-normality", (4, 5), "cyclic_subgroups", 2**2 + 2**3),  # 2^(n-2)
+    ],
+)
+def test_sweep_counts_every_case_of_each_width(claim_id, widths, key, cases):
+    report = claims.run_claim(claim_id, {"n": widths})
+    assert (report.status, report.evidence) == ("pass", [{key: cases}])
+    assert report.parameters["n"] == widths
+
+
+def test_lem_3_1_fails_on_a_wrong_power_at_one_width(monkeypatch):
+    # 5^(2^1) mod 2^5 given as 1: it is 1 mod 2^(t+3) too
+    pow5 = claims.nt.pow5
+    monkeypatch.setattr(
+        claims.nt, "pow5", lambda k, n: 1 if (k, n) == (2, 5) else pow5(k, n)
+    )
+    report = claims.run_claim("lem-3.1", {"n": (3, 6)})
+    assert report.status == "fail"
+    assert report.evidence == [{"n": 5, "t": 1, "value": 1}]
+    assert list(report.evidence[0]) == ["n", "t", "value"]
+
+
+@pytest.mark.parametrize(
+    "wrong, why",
+    [
+        (lambda h, nf, rho: (nf, claims.hol.HolElem2(h.n, 1, 0, 0)), "conjugator translates"),
+        (lambda h, nf, rho: (claims.hol.HolElem2.identity(h.n), rho), "witness fails"),
+        (lambda h, nf, rho: (h, claims.hol.HolElem2.identity(h.n)), "alpha not a 2-power"),
+    ],
+    ids=["translates", "witness", "alpha"],
+)
+def test_lem_3_5_fails_on_a_wrong_normal_form_at_one_element(monkeypatch, wrong, why):
+    # a^3 at width 4: each wrong answer passes the checks before its own
+    target = claims.hol.HolElem2(4, 3, 0, 0)
+    right = claims.hol.conj_normal_form
+    monkeypatch.setattr(
+        claims.hol,
+        "conj_normal_form",
+        lambda h: wrong(h, *right(h)) if h == target else right(h),
+    )
+    report = claims.run_claim("lem-3.5", {"n": (3, 5)})
+    assert report.status == "fail"
+    assert report.evidence == [{"n": 4, "h": "a^3", "why": why}]
+    assert list(report.evidence[0]) == ["n", "h", "why"]
+
+
+def test_thm_3_4_normality_fails_on_a_wrong_family(monkeypatch):
+    # twisted_cyclic(t=1) occurs from width 4: once there, at the maximal
+    # twist (normal), and twice at width 5 (not normal)
+    family = rc.RegularType("twisted_cyclic", 1)
+    right = rc.is_normal_cyclic_regular_in_hol
+    monkeypatch.setattr(
+        rc,
+        "is_normal_cyclic_regular_in_hol",
+        lambda rtype, n: (not right(rtype, n)) if rtype == family else right(rtype, n),
+    )
+    report = claims.run_claim("thm-3.4-normality", {"n": (3, 5)})
+    assert report.status == "fail"
+    fault = {"type": "twisted_cyclic(t=1)"}
+    assert report.evidence == [
+        {"n": 4, **fault, "brute": True},
+        {"n": 5, **fault, "brute": False},
+        {"n": 5, **fault, "brute": False},
+    ]
+    assert all(list(e)[0] == "n" for e in report.evidence)
 
 
 @pytest.mark.parametrize(
