@@ -571,51 +571,26 @@ def _verify_witness(circ: Circulant, theta: tuple[int, ...]) -> None:
 # abelian regular subgroups at moduli not divisible by 8
 
 
-@dataclass(frozen=True)
-class AbelianScanRecord:
-    conn: tuple[int, ...]
-    normal: bool
-    abelian_regular_count: int
-    intersection_indices: tuple[int, ...]
-    indices_all_2power: bool
-    nnn: bool
-
-
-def abelian_regular_scan(
-    n: int, connected_only: bool = False
-) -> list[AbelianScanRecord]:
-    """For every inverse-closed connection set on Z_n (8 must not divide
-    n), report the abelian regular subgroups of the automorphism group
-    of each normal circulant: their count, and the indices of their
-    intersections with the translations (all powers of two).  Normality
-    and the nnn verdict come from the census stream (scan_range), which
-    searches each class under units and complementation once."""
+def abelian_regular_scan(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Each normal circulant on Z_n (8 must not divide n), in census
+    order, as its connection set S and the sorted indices [T : R ∩ T] of
+    the abelian regular subgroups R of its automorphism group in the
+    translations T.  Normality comes from the census stream (scan_range),
+    which searches each class under units and complementation once."""
     if n % 8 == 0:
         raise ValueError(f"modulus {n} is divisible by 8")
     out = []
     # a normal circulant's group is Z_n x| aut_G_S: the indices depend on
     # the multiplier group only, and few groups occur
     by_mults: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for record in scan_range(n, 0, census_size(n), connected_only):
-        conn = tuple(record["S"])
-        if not record["normal"]:
-            out.append(AbelianScanRecord(conn, False, 0, (), True, False))
-            continue
-        mults = aut_G_S(Circulant(n, frozenset(conn)))
-        if mults not in by_mults:
-            subs = _abelian_regular_subgroups(n, [(t, m) for t in range(n) for m in mults])
-            by_mults[mults] = tuple(sorted(n // sum(m == 1 for _t, m in h) for h in subs))
-        indices = by_mults[mults]
-        out.append(
-            AbelianScanRecord(
-                conn,
-                True,
-                len(indices),
-                indices,
-                all(i & (i - 1) == 0 for i in indices),
-                record["nnn"],
-            )
-        )
+    for record in scan_range(n, 0, census_size(n)):
+        if record["normal"]:
+            conn = tuple(record["S"])
+            mults = aut_G_S(Circulant(n, frozenset(conn)))
+            if mults not in by_mults:
+                subs = _abelian_regular_subgroups(n, [(t, m) for t in range(n) for m in mults])
+                by_mults[mults] = tuple(sorted(n // sum(m == 1 for _t, m in h) for h in subs))
+            out.append((conn, by_mults[mults]))
     return out
 
 

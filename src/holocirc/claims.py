@@ -320,11 +320,10 @@ def _run_point_stabilizer(params: dict) -> tuple[str, list, dict]:
     def faults(n: int) -> Iterator[Optional[dict]]:
         mod = 1 << n
         pairs = hol.PairArith(mod)
-        elements = [(h.alpha, h.multiplier) for h in _all_elements(n)]
         for g in range(mod):
             g1, g2 = hol.point_stabilizer(g, n)
             got = pairs.closure([g1.pair, g2.pair])
-            want = {(a, m) for a, m in elements if (g + a) * m % mod == g}
+            want = {(t, m) for t, m in pairs.elements if (g + t) * m % mod == g}
             holds = got == want and len(got) == 1 << (n - 1)
             yield None if holds else {"g": g, "order": len(got)}
 
@@ -585,15 +584,14 @@ def _run_index_2power(params: dict) -> tuple[str, list, dict]:
     n = params.get("modulus", 12)
     if n % 8 == 0:
         return "skipped", [{"why": f"modulus {n} divisible by 8"}], {"modulus": n}
-    records = circ_mod.abelian_regular_scan(n)
+    scan = circ_mod.abelian_regular_scan(n)
     bad = [
-        {"S": list(r.conn), "indices": list(r.intersection_indices)}
-        for r in records
-        if r.normal and not r.indices_all_2power
+        {"S": list(conn), "indices": list(indices)}
+        for conn, indices in scan
+        if any(i & (i - 1) for i in indices)
     ]
-    normal = sum(1 for r in records if r.normal)
-    evidence = [{"modulus": n, "normal_circulants": normal}]
-    status, evidence = _counted(bad, "normal_circulants", normal, evidence)
+    evidence = [{"modulus": n, "normal_circulants": len(scan)}]
+    status, evidence = _counted(bad, "normal_circulants", len(scan), evidence)
     return status, evidence, {"modulus": n}
 
 
@@ -612,14 +610,13 @@ def _run_unique_abelian(params: dict) -> tuple[str, list, dict]:
     bad = []
     evidence = []
     for n in inside:
-        records = circ_mod.abelian_regular_scan(n)
-        normal = [r for r in records if r.normal]
+        scan = circ_mod.abelian_regular_scan(n)
         bad += [
-            {"n": n, "S": list(r.conn), "count": r.abelian_regular_count}
-            for r in normal
-            if r.abelian_regular_count != 1
+            {"n": n, "S": list(conn), "count": len(indices)}
+            for conn, indices in scan
+            if len(indices) != 1
         ]
-        evidence.append({"modulus": n, "normal_circulants": len(normal)})
+        evidence.append({"modulus": n, "normal_circulants": len(scan)})
     checked = sum(e["normal_circulants"] for e in evidence)
     status, evidence = _counted(bad, "normal_circulants", checked, evidence)
     return status, evidence + outside, {"moduli": moduli}

@@ -119,8 +119,9 @@ def _integer_setting(value: object, name: str) -> int:
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    """``--n A..B`` or ``--n A``; a reversed range would check nothing, so
-    it is a usage error."""
+    """``--n A..B`` or ``--n A``; a reversed range would check nothing and
+    a width below rc.MIN_WIDTH has no normal form, so both are usage
+    errors."""
     lo, sep, hi = text.partition("..")
     try:
         lo, hi = int(lo), int(hi if sep else lo)
@@ -128,6 +129,11 @@ def _parse_range(text: str) -> tuple[int, int]:
         raise ValueError(f"--n expects integers A..B or A, got {text!r}") from None
     if lo > hi:
         raise ValueError(f"reversed range {text!r}: {lo} > {hi}")
+    if lo < rc.MIN_WIDTH:
+        raise ValueError(
+            f"--n {text!r} starts below {rc.MIN_WIDTH}, the smallest width "
+            "with a normal form"
+        )
     return lo, hi
 
 
@@ -200,9 +206,7 @@ def cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
     elif args.claim in claims.REGISTRY:
         ids = [args.claim]
     else:
-        print(f"unknown claim {args.claim!r}; known: {', '.join(claims.claim_ids())}",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"unknown claim {args.claim!r}; known: {', '.join(claims.claim_ids())}")
     if args.claim != "all":
         reads = claims.REGISTRY[args.claim].flags
         unread = [
@@ -218,11 +222,6 @@ def cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
     params: dict = {}
     if args.n is not None:
         lo, hi = _parse_range(args.n)
-        if lo < rc.MIN_WIDTH:
-            raise ValueError(
-                f"--n {args.n!r} starts below {rc.MIN_WIDTH}, the smallest width "
-                "with a normal form"
-            )
         for claim_id in ids:
             widest = claims.REGISTRY[claim_id].max_n
             if widest is not None and hi > widest:
@@ -265,12 +264,11 @@ def cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
 
 def cmd_classify(args: argparse.Namespace, out: TextIO) -> int:
     lo, hi = _parse_range(args.n)
-    if lo < rc.MIN_WIDTH or hi > rc.ENUM_MAX_N:
-        print(
-            f"classification covers widths {rc.MIN_WIDTH}..{rc.ENUM_MAX_N}",
-            file=sys.stderr,
+    if hi > rc.ENUM_MAX_N:
+        raise ValueError(
+            f"--n {args.n!r} ends above {rc.ENUM_MAX_N}: classify covers widths "
+            f"{rc.MIN_WIDTH}..{rc.ENUM_MAX_N}"
         )
-        return EXIT_USAGE
     _within_bound("width", hi, args.max_hol_width)
     _emit(_classification(lo, hi), args.format, out)
     return EXIT_OK

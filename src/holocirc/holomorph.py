@@ -21,7 +21,7 @@ from functools import cached_property
 from math import gcd
 from typing import Optional, Sequence
 
-from .numtheory import pow5, geom_series, alt_sum
+from .numtheory import pow5, geom_series
 from .permgroup import Perm, PermSubgroup, _perm, closure, grow, least_generators
 
 
@@ -204,21 +204,16 @@ def _signed_pow5(n: int, beta: int, e: int) -> int:
 
 
 def power(h: HolElem2, r: int) -> HolElem2:
-    """h**r in closed form.
-
-    For beta = 0 the translation part is alpha times the geometric sum
-    of 5**(-gamma); for beta = 1 it is alpha times the alternating sum,
-    with the x-part surviving exactly when r is odd.  Negative r goes
+    """h**r in closed form: the translation part is alpha times the sum
+    of r terms of the ratio (-1)**beta * 5**(-gamma), and the x-part
+    survives exactly when beta = 1 and r is odd.  Negative r goes
     through the inverse.
     """
     if r < 0:
         return power(h.inverse(), -r)
-    n, mod = h.n, h.modulus
-    if h.beta == 0:
-        s = geom_series(pow5(-h.gamma, n), r, mod)
-        return HolElem2(n, h.alpha * s, 0, r * h.gamma)
-    s = alt_sum(r, h.gamma, n)
-    return HolElem2(n, h.alpha * s, r & 1, r * h.gamma)
+    n = h.n
+    s = geom_series(_signed_pow5(n, h.beta, -h.gamma), r, h.modulus)
+    return HolElem2(n, h.alpha * s, h.beta & r, r * h.gamma)
 
 
 def order(h: HolElem2) -> int:

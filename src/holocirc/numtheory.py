@@ -3,8 +3,9 @@
 Everything is plain integer arithmetic on canonical representatives in
 [0, 2**n).  Quotients such as (1 - 5**(-k*j)) / (1 - 5**(-j)) are never
 taken by modular division (the denominator is divisible by 4, hence not
-a unit); they are evaluated as explicit geometric or alternating partial
-sums, which is also what makes their 2-adic valuations predictable.
+a unit); they are evaluated as explicit geometric partial sums, which is
+also what makes their 2-adic valuations predictable.  An alternating sum
+is the geometric sum of the negated ratio, geom_series(-q, k, mod).
 """
 
 from __future__ import annotations
@@ -34,11 +35,3 @@ def geom_series(q: int, k: int, mod: int) -> int:
             total = (total + power) % mod
             power = power * q % mod
     return total
-
-
-def alt_sum(k: int, j: int, n: int) -> int:
-    """sum((-1)**s * 5**(-s*j) for s in range(k)) mod 2**n, any k >= 0."""
-    if k < 0:
-        raise ValueError("series length must be >= 0")
-    mod = 1 << n
-    return geom_series((-pow5(-j, n)) % mod, k, mod)

@@ -30,7 +30,7 @@ from holocirc.holomorph import (
     power,
     pow5,
 )
-from holocirc.numtheory import alt_sum, geom_series
+from holocirc.numtheory import geom_series
 from holocirc.permgroup import closure, is_normal_in
 from holocirc.regular_classify import (
     canonical_classes,
@@ -90,7 +90,7 @@ def test_criterion_1_number_theory():
         else:
             assert m & -m == k & -k
         ke = k + (k & 1)
-        l = alt_sum(ke, j, width)
+        l = geom_series(-pow5(-j, width), ke, 1 << width)  # the alternating sum L
         if l == 0:
             truncated += 1
         else:
@@ -242,14 +242,12 @@ def test_criterion_7_abelian_uniqueness_and_index():
     budget = Budget(7, "abelian regular subgroups", 300)
     normal_seen = 0
     for n in (9, 10):
-        for r in abelian_regular_scan(n):
-            if r.normal:
-                assert r.abelian_regular_count == 1, r
-                normal_seen += 1
-    for r in abelian_regular_scan(12):
-        if r.normal:
-            assert r.indices_all_2power, r
+        for conn, indices in abelian_regular_scan(n):
+            assert len(indices) == 1, conn
             normal_seen += 1
+    for conn, indices in abelian_regular_scan(12):
+        assert all(i & (i - 1) == 0 for i in indices), (conn, indices)
+        normal_seen += 1
     budget.done(f"{normal_seen} normal circulants checked")
 
 

@@ -593,30 +593,37 @@ def test_nnn_census_small():
             assert record["nnn"] is False
 
 
+def census_by_set(n):
+    """Each census record of Z_n keyed by its connection set, in census order."""
+    return {tuple(r["S"]): r for r in scan_range(n, 0, census_size(n))}
+
+
 def test_abelian_scan_uniqueness():
     for n in (9, 10):
-        records = abelian_regular_scan(n)
-        assert len(records) == census_size(n)
-        for r in records:
-            if r.normal:
-                assert r.abelian_regular_count == 1
-                assert r.intersection_indices == (1,)
+        scan = abelian_regular_scan(n)
+        census = census_by_set(n)
+        assert [conn for conn, _ in scan] == [s for s, r in census.items() if r["normal"]]
+        for _conn, indices in scan:
+            assert len(indices) == 1
+            assert indices == (1,)
 
 
 def test_abelian_scan_indices_two_power():
-    records = abelian_regular_scan(12)
-    seen_two = False
-    for r in records:
-        if r.normal:
-            assert r.indices_all_2power
-            assert not r.nnn
-            seen_two |= r.abelian_regular_count > 1
-    assert seen_two  # 4 | 12 allows a second abelian regular subgroup
+    for n in (12, 20):
+        scan = abelian_regular_scan(n)
+        census = census_by_set(n)
+        assert [conn for conn, _ in scan] == [s for s, r in census.items() if r["normal"]]
+        seen_two = False
+        for conn, indices in scan:
+            assert all(i & (i - 1) == 0 for i in indices)
+            assert not census[conn]["nnn"]
+            seen_two |= len(indices) > 1
+        assert seen_two, n  # 4 | n allows a second abelian regular subgroup
 
 
 def test_abelian_scan_searches_once_per_multiplier_group(monkeypatch):
     # the subgroups are searched once per distinct aut_G_S, and each
-    # normal record reads what a search of its own mask would give
+    # normal circulant reads what a search of its own mask would give
     search = circulant._abelian_regular_subgroups
     calls = []
 
@@ -627,15 +634,14 @@ def test_abelian_scan_searches_once_per_multiplier_group(monkeypatch):
     monkeypatch.setattr(circulant, "_abelian_regular_subgroups", counted)
     for n, searches in ((12, 2), (9, 1), (10, 1)):
         calls.clear()
-        records = abelian_regular_scan(n)
+        scan = abelian_regular_scan(n)
         assert len(calls) == searches, n
-        for r in records:
-            if r.normal:
-                mults = aut_G_S(build(n, r.conn))
-                subs = search(n, [(t, m) for t in range(n) for m in mults])
-                indices = sorted(n // sum(m == 1 for _t, m in h) for h in subs)
-                assert r.abelian_regular_count == len(subs)
-                assert list(r.intersection_indices) == indices
+        for conn, indices in scan:
+            mults = aut_G_S(build(n, conn))
+            subs = search(n, [(t, m) for t in range(n) for m in mults])
+            want = sorted(n // sum(m == 1 for _t, m in h) for h in subs)
+            assert len(indices) == len(subs)
+            assert list(indices) == want
 
 
 def test_abelian_scan_rejects_eights():

@@ -155,8 +155,11 @@ def test_cli_verify_pass_and_exit_codes(tmp_path):
     assert payload[0]["status"] == "pass"
 
 
-def test_cli_unknown_claim_is_usage_error():
+def test_cli_unknown_claim_is_usage_error(capsys):
     assert main(["verify", "no-such-claim"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "usage error: unknown claim 'no-such-claim'; known: " + ", ".join(claims.claim_ids())
+    ]
 
 
 def test_cli_bound_exceeded_is_exit_3():
@@ -292,17 +295,29 @@ def test_cli_reversed_range_is_usage_error():
 def test_cli_width_below_3_is_usage_error():
     # widths 1 and 2 have no normal form: lem-3.3 used to pass having
     # compared nothing, lem-3.4 died on a negative shift count
-    for claim_id in ("lem-3.3", "lem-3.4", "thm-3.14"):
-        proc = run_cli("verify", claim_id, "--n", "1..2")
-        assert proc.returncode == 2, (claim_id, proc.stderr)
+    for argv in (
+        ("verify", "lem-3.3"), ("verify", "lem-3.4"), ("verify", "thm-3.14"), ("classify",)
+    ):
+        proc = run_cli(*argv, "--n", "1..2")
+        assert proc.returncode == 2, (argv, proc.stderr)
         assert proc.stderr.splitlines() == [
             "usage error: --n '1..2' starts below 3, the smallest width with a normal form"
         ]
         assert proc.stdout == ""
 
 
-@pytest.mark.parametrize("claim_id, widths", [("thm-1.4", "8..9"), ("thm-3.4-normality", "9")])
-def test_cli_width_above_the_enumeration_is_usage_error(monkeypatch, capsys, claim_id, widths):
+@pytest.mark.parametrize(
+    "argv, widths, covers",
+    [
+        pytest.param(["verify", "thm-1.4"], "8..9", "claim thm-1.4 checks", id="thm-1.4-8..9"),
+        pytest.param(
+            ["verify", "thm-3.4-normality"], "9", "claim thm-3.4-normality checks",
+            id="thm-3.4-normality-9",
+        ),
+        pytest.param(["classify"], "8..9", "classify covers", id="classify-8..9"),
+    ],
+)
+def test_cli_width_above_the_enumeration_is_usage_error(monkeypatch, capsys, argv, widths, covers):
     # --force lifts the width bound, yet regular subgroups are enumerated
     # at widths 3..8 only: thm-1.4 used to spend seconds on width 8 and
     # then fail width 9, thm-3.4-normality to build Hol(Z_512) first
@@ -312,11 +327,11 @@ def test_cli_width_above_the_enumeration_is_usage_error(monkeypatch, capsys, cla
     monkeypatch.setattr(claims.hol, "holomorph_group", never)
     monkeypatch.setattr(rc, "representatives", never)
     monkeypatch.setattr(rc, "enumerate_regular_subgroups", never)
-    assert main(["verify", claim_id, "--n", widths, "--force"]) == 2
+    assert main([*argv, "--n", widths, "--force"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        f"usage error: --n {widths!r} ends above 8: claim {claim_id} checks widths 3..8"
+        f"usage error: --n {widths!r} ends above 8: {covers} widths 3..8"
     ]
     # no claim of the run starts, not even those before the too-wide one
     assert main(["verify", "all", "--n", widths, "--force"]) == 2
@@ -693,9 +708,12 @@ def test_classify_width_bounds_come_from_regular_classify(monkeypatch, capsys):
     # the usage check and the --n help both read rc's bounds
     monkeypatch.setattr(rc, "MIN_WIDTH", 4)
     monkeypatch.setattr(rc, "ENUM_MAX_N", 6)
-    for widths in ("3", "4..7"):
+    for widths, line in (
+        ("3", "--n '3' starts below 4, the smallest width with a normal form"),
+        ("4..7", "--n '4..7' ends above 6: classify covers widths 4..6"),
+    ):
         assert main(["classify", "--n", widths]) == 2
-        assert capsys.readouterr().err == "classification covers widths 4..6\n"
+        assert capsys.readouterr().err == f"usage error: {line}\n"
     assert main(["classify", "--help"]) == 0
     assert "width or range, 4..6" in capsys.readouterr().out
 

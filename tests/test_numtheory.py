@@ -2,12 +2,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holocirc.numtheory import alt_sum, geom_series, pow5
+from holocirc.numtheory import geom_series, pow5
 
 
 def M(k, j, n):
     """sum(5**(-s*j) for s in range(k)) mod 2**n, the paper's M."""
     return geom_series(pow5(-j, n), k, 1 << n)
+
+
+def alt_sum(k, j, n):
+    """sum((-1)**s * 5**(-s*j) for s in range(k)) mod 2**n, the paper's L:
+    the geometric sum of the negated ratio."""
+    return geom_series(-pow5(-j, n), k, 1 << n)
 
 
 def test_pow5_small_cases():
