@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from itertools import takewhile
+from itertools import cycle, takewhile
 from math import gcd
 from typing import Callable, Collection, Iterable, Iterator, Optional
 
@@ -76,8 +76,9 @@ def claim_ids() -> list[str]:
 
 
 def _all_elements(n: int) -> list[hol.HolElem2]:
+    """Every element of Hol(Z_{2^n}), by (alpha, beta, gamma)."""
     return [
-        hol.HolElem2(n, a, b, g)
+        hol._reduced(n, a, b, g)
         for a in range(1 << n)
         for b in (0, 1)
         for g in range(1 << (n - 2))
@@ -116,10 +117,12 @@ def _by_cyclic_subgroup(n: int, brute: Callable) -> Iterator[tuple[hol.HolElem2,
     brute(g, o) for the first g in that order that generates <h> and the
     length o of its walk to the identity: each g^k with gcd(k, o) = 1 shares
     g's order and cycle type (a g-cycle stays one cycle), so one walk serves."""
+    mod = 1 << n
+    fives = [pow(5, g, mod) for g in range(mod >> 2)]
+    multipliers = fives + [mod - u for u in fives]  # by (beta, gamma), as under each alpha
     shared: list = [None] * (1 << (2 * n - 1))  # at (a >> 1) * 2^n + c, one width
-    for h in _all_elements(n):
-        a, c = _affine_pair(h)
-        value = shared[a >> 1 << n | c]
+    for h, a in zip(_all_elements(n), cycle(multipliers)):
+        value = shared[a >> 1 << n | h.alpha * a % mod]
         if value is None:
             walk = [*takewhile((1, 0).__ne__, _powers(h)), (1, 0)]
             value = brute(h, len(walk))
@@ -241,10 +244,13 @@ def _run_sum_valuations(params: dict) -> tuple[str, list, dict]:
     mod = 1 << SUM_WIDTH
     bad = []
     truncated = 0
+    ratios: dict[int, int] = {}  # 5^(-j) by j, for this run only
     for _ in range(samples):
         k = rng.randint(1, SUM_LENGTH_MAX)
         j = rng.randint(1, SUM_LENGTH_MAX)
-        q = nt.pow5(-j, SUM_WIDTH)  # 5^(-kj) is q^k
+        q = ratios.get(j)
+        if q is None:
+            q = ratios[j] = nt.pow5(-j, SUM_WIDTH)  # 5^(-kj) is q^k
         m = nt.geom_series(q, k, mod)
         if m == 0:  # a zero residue only bounds the valuation from below
             truncated += 1

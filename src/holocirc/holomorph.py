@@ -84,7 +84,7 @@ class HolElem2(_Slots):
     5**gamma mod 2**n.  Requires n >= 3 (the unit group of Z_4 and Z_2
     is not <-1> x <5>).  An immutable value: equality and hash are those
     of (n, alpha, beta, gamma).  The constructor validates and reduces;
-    products and inverses are built reduced by ``_reduced``.
+    products, inverses and powers are built reduced by ``_reduced``.
     """
 
     __slots__ = ()
@@ -199,8 +199,9 @@ def _reduced(n: int, alpha: int, beta: int, gamma: int) -> HolElem2:
 
 def _signed_pow5(n: int, beta: int, e: int) -> int:
     """(-1)**beta * 5**e mod 2**n."""
-    u = pow5(e, n)
-    return (-u if beta else u) % (1 << n)
+    mod = 1 << n
+    u = pow(5, e, mod)  # a unit, so mod - u stays in [1, mod)
+    return mod - u if beta else u
 
 
 def power(h: HolElem2, r: int) -> HolElem2:
@@ -212,8 +213,9 @@ def power(h: HolElem2, r: int) -> HolElem2:
     if r < 0:
         return power(h.inverse(), -r)
     n = h.n
-    s = geom_series(_signed_pow5(n, h.beta, -h.gamma), r, h.modulus)
-    return HolElem2(n, h.alpha * s, h.beta & r, r * h.gamma)
+    mod = 1 << n
+    s = geom_series(_signed_pow5(n, h.beta, -h.gamma), r, mod)
+    return _reduced(n, h.alpha * s % mod, h.beta & r, r * h.gamma % (mod >> 2))
 
 
 def order(h: HolElem2) -> int:

@@ -4,7 +4,9 @@ Everything is plain integer arithmetic on canonical representatives in
 [0, 2**n).  Quotients such as (1 - 5**(-k*j)) / (1 - 5**(-j)) are never
 taken by modular division (the denominator is divisible by 4, hence not
 a unit); they are evaluated as explicit geometric partial sums, which is
-also what makes their 2-adic valuations predictable.  An alternating sum
+also what makes their 2-adic valuations predictable.  A partial sum is
+read off one power lifted to the modulus times q - 1, where the division
+by q - 1 is exact on integers (``geom_series``).  An alternating sum
 is the geometric sum of the negated ratio, geom_series(-q, k, mod).
 """
 
@@ -19,19 +21,16 @@ def pow5(k: int, n: int) -> int:
 
 
 def geom_series(q: int, k: int, mod: int) -> int:
-    """sum(q**s for s in range(k)) mod ``mod``, in O(log k) multiplications.
+    """sum(q**s for s in range(k)) mod ``mod``, by one lifted power.
 
-    Binary splitting of the partial sum: S(2m) = S(m) * (1 + q**m) and
-    S(2m+1) = S(2m) + q**(2m).  No division by 1 - q ever happens.
+    For a reduced q >= 2, r = q**k mod (mod * (q - 1)) is 1 mod q - 1, as
+    q**k is; so (r - 1) / (q - 1) is exact on integers, and congruent mod
+    ``mod`` to (q**k - 1) / (q - 1), the sum.  No division by 1 - q mod
+    ``mod`` ever happens.
     """
     if k < 0:
         raise ValueError("series length must be >= 0")
     q %= mod
-    total, power = 0, 1  # partial sum and q**(terms consumed)
-    for bit in bin(k)[2:]:
-        total = (total + total * power) % mod
-        power = power * power % mod
-        if bit == "1":
-            total = (total + power) % mod
-            power = power * q % mod
-    return total
+    if q < 2:  # the sum 1 + 0 + 0 + ... or 1 + 1 + ... + 1
+        return (min(k, 1) if q == 0 else k) % mod
+    return (pow(q, k, mod * (q - 1)) - 1) // (q - 1) % mod

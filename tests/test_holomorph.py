@@ -204,9 +204,12 @@ def _trusted_pairs():
 
 
 def test_trusted_products_and_inverses_equal_validated_elements():
+    # powers are built unvalidated too, at exponents that wrap the modulus
+    # and through the inverse
     for n, pairs in _trusted_pairs():
+        exponents = (0, 1, 2, (1 << n) - 1, 1 << n, -3)
         for h1, h2 in pairs:
-            for h in (h1.then(h2), h1.inverse()):
+            for h in (h1.then(h2), h1.inverse(), *(power(h1, r) for r in exponents)):
                 assert type(h) is HolElem2
                 assert_reduced(h, n)
 

@@ -35,10 +35,13 @@ def test_pow5_double_congruence_exhaustive():
 
 
 def test_geom_series_matches_naive():
-    for q in (1, 3, 13, 5):
-        for k in range(40):
-            naive = sum(pow(q, s, 1 << 9) for s in range(k)) % (1 << 9)
-            assert geom_series(q, k, 1 << 9) == naive
+    # the ratios 0 and 1 mod the modulus take their own route; the others
+    # include 2 (where the lifted power can be 0), negatives and mod - 1
+    for mod in (1, 9, 12, 1 << 9, 1 << 40):
+        for q in (0, 1, 2, 3, 5, 13, -1, -5, mod - 1):
+            for k in range(70):
+                naive = sum(pow(q, s, mod) for s in range(k)) % mod
+                assert geom_series(q, k, mod) == naive, (q, k, mod)
 
 
 def test_geom_sum_M_examples():
