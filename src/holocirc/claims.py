@@ -6,9 +6,10 @@ exhaustive filtering, full censuses) over an explicit finite range, and
 reports pass/fail with reproducible evidence.  The registry is what the
 ``verify`` CLI command dispatches on.
 
-The per-width claims give only their check of one width to ``_sweep``,
-which walks the widths of ``--n`` from 3 up, counts every case and
-reports each fault with its width first.
+Every claim that walks its cases hands them to ``_tally`` in labelled
+groups, which counts every case and reports each fault after its group's
+label; ``_sweep`` groups them by the widths of ``--n``, ``_over_moduli``
+by the claim's moduli.
 """
 
 from __future__ import annotations
@@ -16,15 +17,15 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from itertools import cycle, takewhile
-from math import gcd
+from itertools import cycle, product, takewhile
+from math import gcd, prod
 from typing import Callable, Collection, Iterable, Iterator, Optional
 
 from . import circulant as circ_mod
 from . import holomorph as hol
 from . import numtheory as nt
 from . import regular_classify as rc
-from .permgroup import Perm, orbits
+from .permgroup import Perm, grow, orbits
 
 DEFAULT_SAMPLES = 10_000
 DEFAULT_SEED = 20260810
@@ -206,23 +207,57 @@ def _range_param(params: dict, key: str, default: tuple[int, int]) -> tuple[int,
     return value
 
 
+def _tally(
+    groups: Iterable[tuple[dict, Iterable]], key: str, evidence: Optional[list] = None
+) -> tuple[str, list]:
+    """Status and evidence (``_counted``) of a claim that walks its cases
+    in groups, each a label and the items it yields.  Each item is one
+    case, counted under ``key``: None when it holds, else its fault,
+    which is reported after the group's label."""
+    bad = []
+    checked = 0
+    for label, items in groups:
+        for fault in items:
+            checked += 1
+            if fault is not None:
+                bad.append(label | fault)
+    return _counted(bad, key, checked, evidence)
+
+
 def _sweep(
     params: dict, default: tuple[int, int], key: str, faults: Callable[[int], Iterable]
 ) -> tuple[str, list, dict]:
     """Run a per-width claim over the widths of ``--n`` (``default`` when
-    unset) that have a normal form, in increasing order.  Each item that
-    ``faults(n)`` yields is one case, counted under ``key``: None when it
-    holds, else its fault, which is reported with its width first."""
+    unset) that have a normal form, in increasing order: the cases
+    ``faults(n)`` yields are the group of width n."""
     lo, hi = _range_param(params, "n", default)
-    bad = []
-    checked = 0
-    for n in range(max(lo, rc.MIN_WIDTH), hi + 1):
-        for fault in faults(n):
-            checked += 1
-            if fault is not None:
-                bad.append({"n": n, **fault})
-    status, evidence = _counted(bad, key, checked)
+    widths = range(max(lo, rc.MIN_WIDTH), hi + 1)
+    status, evidence = _tally((({"n": n}, faults(n)) for n in widths), key)
     return status, evidence, {"n": (lo, hi)}
+
+
+def _over_moduli(
+    params: dict,
+    default: tuple[int, ...],
+    key: str,
+    faults: Callable[[int], Iterable],
+    divisor: Optional[int] = None,
+    evidence: Optional[list] = None,
+) -> tuple[str, list, dict]:
+    """Run a claim over its moduli (``default`` when unset), in order:
+    the cases ``faults(n)`` yields are the group of modulus n.  Under
+    the hypothesis "``divisor`` does not divide n" only the moduli
+    inside it are checked, each other one is noted after the evidence,
+    and the claim is skipped when no modulus is inside it."""
+    moduli = tuple(params.get("moduli", default))
+    inside = [n for n in moduli if divisor is None or n % divisor]
+    outside = [
+        {"modulus": n, "why": f"divisible by {divisor}"} for n in moduli if n not in inside
+    ]
+    if outside and not inside:
+        return "skipped", outside, {"moduli": moduli}
+    status, evidence = _tally((({"n": n}, faults(n)) for n in inside), key, evidence)
+    return status, evidence + outside, {"moduli": moduli}
 
 
 # claim runners
@@ -412,10 +447,8 @@ def _run_nnn_multiplier_corollary(params: dict) -> tuple[str, list, dict]:
     bad = []
     # By Thm 1.3 no census graph is an antecedent, so the implication is
     # also checked on every multiplier group <-1, u>: each aut_G_S is one.
-    pairs = hol.PairArith(n)
     groups = {
-        tuple(sorted(m for _, m in pairs.closure([(0, n - 1), (0, u)])))
-        for u in range(1, n, 2)
+        tuple(sorted(grow([n - 1, u], lambda a, b: a * b % n, 1))) for u in range(1, n, 2)
     }
     antecedents = 0
     for mults in sorted(groups):
@@ -466,78 +499,50 @@ def _run_lex_bound(params: dict) -> tuple[str, list, dict]:
 
 
 def _run_y_forces_nonnormal(params: dict) -> tuple[str, list, dict]:
-    moduli = params.get("moduli", (8, 16))
-    bad = []
-    hits = 0
-    for n in moduli:
+    def faults(n: int) -> Iterator[Optional[dict]]:
         for mask in range(circ_mod.census_size(n)):
             c = circ_mod.Circulant(n, circ_mod.connection_set(n, mask))
-            if {s * 5 % n for s in c.conn} != c.conn:
-                continue
-            hits += 1
-            if circ_mod.is_normal_cayley(c):
-                bad.append({"n": n, "S": sorted(c.conn)})
-    status, evidence = _counted(bad, "five_stable_sets", hits)
-    return status, evidence, {"moduli": tuple(moduli)}
+            if {s * 5 % n for s in c.conn} == c.conn:
+                yield {"S": sorted(c.conn)} if circ_mod.is_normal_cayley(c) else None
+
+    return _over_moduli(params, (8, 16), "five_stable_sets", faults)
 
 
 def _run_centralizer_order(params: dict) -> tuple[str, list, dict]:
     grid = params.get("grid", ((2, 5), (3, 3), (5, 2), (7, 2)))
-    bad = []
-    checked = 0
-    for p, k_max in grid:
-        for k in range(2, k_max + 1):
-            for m in range(1, k + 1):
-                checked += 1
-                cent = hol.centralizer_in_aut(p**k, [m])
-                if len(cent) != p ** (k - m):
-                    bad.append({"p": p, "k": k, "m": m, "order": len(cent)})
-                    continue
-                full_aut = p == 2 and m == 1
-                phi = p ** (k - 1) * (p - 1)
-                if full_aut and len(cent) != phi:
-                    bad.append({"p": p, "k": k, "m": m, "why": "not the full unit group"})
-                if not full_aut and not _is_cyclic_multiplier_group(cent, p**k):
-                    bad.append({"p": p, "k": k, "m": m, "why": "not cyclic"})
-    status, evidence = _counted(bad, "cases", checked, [{"grid": list(grid)}])
+
+    def fault(p: int, k: int, m: int) -> Optional[dict]:
+        n = p**k
+        cent = hol.centralizer_in_aut(n, [m])
+        if len(cent) != p ** (k - m):
+            return {"order": len(cent)}
+        if p == 2 and m == 1:
+            phi = p ** (k - 1) * (p - 1)
+            return None if len(cent) == phi else {"why": "not the full unit group"}
+        # some unit generates the whole group
+        cyclic = any(len(grow([u], lambda a, b: a * b % n, 1)) == len(cent) for u in cent)
+        return None if cyclic else {"why": "not cyclic"}
+
+    groups = (
+        ({"p": p, "k": k, "m": m}, [fault(p, k, m)])
+        for p, k_max in grid for k in range(2, k_max + 1) for m in range(1, k + 1)
+    )
+    status, evidence = _tally(groups, "cases", [{"grid": list(grid)}])
     return status, evidence, {"grid": list(grid)}
 
 
-def _is_cyclic_multiplier_group(mults: tuple[int, ...], n: int) -> bool:
-    target = len(mults)
-    for u in mults:
-        order, v = 1, u
-        while v != 1:
-            v = v * u % n
-            order += 1
-        if order == target:
-            return True
-    return target == 1
-
-
 def _run_centralizer_product(params: dict) -> tuple[str, list, dict]:
-    moduli = params.get("moduli", (12, 36, 40, 45))
-    bad = []
-    checked = 0
-    for n in moduli:
+    def faults(n: int) -> Iterator[Optional[dict]]:
         parts = hol.prime_powers(n)
-        ranges = [range(1, k + 1) for _, k in parts]
-        stack = [[]]
-        for r in ranges:
-            stack = [s + [m] for s in stack for m in r]
-        for m_exps in stack:
+        for m_exps in product(*(range(1, k + 1) for _, k in parts)):
             cent = hol.centralizer_in_aut(n, m_exps)
-            want = 1
-            sub_order = 1
-            for m, (p, k) in zip(m_exps, parts):
-                want *= p ** (k - m)
-                sub_order *= p**m
-            checked += 1
+            want = prod(p ** (k - m) for m, (p, k) in zip(m_exps, parts))
+            sub_order = prod(p**m for m, (p, _) in zip(m_exps, parts))
             # want == n / |N|, the index of the subgroup being centralized
-            if len(cent) != want or want != n // sub_order:
-                bad.append({"n": n, "m_exps": m_exps, "order": len(cent), "want": want})
-    status, evidence = _counted(bad, "cases", checked)
-    return status, evidence, {"moduli": tuple(moduli)}
+            holds = len(cent) == want == n // sub_order
+            yield None if holds else {"m_exps": list(m_exps), "order": len(cent), "want": want}
+
+    return _over_moduli(params, (12, 36, 40, 45), "cases", faults)
 
 
 def _theta_census(n: int, witness: Callable, parameters: dict) -> tuple[str, list]:
@@ -591,68 +596,42 @@ def _run_index_2power(params: dict) -> tuple[str, list, dict]:
     if n % 8 == 0:
         return "skipped", [{"why": f"modulus {n} divisible by 8"}], {"modulus": n}
     scan = circ_mod.abelian_regular_scan(n)
-    bad = [
-        {"S": list(conn), "indices": list(indices)}
+    faults = (
+        {"S": list(conn), "indices": list(indices)} if any(i & (i - 1) for i in indices) else None
         for conn, indices in scan
-        if any(i & (i - 1) for i in indices)
-    ]
+    )
     evidence = [{"modulus": n, "normal_circulants": len(scan)}]
-    status, evidence = _counted(bad, "normal_circulants", len(scan), evidence)
+    status, evidence = _tally([({}, faults)], "normal_circulants", evidence)
     return status, evidence, {"modulus": n}
 
 
-def _split_moduli(moduli: tuple[int, ...], d: int) -> tuple[list[int], list[dict]]:
-    """The moduli inside the hypothesis "d does not divide n", which a
-    claim checks, and a note for each modulus outside it."""
-    inside = [n for n in moduli if n % d]
-    return inside, [{"modulus": n, "why": f"divisible by {d}"} for n in moduli if n % d == 0]
-
-
 def _run_unique_abelian(params: dict) -> tuple[str, list, dict]:
-    moduli = tuple(params.get("moduli", (9, 10)))
-    inside, outside = _split_moduli(moduli, 4)
-    if outside and not inside:
-        return "skipped", outside, {"moduli": moduli}
-    bad = []
-    evidence = []
-    for n in inside:
+    evidence = []  # one entry per modulus checked, as its scan is read
+
+    def faults(n: int) -> Iterator[Optional[dict]]:
         scan = circ_mod.abelian_regular_scan(n)
-        bad += [
-            {"n": n, "S": list(conn), "count": len(indices)}
-            for conn, indices in scan
-            if len(indices) != 1
-        ]
         evidence.append({"modulus": n, "normal_circulants": len(scan)})
-    checked = sum(e["normal_circulants"] for e in evidence)
-    status, evidence = _counted(bad, "normal_circulants", checked, evidence)
-    return status, evidence + outside, {"moduli": moduli}
+        for conn, indices in scan:
+            yield None if len(indices) == 1 else {"S": list(conn), "count": len(indices)}
+
+    return _over_moduli(params, (9, 10), "normal_circulants", faults, divisor=4, evidence=evidence)
 
 
 def _run_no_nnn_below_8(params: dict) -> tuple[str, list, dict]:
-    moduli = tuple(params.get("moduli", (9, 10, 12)))
-    inside, outside = _split_moduli(moduli, 8)
-    if outside and not inside:
-        return "skipped", outside, {"moduli": moduli}
-    bad = []
-    total = 0
-    for n in inside:
-        for record in _census(n):
-            total += 1
-            if record["nnn"]:
-                bad.append({"n": n, "S": record["S"]})
-    status, evidence = _counted(bad, "circulants", total)
-    return status, evidence + outside, {"moduli": moduli}
+    return _over_moduli(params, (9, 10, 12), "circulants", lambda n: (
+        {"S": record["S"]} if record["nnn"] else None for record in _census(n)
+    ), divisor=8)
 
 
 def _run_nnn_scan(params: dict) -> tuple[str, list, dict]:
     n = params.get("modulus", 8)
-    bad = [
-        {"n": n, "S": record["S"], "mask": record["mask"]}
+    faults = (
+        {"S": record["S"], "mask": record["mask"]} if record["nnn"] else None
         for record in _census(n)
-        if record["nnn"]
-    ]
-    evidence = bad or [{"modulus": n, "census": circ_mod.census_size(n), "nnn_graphs": 0}]
-    return ("fail" if bad else "pass"), evidence, {"modulus": n}
+    )
+    evidence = [{"modulus": n, "census": circ_mod.census_size(n), "nnn_graphs": 0}]
+    status, evidence = _tally([({"n": n}, faults)], "circulants", evidence)
+    return status, evidence, {"modulus": n}
 
 
 REGISTRY: dict[str, Claim] = {

@@ -64,10 +64,13 @@ def _resolve_bounds(args: argparse.Namespace) -> None:
         args.max_degree, args.max_hol_width = inf, FORCED_MAX_HOL_WIDTH
 
 
-def _within_bound(what: str, value: int, bound: float) -> None:
-    """Raise BoundExceeded when ``value`` exceeds the invocation's ``bound``."""
+def _within_bound(what: str, value: int, bound: float, forced: float = inf) -> None:
+    """Raise BoundExceeded when ``value`` exceeds the invocation's ``bound``;
+    the message hints at --force exactly when ``forced``, the bound under
+    --force, holds ``value``."""
     if value > bound:
-        raise BoundExceeded(f"{what} {value} exceeds bound {bound} (use --force)")
+        hint = " (use --force)" if value <= forced else ""
+        raise BoundExceeded(f"{what} {value} exceeds bound {bound}{hint}")
 
 
 def _load_config() -> dict:
@@ -229,7 +232,7 @@ def cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
                     f"--n {args.n!r} ends above {widest}: claim {claim_id} checks "
                     f"widths {rc.MIN_WIDTH}..{widest}"
                 )
-        _within_bound("width", hi, args.max_hol_width)
+        _within_bound("width", hi, args.max_hol_width, FORCED_MAX_HOL_WIDTH)
         params["n"] = (lo, hi)
     if args.modulus is not None:
         if args.modulus < 2:
@@ -269,7 +272,7 @@ def cmd_classify(args: argparse.Namespace, out: TextIO) -> int:
             f"--n {args.n!r} ends above {rc.ENUM_MAX_N}: classify covers widths "
             f"{rc.MIN_WIDTH}..{rc.ENUM_MAX_N}"
         )
-    _within_bound("width", hi, args.max_hol_width)
+    _within_bound("width", hi, args.max_hol_width, FORCED_MAX_HOL_WIDTH)
     _emit(_classification(lo, hi), args.format, out)
     return EXIT_OK
 
@@ -425,7 +428,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(exc, file=sys.stderr)
         return EXIT_BOUND
     except circ_mod.DegreeBoundError as exc:
-        print(f"resource bound: {exc}", file=sys.stderr)
+        hint = "" if args.force else " (use --force)"  # --force lifts this bound
+        print(f"resource bound: {exc}{hint}", file=sys.stderr)
         return EXIT_BOUND
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

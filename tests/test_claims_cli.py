@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -175,8 +176,9 @@ def test_cli_bound_exceeded_is_exit_3():
         (["classify", "--n", "3..5"], "width 5 exceeds bound 4 (use --force)"),
         (["graph", "--modulus", "40", "--set", "1,39"], "modulus 40 exceeds bound 32 (use --force)"),
         (["scan", "--modulus", "40"], "modulus 40 exceeds bound 32 (use --force)"),
+        (["verify", "lem-3.1", "--n", "3..65", "--force"], "width 65 exceeds bound 64"),
     ],
-    ids=["verify-n", "verify-modulus", "classify", "graph", "scan"],
+    ids=["verify-n", "verify-modulus", "classify", "graph", "scan", "verify-n-forced"],
 )
 def test_cli_each_command_reports_its_bound_once(monkeypatch, capsys, tmp_path, argv, line):
     if argv[0] == "classify":
@@ -238,6 +240,15 @@ def test_cli_config_cap_reaches_claims(tmp_path):
         proc = run_cli("verify", "lem-y-nonnormal", env=env)
         assert proc.returncode == 3, (env, proc.stderr)
         assert "16 vertices exceeds the bound 10" in proc.stderr
+
+
+def test_cli_bound_met_inside_a_claim_hints_at_force(monkeypatch, capsys):
+    # the library's own check stops the claim; --force would lift it
+    monkeypatch.setenv("HOLOCIRC_MAX_DEGREE", "10")
+    assert main(["verify", "lem-y-nonnormal"]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "resource bound: 16 vertices exceeds the bound 10 (use --force)"
+    ]
 
 
 def test_cli_parallel_scan_above_the_default_bound():
@@ -1295,3 +1306,107 @@ def test_cli_verify_usage_error_mid_run_keeps_the_reports_written(monkeypatch, c
     assert [r["claim_id"] for r in reports] == ["lem-3.1", "lem-3.2"]
     assert all(r["status"] == "pass" for r in reports)
     assert captured.err.splitlines()[-1] == "usage error: broken claim"
+
+
+def _copy_turned_non_normal(n, mults, generator):
+    """cyclic_copies marks the copy <generator> non-normal for the
+    multiplier group ``mults`` of Z_n, so every normal class with that
+    group turns nnn."""
+
+    def wrong(right):
+        def copies(k, ms):
+            found = right(k, ms)
+            if (k, tuple(sorted(ms))) != (n, mults):
+                return found
+            return tuple(
+                dataclasses.replace(c, normal_in_aut=False) if c.generator == generator else c
+                for c in found
+            )
+
+        return copies
+
+    return circulant, "cyclic_copies", wrong
+
+
+def _scan_with_indices(n, conn, indices):
+    """abelian_regular_scan reports ``indices`` for the set ``conn`` of Z_n."""
+    wrong = lambda right: lambda k: [
+        (c, indices if (k, c) == (n, conn) else ix) for c, ix in right(k)
+    ]
+    return circulant, "abelian_regular_scan", wrong
+
+
+def _centralizer_one_short(n, m_exps):
+    """centralizer_in_aut drops its last multiplier at one case."""
+    wrong = lambda right: lambda k, exps: (
+        right(k, exps)[:-1] if (k, tuple(exps)) == (n, m_exps) else right(k, exps)
+    )
+    return claims.hol, "centralizer_in_aut", wrong
+
+
+def _normal_on(n, conn):
+    """is_normal_cayley answers true on the set ``conn`` of Z_n."""
+    wrong = lambda right: lambda c, *aut: (c.n, c.conn) == (n, conn) or right(c, *aut)
+    return circulant, "is_normal_cayley", wrong
+
+
+# each claim id: its parameters, the planted fault, a fault the evidence
+# must name, and how many faults it reports
+PLANTED_FAULTS = {
+    # Z_16's 4 normal classes with group <-1, 7> hold the copy (1, 9)
+    "thm-1.3-scan": (
+        {"modulus": 16},
+        _copy_turned_non_normal(16, (1, 7, 9, 15), (1, 9)),
+        {"n": 16, "S": [2, 3, 5, 11, 13, 14], "mask": 22},
+        16,
+    ),
+    # no normal class of Z_9, Z_10 or Z_12 has a second copy: the
+    # translation copy itself is marked, on Z_12's 3 classes with group
+    # Z_12^*
+    "thm-2.8-no8": (
+        {},
+        _copy_turned_non_normal(12, (1, 5, 7, 11), (1, 1)),
+        {"n": 12, "S": [2, 3, 9, 10]},
+        6,
+    ),
+    "lem-2.6-2power": (
+        {},
+        _scan_with_indices(12, (1, 11), (3,)),
+        {"S": [1, 11], "indices": [3]},
+        1,
+    ),
+    "thm-2.7-unique": (
+        {},
+        _scan_with_indices(10, (1, 9), (1, 2)),
+        {"n": 10, "S": [1, 9], "count": 2},
+        1,
+    ),
+    "lem-y-nonnormal": (
+        {},
+        _normal_on(16, frozenset({4, 12})),
+        {"n": 16, "S": [4, 12]},
+        1,
+    ),
+    "lem-2.1": (
+        {},
+        _centralizer_one_short(27, (1,)),
+        {"p": 3, "k": 3, "m": 1, "order": 8},
+        1,
+    ),
+    "cor-2.3": (
+        {},
+        _centralizer_one_short(36, (1, 2)),
+        {"n": 36, "m_exps": [1, 2], "order": 1, "want": 2},
+        1,
+    ),
+}
+
+
+@pytest.mark.parametrize("claim_id", list(PLANTED_FAULTS))
+def test_every_claim_fails_on_a_planted_fault(monkeypatch, claim_id):
+    params, (module, name, wrong), named, faults = PLANTED_FAULTS[claim_id]
+    monkeypatch.setattr(module, name, wrong(getattr(module, name)))
+    report = claims.run_claim(claim_id, params)
+    assert report.status == "fail"
+    assert named in report.evidence
+    assert len(report.evidence) == faults
