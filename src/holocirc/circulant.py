@@ -516,14 +516,8 @@ def theta_witness_p_odd(circ: Circulant, p: int) -> Optional[tuple[int, ...]]:
     if n % (p * p):
         raise ValueError(f"{p}^2 does not divide {n}")
     k = dict(prime_powers(n))[p]
-    rest = n // p**k
     phi = crt_lift(n, p**k, p ** (k - 1) + 1, 1)
-    if {s * phi % n for s in circ.conn} != circ.conn:
-        return None
-    g_p = rest * p ** (k - 1)  # generator of the unique order-p subgroup
-    theta = tuple((x + g_p) % n if x % p == 2 else x for x in range(n))
-    _verify_witness(circ, theta)
-    return theta
+    return _coset_twist(circ, phi, n // p, p)  # n/p generates the order-p subgroup
 
 
 def theta_witness_2part(circ: Circulant) -> Optional[tuple[int, ...]]:
@@ -542,10 +536,19 @@ def theta_witness_2part(circ: Circulant) -> Optional[tuple[int, ...]]:
         raise ValueError(f"2-part of {n} is 2^{k}, need k >= 4")
     two_part = 1 << k
     rho = crt_lift(n, two_part, pow(5, 1 << (k - 4), two_part), 1)
-    if {s * rho % n for s in circ.conn} != circ.conn:
+    return _coset_twist(circ, rho, n // 2, 4)  # n/2 is the 2-part's involution
+
+
+def _coset_twist(
+    circ: Circulant, multiplier: int, shift: int, q: int
+) -> Optional[tuple[int, ...]]:
+    """The coset-twist witness: None unless ``multiplier`` preserves S;
+    else the permutation adding ``shift`` exactly on the residues 2 mod
+    ``q``, verified (``_verify_witness``)."""
+    n = circ.n
+    if {s * multiplier % n for s in circ.conn} != circ.conn:
         return None
-    half = crt_lift(n, two_part, two_part >> 1, 0)  # the 2-part's involution
-    theta = tuple((x + half) % n if x % 4 == 2 else x for x in range(n))
+    theta = tuple((x + shift) % n if x % q == 2 else x for x in range(n))
     _verify_witness(circ, theta)
     return theta
 

@@ -6,10 +6,11 @@ exhaustive filtering, full censuses) over an explicit finite range, and
 reports pass/fail with reproducible evidence.  The registry is what the
 ``verify`` CLI command dispatches on.
 
-Every claim that walks its cases hands them to ``_tally`` in labelled
-groups, which counts every case and reports each fault after its group's
-label; ``_sweep`` groups them by the widths of ``--n``, ``_over_moduli``
-by the claim's moduli.
+Every claim but ``lem-lex`` (two statements, each of which must check
+something) hands its cases to ``_tally`` in labelled groups, which counts
+every case, reports each fault after its group's label and alone decides
+the verdict; ``_sweep`` groups them by the widths of ``--n``,
+``_over_moduli`` by the claim's moduli.
 """
 
 from __future__ import annotations
@@ -178,19 +179,6 @@ def _normal_in_hol(rec: rc.ClassificationRecord) -> Optional[bool]:
     )
 
 
-def _counted(
-    bad: list, key: str, checked: int, evidence: Optional[list] = None
-) -> tuple[str, list]:
-    """Status and evidence of a claim that counts its cases.  A claim
-    that checked nothing fails: an empty range proves nothing.  A pass
-    reports ``evidence``, by default the count under ``key``."""
-    if bad:
-        return "fail", bad
-    if not checked:
-        return "fail", [{key: 0, "why": "nothing was checked"}]
-    return "pass", evidence or [{key: checked}]
-
-
 def _census(n: int) -> Iterator[dict]:
     """The full census of Z_n as a stream of records, one automorphism
     search per class under units and complementation
@@ -210,10 +198,13 @@ def _range_param(params: dict, key: str, default: tuple[int, int]) -> tuple[int,
 def _tally(
     groups: Iterable[tuple[dict, Iterable]], key: str, evidence: Optional[list] = None
 ) -> tuple[str, list]:
-    """Status and evidence (``_counted``) of a claim that walks its cases
-    in groups, each a label and the items it yields.  Each item is one
-    case, counted under ``key``: None when it holds, else its fault,
-    which is reported after the group's label."""
+    """Status and evidence of a claim that walks its cases in groups,
+    each a label and the items it yields.  Each item is one case,
+    counted under ``key``: None when it holds, else its fault, which is
+    reported after the group's label.  A claim that checked nothing
+    fails: an empty range proves nothing.  A pass reports ``evidence``,
+    read once the walk is done (the walk may fill it in), by default
+    the count under ``key``."""
     bad = []
     checked = 0
     for label, items in groups:
@@ -221,7 +212,11 @@ def _tally(
             checked += 1
             if fault is not None:
                 bad.append(label | fault)
-    return _counted(bad, key, checked, evidence)
+    if bad:
+        return "fail", bad
+    if not checked:
+        return "fail", [{key: 0, "why": "nothing was checked"}]
+    return "pass", evidence or [{key: checked}]
 
 
 def _sweep(
@@ -275,36 +270,33 @@ def _run_pow5_congruences(params: dict) -> tuple[str, list, dict]:
 
 def _run_sum_valuations(params: dict) -> tuple[str, list, dict]:
     samples = params.get("samples", DEFAULT_SAMPLES)
-    rng = random.Random(params.get("seed", DEFAULT_SEED))
+    seed = params.get("seed", DEFAULT_SEED)
+    rng = random.Random(seed)
     mod = 1 << SUM_WIDTH
-    bad = []
-    truncated = 0
+    summary = {"samples": samples, "width": SUM_WIDTH, "truncated": 0}
     ratios: dict[int, int] = {}  # 5^(-j) by j, for this run only
-    for _ in range(samples):
-        k = rng.randint(1, SUM_LENGTH_MAX)
-        j = rng.randint(1, SUM_LENGTH_MAX)
-        q = ratios.get(j)
-        if q is None:
-            q = ratios[j] = nt.pow5(-j, SUM_WIDTH)  # 5^(-kj) is q^k
-        m = nt.geom_series(q, k, mod)
-        if m == 0:  # a zero residue only bounds the valuation from below
-            truncated += 1
-        elif m & -m != k & -k:
-            bad.append({"sum": "M", "k": k, "j": j, "two_part": m & -m})
-        ke = k + (k & 1)  # the valuation of L holds at even lengths
-        alt = nt.geom_series(-q, ke, mod)
-        expected = 2 * (ke & -ke) * (j & -j)
-        if alt == 0:
-            truncated += 1
-        elif alt & -alt != expected:
-            bad.append({"sum": "L", "k": ke, "j": j, "two_part": alt & -alt})
-        lhs = m * (1 - q) % mod
-        rhs = (1 - pow(q, k, mod)) % mod
-        if lhs != rhs:
-            bad.append({"sum": "identity", "k": k, "j": j})
-    evidence = [{"samples": samples, "width": SUM_WIDTH, "truncated": truncated}]
-    status, evidence = _counted(bad, "samples", max(samples, 0), evidence)
-    return status, evidence, {"samples": samples, "width": SUM_WIDTH, "seed": params.get("seed", DEFAULT_SEED)}
+
+    def faults() -> Iterator[Optional[dict]]:
+        for _ in range(samples):
+            k = rng.randint(1, SUM_LENGTH_MAX)
+            j = rng.randint(1, SUM_LENGTH_MAX)
+            q = ratios.get(j)
+            if q is None:
+                q = ratios[j] = nt.pow5(-j, SUM_WIDTH)  # 5^(-kj) is q^k
+            m = nt.geom_series(q, k, mod)
+            ke = k + (k & 1)  # the valuation of L holds at even lengths
+            alt = nt.geom_series(-q, ke, mod)
+            sums = ("M", m, k, k & -k), ("L", alt, ke, 2 * (ke & -ke) * (j & -j))
+            for name, r, length, want in sums:
+                if r == 0:  # a zero residue only bounds the valuation from below
+                    summary["truncated"] += 1
+                holds = r == 0 or r & -r == want
+                yield None if holds else {"sum": name, "k": length, "j": j, "two_part": r & -r}
+            holds = m * (1 - q) % mod == (1 - pow(q, k, mod)) % mod
+            yield None if holds else {"sum": "identity", "k": k, "j": j}
+
+    status, evidence = _tally([({}, faults())], "samples", [summary])
+    return status, evidence, {"samples": samples, "width": SUM_WIDTH, "seed": seed}
 
 
 def _run_power_closed_form(params: dict) -> tuple[str, list, dict]:
@@ -382,8 +374,7 @@ def _run_semiregular_classification(params: dict) -> tuple[str, list, dict]:
 
 def _run_regular_classification(params: dict) -> tuple[str, list, dict]:
     lo, hi = _range_param(params, "n", (3, 5))
-    bad = []
-    checked = 0
+    faults: list[Optional[dict]] = []  # one item per case, in order
     evidence = []
     reps: dict[int, tuple[rc.ClassificationRecord, ...]] = {}  # the widths that hold
     coincidences: list[list[str]] = []
@@ -391,7 +382,7 @@ def _run_regular_classification(params: dict) -> tuple[str, list, dict]:
         try:
             recs = rc.representatives(n)
         except RuntimeError as exc:
-            bad.append({"n": n, "why": str(exc)})
+            faults.append({"n": n, "why": str(exc)})
             continue
         reps[n] = recs
         if n == 3:
@@ -405,25 +396,26 @@ def _run_regular_classification(params: dict) -> tuple[str, list, dict]:
         )
     for n in range(lo, hi + 1):
         if n not in reps:
-            bad.append({"n": n, "why": "no checked representatives to match"})
+            faults.append({"n": n, "why": "no checked representatives to match"})
             continue
         records = rc.enumerate_regular_subgroups(n)
-        checked += len(records)
         in_rep = {rep.rtype: _regular_member(1 << n, rep.elements) for rep in reps[n]}
         per_type: dict[str, int] = {}
         for rec in records:
-            per_type[rec.rtype.label()] = per_type.get(rec.rtype.label(), 0) + 1
-            if not _witness_holds(rec, in_rep[rec.rtype]):
-                bad.append({"n": n, "type": rec.rtype.label(), "why": "bad witness"})
+            label = rec.rtype.label()
+            per_type[label] = per_type.get(label, 0) + 1
+            holds = _witness_holds(rec, in_rep[rec.rtype])
+            faults.append(None if holds else {"n": n, "type": label, "why": "bad witness"})
         # a class, under the first tag of coinciding representatives,
         # holds [Hol : N(R)] subgroups
         for rep, _ in rc.canonical_classes(reps[n]):
-            found = per_type.get(rep.rtype.label(), 0)
-            if found != rc.normalizer_index(rep):
-                bad.append({"n": n, "type": rep.rtype.label(), "subgroups": found})
+            label = rep.rtype.label()
+            found = per_type.get(label, 0)
+            holds = found == rc.normalizer_index(rep)
+            faults.append(None if holds else {"n": n, "type": label, "subgroups": found})
         evidence.append({"n": n, "regular_subgroups": len(records), "classes": per_type})
     evidence.append({"n": 3, "coinciding_representatives": coincidences})
-    status, evidence = _counted(bad, "regular_subgroups", checked, evidence)
+    status, evidence = _tally([({}, faults)], "regular_subgroups", evidence)
     return status, evidence, {"n": (lo, hi), "rep_n_max": rc.ENUM_MAX_N}
 
 
@@ -444,32 +436,31 @@ def _run_nnn_multiplier_corollary(params: dict) -> tuple[str, list, dict]:
     if n != 1 << k or k < 4:
         return "skipped", [{"why": f"modulus {n} is not a 2-power with 2-part >= 16"}], {"modulus": n}
     needed = pow(5, 1 << (k - 4), n)
-    bad = []
     # By Thm 1.3 no census graph is an antecedent, so the implication is
     # also checked on every multiplier group <-1, u>: each aut_G_S is one.
     groups = {
         tuple(sorted(grow([n - 1, u], lambda a, b: a * b % n, 1))) for u in range(1, n, 2)
     }
-    antecedents = 0
-    for mults in sorted(groups):
-        if not all(c.normal_in_aut for c in circ_mod.cyclic_copies(n, mults)):
-            antecedents += 1
-            if needed not in mults:
-                bad.append({"multipliers": list(mults)})
-    nnn_graphs = 0
-    for record in _census(n):
-        if record["nnn"]:
-            nnn_graphs += 1
-            if needed not in circ_mod.aut_G_S(circ_mod.Circulant(n, frozenset(record["S"]))):
-                bad.append({"S": record["S"]})
+    faults = [  # the antecedent groups, then the nnn graphs
+        None if needed in mults else {"multipliers": list(mults)}
+        for mults in sorted(groups)
+        if not all(c.normal_in_aut for c in circ_mod.cyclic_copies(n, mults))
+    ]
+    antecedents = len(faults)
+    faults += [
+        None if needed in circ_mod.aut_G_S(circ_mod.Circulant(n, frozenset(record["S"])))
+        else {"S": record["S"]}
+        for record in _census(n)
+        if record["nnn"]
+    ]
     summary = {
         "census": circ_mod.census_size(n),
-        "nnn_graphs": nnn_graphs,
+        "nnn_graphs": len(faults) - antecedents,
         "multiplier_groups": len(groups),
         "antecedents": antecedents,
         "multiplier": needed,
     }
-    status, evidence = _counted(bad, "antecedents", antecedents + nnn_graphs, [summary])
+    status, evidence = _tally([({}, faults)], "antecedents", [summary])
     return status, evidence, {"modulus": n}
 
 
@@ -517,8 +508,8 @@ def _run_centralizer_order(params: dict) -> tuple[str, list, dict]:
         if len(cent) != p ** (k - m):
             return {"order": len(cent)}
         if p == 2 and m == 1:
-            phi = p ** (k - 1) * (p - 1)
-            return None if len(cent) == phi else {"why": "not the full unit group"}
+            # Z_{2^k}^* is not cyclic; the order check asked for all phi(2^k) units
+            return None
         # some unit generates the whole group
         cyclic = any(len(grow([u], lambda a, b: a * b % n, 1)) == len(cent) for u in cent)
         return None if cyclic else {"why": "not cyclic"}
@@ -545,27 +536,29 @@ def _run_centralizer_product(params: dict) -> tuple[str, list, dict]:
     return _over_moduli(params, (12, 36, 40, 45), "cases", faults)
 
 
-def _theta_census(n: int, witness: Callable, parameters: dict) -> tuple[str, list]:
+def _theta_census(n: int, witness: Callable, parameters: dict) -> tuple[str, list, dict]:
     """Build ``witness(c)`` on every set of the Z_n census: each witness
-    must verify, and its graph must not be normal.  A pass reports
-    ``parameters`` with the witness and failed-precondition counts."""
-    built = skipped = 0
-    bad = []
-    for mask in range(circ_mod.census_size(n)):
-        c = circ_mod.Circulant(n, circ_mod.connection_set(n, mask))
-        try:
-            theta = witness(c)
-        except circ_mod.WitnessVerificationError as exc:
-            bad.append({"S": sorted(c.conn), "why": str(exc)})
-            continue
-        if theta is None:
-            skipped += 1
-        else:
-            built += 1
-            if circ_mod.is_normal_cayley(c):
-                bad.append({"S": sorted(c.conn), "why": "witness exists but graph normal"})
-    evidence = [{**parameters, "witnesses": built, "preconditions_failed": skipped}]
-    return _counted(bad, "witnesses", built, evidence)
+    must verify, and its graph must not be normal.  ``parameters`` are
+    the ones used, and a pass reports them with the witness and
+    failed-precondition counts."""
+    summary = {**parameters, "witnesses": 0, "preconditions_failed": 0}
+
+    def faults() -> Iterator[Optional[dict]]:
+        for mask in range(circ_mod.census_size(n)):
+            c = circ_mod.Circulant(n, circ_mod.connection_set(n, mask))
+            try:
+                theta = witness(c)
+            except circ_mod.WitnessVerificationError as exc:
+                yield {"S": sorted(c.conn), "why": str(exc)}
+                continue
+            if theta is None:
+                summary["preconditions_failed"] += 1
+                continue
+            summary["witnesses"] += 1
+            normal = circ_mod.is_normal_cayley(c)
+            yield {"S": sorted(c.conn), "why": "witness exists but graph normal"} if normal else None
+
+    return (*_tally([({}, faults())], "witnesses", [summary]), parameters)
 
 
 def _run_theta_odd(params: dict) -> tuple[str, list, dict]:
@@ -574,11 +567,7 @@ def _run_theta_odd(params: dict) -> tuple[str, list, dict]:
     p = next((q for q, k in hol.prime_powers(n) if q % 2 and k >= 2), None)
     if p is None:
         return "skipped", [{"why": f"no odd prime with square dividing {n}"}], {"modulus": n}
-    used = {"modulus": n, "p": p}
-    status, evidence = _theta_census(
-        n, lambda c: circ_mod.theta_witness_p_odd(c, p), used
-    )
-    return status, evidence, used
+    return _theta_census(n, lambda c: circ_mod.theta_witness_p_odd(c, p), {"modulus": n, "p": p})
 
 
 def _run_theta_2part(params: dict) -> tuple[str, list, dict]:
@@ -586,9 +575,7 @@ def _run_theta_2part(params: dict) -> tuple[str, list, dict]:
     k = (n & -n).bit_length() - 1
     if k < 4:
         return "skipped", [{"why": f"2-part of {n} is below 16"}], {"modulus": n}
-    used = {"modulus": n}
-    status, evidence = _theta_census(n, circ_mod.theta_witness_2part, used)
-    return status, evidence, used
+    return _theta_census(n, circ_mod.theta_witness_2part, {"modulus": n})
 
 
 def _run_index_2power(params: dict) -> tuple[str, list, dict]:

@@ -53,15 +53,17 @@ class BoundExceeded(Exception):
 def _resolve_bounds(args: argparse.Namespace) -> None:
     """Resolve the invocation's bounds once, onto ``args``: the config
     file and the settings are read and checked once, here, and then
-    --force lifts the degree bound (``inf``) and raises the width bound.
+    --force lifts the degree bound (``inf``) and raises the width bound
+    to ``forced_hol_width``, the configured one or 64 if that is higher.
     Nothing else reads the environment."""
     config = _load_config()
     args.max_degree = _max_degree(config)
     args.max_hol_width = _integer_setting(
         config.get("max_hol_width", DEFAULT_MAX_HOL_WIDTH), "config max_hol_width"
     )
+    args.forced_hol_width = max(args.max_hol_width, FORCED_MAX_HOL_WIDTH)
     if args.force:
-        args.max_degree, args.max_hol_width = inf, FORCED_MAX_HOL_WIDTH
+        args.max_degree, args.max_hol_width = inf, args.forced_hol_width
 
 
 def _within_bound(what: str, value: int, bound: float, forced: float = inf) -> None:
@@ -232,7 +234,7 @@ def cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
                     f"--n {args.n!r} ends above {widest}: claim {claim_id} checks "
                     f"widths {rc.MIN_WIDTH}..{widest}"
                 )
-        _within_bound("width", hi, args.max_hol_width, FORCED_MAX_HOL_WIDTH)
+        _within_bound("width", hi, args.max_hol_width, args.forced_hol_width)
         params["n"] = (lo, hi)
     if args.modulus is not None:
         if args.modulus < 2:
@@ -272,7 +274,7 @@ def cmd_classify(args: argparse.Namespace, out: TextIO) -> int:
             f"--n {args.n!r} ends above {rc.ENUM_MAX_N}: classify covers widths "
             f"{rc.MIN_WIDTH}..{rc.ENUM_MAX_N}"
         )
-    _within_bound("width", hi, args.max_hol_width, FORCED_MAX_HOL_WIDTH)
+    _within_bound("width", hi, args.max_hol_width, args.forced_hol_width)
     _emit(_classification(lo, hi), args.format, out)
     return EXIT_OK
 

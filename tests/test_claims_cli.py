@@ -251,6 +251,20 @@ def test_cli_bound_met_inside_a_claim_hints_at_force(monkeypatch, capsys):
     ]
 
 
+def test_cli_force_keeps_a_higher_configured_width_bound(monkeypatch, capsys, tmp_path):
+    # --force raises the width bound to 64 and never lowers the config
+    # file's; above that bound --force would not help, so no hint
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"max_hol_width": 100}))
+    monkeypatch.setenv("HOLOCIRC_CONFIG", str(cfg))
+    assert main(["verify", "lem-3.1", "--n", "3..70", "--force"]) == 0
+    capsys.readouterr()
+    assert main(["verify", "lem-3.1", "--n", "3..101", "--force"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["width 101 exceeds bound 100"]
+    assert captured.out == ""
+
+
 def test_cli_parallel_scan_above_the_default_bound():
     # 64 masks of Z_34, above the default bound of 32, in two pool
     # batches: the workers start outside the CLI's scope, so each batch
@@ -1350,6 +1364,26 @@ def _normal_on(n, conn):
     return circulant, "is_normal_cayley", wrong
 
 
+def _doubled_sum(ratio, length):
+    """geom_series doubles the sum of one ratio (mod 2^SUM_WIDTH) and length."""
+    mod = 1 << claims.SUM_WIDTH
+
+    def wrong(right):
+        def series(q, k, m):
+            total = right(q, k, m)
+            return 2 * total % m if (q % mod, k) == (ratio % mod, length) else total
+
+        return series
+
+    return claims.nt, "geom_series", wrong
+
+
+def _lex_exponent_at(k, t, value):
+    """lex_exponent answers ``value`` at the split (k, t)."""
+    wrong = lambda right: lambda kk, tt: value if (kk, tt) == (k, t) else right(kk, tt)
+    return circulant, "lex_exponent", wrong
+
+
 # each claim id: its parameters, the planted fault, a fault the evidence
 # must name, and how many faults it reports
 PLANTED_FAULTS = {
@@ -1399,7 +1433,51 @@ PLANTED_FAULTS = {
         {"n": 36, "m_exps": [1, 2], "order": 1, "want": 2},
         1,
     ),
+    # the one sample of seed 1 draws k = 276 and j = 130
+    "lem-3.2": (
+        {"samples": 1, "seed": 1},
+        _doubled_sum(-claims.nt.pow5(-130, claims.SUM_WIDTH), 276),
+        {"sum": "L", "k": 276, "j": 130, "two_part": 32},
+        1,
+    ),
+    "lem-lex": (
+        {},
+        _lex_exponent_at(5, 2, 8),
+        {"k": 5, "t": 2, "exponent": 8},
+        1,
+    ),
+    "lem-2.4-theta": (
+        {},
+        _normal_on(9, frozenset()),
+        {"S": [], "why": "witness exists but graph normal"},
+        1,
+    ),
+    "thm-4.3-theta": (
+        {},
+        _normal_on(16, frozenset({4, 12})),
+        {"S": [4, 12], "why": "witness exists but graph normal"},
+        1,
+    ),
 }
+
+# the claims whose faults are shown by tests of their own
+DEDICATED_FAULT_TESTS = (
+    "lem-3.1",
+    "lem-3.3",
+    "lem-3.4",
+    "lem-3.5",
+    "lem-3.10",
+    "thm-3.14",
+    "thm-1.4",
+    "thm-3.4-normality",
+    "cor-3.4",
+)
+
+
+def test_every_claim_has_a_fault_case():
+    # a new claim cannot join the registry without one
+    assert set(PLANTED_FAULTS).isdisjoint(DEDICATED_FAULT_TESTS)
+    assert sorted([*PLANTED_FAULTS, *DEDICATED_FAULT_TESTS]) == sorted(claims.claim_ids())
 
 
 @pytest.mark.parametrize("claim_id", list(PLANTED_FAULTS))
