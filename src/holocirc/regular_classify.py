@@ -165,92 +165,72 @@ def is_normal_cyclic_regular_in_hol(rtype: RegularType, n: int) -> bool:
 
 
 def representative_types(n: int) -> list[RegularType]:
-    """The family tags that actually occur at width n.
-
-    At n = 3 the modular family is skipped: its would-be generators
-    there produce a non-regular group of order 4 (no modular group of
-    order 8 exists), and the quasidihedral generators coincide with the
-    direct-product ones (both give Z2 x Z4).
-    """
+    """The family tags that actually occur at width n: every family but
+    the modular one at n = 3, where it does not exist (``_family``)."""
     _check_n(n)
     types = [RegularType("translations")]
     types += [RegularType("twisted_cyclic", t) for t in range(n - 2)]
-    types += [
-        RegularType("dihedral"),
-        RegularType("quaternion"),
-        RegularType("direct_product"),
-        RegularType("quasidihedral"),
-    ]
-    if n >= 4:
-        types.append(RegularType("modular"))
+    types += [RegularType(kind) for kind in _KINDS[2:] if kind != "modular" or n >= 4]
     return types
+
+
+def _family(
+    rtype: RegularType, n: int
+) -> tuple[tuple[tuple[int, int, int], ...], str, int]:
+    """Thm 1.4's row for one family at width n: the exponents (alpha,
+    beta, gamma) of the representative's literal generators, the
+    isomorphism type it must realize, and the d with R .intersect.
+    translations = <a^d>.  Width 3 has two rules: the quasidihedral
+    generators give Z2 x Z4, the direct-product subgroup, and the modular
+    family does not exist (its would-be generators give a non-regular
+    group of order 4)."""
+    _check_n(n)
+    if rtype.kind == "twisted_cyclic":
+        _check_twist(rtype.t, n)
+        return ((1, 0, 1 << rtype.t),), "cyclic", 1 << (n - rtype.t - 2)
+    if rtype.kind == "modular" and n < 4:
+        raise ValueError("the modular family is degenerate at width 3")
+    # a2 is 2 * 5^-1, and y^y_top is the involution of <y>
+    ax, y_top, a2 = (1, 1, 0), 1 << (n - 3), 2 * pow5(-1, n)
+    return {
+        "translations": (((1, 0, 0),), "cyclic", 1),
+        "dihedral": (((2, 0, 0), ax), "dihedral", 2),
+        "quaternion": (((2, 0, 0), (1, 1, y_top)), "generalized_quaternion", 2),
+        "direct_product": (((a2, 0, 1), ax), "Z2_x_cyclic", 1 << (n - 1)),
+        "quasidihedral": (
+            ((2, 0, y_top), ax),
+            "Z2_x_cyclic" if n == 3 else "quasidihedral",
+            4,
+        ),
+        "modular": (
+            ((a2 + (1 << (n - 2)), 0, 1), ax),
+            "modular_maximal_cyclic",
+            1 << (n - 1),
+        ),
+    }[rtype.kind]
 
 
 def representative_generators(rtype: RegularType, n: int) -> list[HolElem2]:
     """The literal generating set of the canonical representative."""
-    _check_n(n)
-    inv5 = pow5(-1, n)
-    ax = HolElem2(n, 1, 1, 0)
-    if rtype.kind == "translations":
-        return [HolElem2(n, 1, 0, 0)]
-    if rtype.kind == "twisted_cyclic":
-        _check_twist(rtype.t, n)
-        return [HolElem2(n, 1, 0, 1 << rtype.t)]
-    if rtype.kind == "dihedral":
-        return [HolElem2(n, 2, 0, 0), ax]
-    if rtype.kind == "quaternion":
-        return [HolElem2(n, 2, 0, 0), HolElem2(n, 1, 1, 1 << (n - 3))]
-    if rtype.kind == "direct_product":
-        return [HolElem2(n, 2 * inv5, 0, 1), ax]
-    if rtype.kind == "quasidihedral":
-        return [HolElem2(n, 2, 0, 1 << (n - 3)), ax]
-    if rtype.kind == "modular":
-        if n < 4:
-            raise ValueError("the modular family is degenerate at width 3")
-        return [HolElem2(n, 2 * inv5 + (1 << (n - 2)), 0, 1), ax]
-    raise AssertionError(rtype.kind)
-
-
-def expected_iso_kind(rtype: RegularType, n: int) -> str:
-    """Isomorphism type each family must realize (n = 3 degenerations
-    included: the quasidihedral family is abelian there)."""
-    table = {
-        "translations": "cyclic",
-        "twisted_cyclic": "cyclic",
-        "dihedral": "dihedral",
-        "quaternion": "generalized_quaternion",
-        "direct_product": "Z2_x_cyclic",
-        "quasidihedral": "quasidihedral",
-        "modular": "modular_maximal_cyclic",
-    }
-    if n == 3 and rtype.kind == "quasidihedral":
-        return "Z2_x_cyclic"
-    return table[rtype.kind]
+    return [HolElem2(n, *exps) for exps in _family(rtype, n)[0]]
 
 
 def expected_intersection_exponent(rtype: RegularType, n: int) -> int:
     """The d with R .intersect. translations = <a^d>."""
-    if rtype.kind == "translations":
-        return 1
-    if rtype.kind == "twisted_cyclic":
-        return 1 << (n - rtype.t - 2)
-    if rtype.kind in ("dihedral", "quaternion"):
-        return 2
-    if rtype.kind in ("direct_product", "modular"):
-        return 1 << (n - 1)
-    return 4  # quasidihedral
+    return _family(rtype, n)[2]
 
 
 def representative(rtype: RegularType, n: int) -> ClassificationRecord:
     """Build the canonical representative, the pair closure of its literal
-    generators, and check its contract: regular, the stated intersection
-    exponent, the stated iso type.  An element's order is found by
-    repeated squaring, the holomorph being a 2-group; the translations in
-    the subgroup are the pairs (t, 1), a cyclic group <a^d> with d the
-    gcd of their t and 2^n."""
+    generators, and check the contract of its ``_family`` row: regular,
+    the stated intersection exponent, the stated iso type.  An element's
+    order is found by repeated squaring, the holomorph being a 2-group;
+    the translations in the subgroup are the pairs (t, 1), a cyclic group
+    <a^d> with d the gcd of their t and 2^n."""
+    exps, want_kind, want_d = _family(rtype, n)
     mod = 1 << n
     arith = PairArith(mod)
-    gens = tuple(h.pair for h in representative_generators(rtype, n))
+    gens = tuple(HolElem2(n, *e).pair for e in exps)
     elems = arith.closure(gens)
     if not _is_regular(elems, mod):
         raise RuntimeError(f"representative {rtype.label()} is not regular at n={n}")
@@ -263,13 +243,11 @@ def representative(rtype: RegularType, n: int) -> ClassificationRecord:
         return k
 
     d = gcd(mod, *(t for t, m in elems if m == 1))
-    want_d = expected_intersection_exponent(rtype, n)
     if d != want_d:
         raise RuntimeError(
             f"{rtype.label()} at n={n}: intersection a^{d}, expected a^{want_d}"
         )
     iso = iso_type(elems, gens, arith.then, order)
-    want_kind = expected_iso_kind(rtype, n)
     if iso.kind != want_kind:
         raise RuntimeError(
             f"{rtype.label()} at n={n}: iso {iso.kind}, expected {want_kind}"

@@ -1384,6 +1384,29 @@ def _lex_exponent_at(k, t, value):
     return circulant, "lex_exponent", wrong
 
 
+def _witness_breaking_an_edge(n, conn):
+    """_coset_twist swaps 2 and 3 on the set ``conn`` of Z_n, a bijection
+    fixing 0 and 1: of the witness checks, only the edge check rejects it."""
+
+    def wrong(right):
+        def twist(circ, multiplier, shift, q):
+            if (circ.n, circ.conn) != (n, conn):
+                return right(circ, multiplier, shift, q)
+            theta = (0, 1, 3, 2, *range(4, n))
+            circulant._verify_witness(circ, theta)
+            return theta
+
+        return twist
+
+    return circulant, "_coset_twist", wrong
+
+
+def _w_subgroups_at(n, conn, value):
+    """w_subgroups answers ``value`` on the set ``conn`` of Z_n."""
+    wrong = lambda right: lambda c: value if (c.n, c.conn) == (n, conn) else right(c)
+    return circulant, "w_subgroups", wrong
+
+
 # each claim id: its parameters, the planted fault, a fault the evidence
 # must name, and how many faults it reports
 PLANTED_FAULTS = {
@@ -1488,3 +1511,39 @@ def test_every_claim_fails_on_a_planted_fault(monkeypatch, claim_id):
     assert report.status == "fail"
     assert named in report.evidence
     assert len(report.evidence) == faults
+
+
+# a second fault for three claims, in a check that the table above leaves
+# unexercised: each claim's parameters, the planted fault and the whole
+# evidence it must report
+SECOND_PLANTED_FAULTS = {
+    # both graphs are non-normal, so only the edge check catches the witness
+    "lem-2.4-theta": (
+        {},
+        _witness_breaking_an_edge(9, frozenset({3, 6})),
+        [{"S": [3, 6], "why": "witness breaks the edge (0, 3)"}],
+    ),
+    "thm-4.3-theta": (
+        {},
+        _witness_breaking_an_edge(16, frozenset({4, 12})),
+        [{"S": [4, 12], "why": "witness breaks the edge (2, 6)"}],
+    ),
+    # the census statement: the cycle {1, 7} of Z_8 is normal, and its
+    # class under units and complementation copies the planted answer
+    "lem-lex": (
+        {},
+        _w_subgroups_at(8, frozenset({1, 7}), [2]),
+        [
+            {"n": 8, "S": conn, "why": "coset-stable but normal"}
+            for conn in ([1, 7], [3, 5], [1, 2, 4, 6, 7], [2, 3, 4, 5, 6])
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("claim_id", list(SECOND_PLANTED_FAULTS))
+def test_claims_fail_on_a_second_planted_fault(monkeypatch, claim_id):
+    params, (module, name, wrong), evidence = SECOND_PLANTED_FAULTS[claim_id]
+    monkeypatch.setattr(module, name, wrong(getattr(module, name)))
+    report = claims.run_claim(claim_id, params)
+    assert (report.status, report.evidence) == ("fail", evidence)

@@ -131,6 +131,23 @@ def test_representative_generator_shapes():
         representative_generators(RegularType("modular"), 3)
 
 
+@pytest.mark.parametrize(
+    "rtype, n, message",
+    [
+        (RegularType("twisted_cyclic", 3), 5, "twist parameter 3 outside 0..2"),
+        (RegularType("twisted_cyclic", 9), 5, "twist parameter 9 outside 0..2"),
+        (RegularType("modular"), 3, "modular family is degenerate"),
+        (RegularType("dihedral"), 2, "width must be >= 3"),
+    ],
+    ids=["twist-3-at-5", "twist-9-at-5", "modular-at-3", "width-2"],
+)
+def test_family_readers_reject_the_same_inputs(rtype, n, message):
+    # both read one validated row, so neither answers where the other raises
+    for reader in (representative_generators, expected_intersection_exponent):
+        with pytest.raises(ValueError, match=message):
+            reader(rtype, n)
+
+
 def _records_digest(records):
     text = json.dumps([r.to_dict() for r in records], sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()
