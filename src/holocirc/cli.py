@@ -359,7 +359,56 @@ def cmd_scan(args: argparse.Namespace, out: TextIO) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _verify_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("claim", help="claim id, or 'all'")
+    p.add_argument("--n", help="width or width range, e.g. 4 or 3..5")
+    p.add_argument("--modulus", type=int, help="graph modulus for scan claims")
+    p.add_argument("--samples", type=_at_least_one, help="randomized sample count")
+    p.add_argument("--seed", type=int, help="randomized seed")
+    p.set_defaults(func=cmd_verify)
+
+
+def _classify_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--n", required=True, help=f"width or range, {rc.MIN_WIDTH}..{rc.ENUM_MAX_N}"
+    )
+    p.set_defaults(func=cmd_classify)
+
+
+def _graph_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--modulus", type=int, required=True)
+    p.add_argument(
+        "--set", required=True, help="comma-separated connection set, e.g. 1,3,13,15"
+    )
+    p.add_argument("--edges", help="also write an edge list ('u v' lines) here")
+    p.set_defaults(func=cmd_graph)
+
+
+def _scan_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--modulus", type=int, required=True)
+    p.add_argument(
+        "--shard", type=_shard, default=(0, 1), help="A/B: contiguous shard A of B"
+    )
+    p.add_argument("--connected-only", action="store_true")
+    p.add_argument("--jobs", type=_at_least_one, default=1, help="worker processes")
+    p.set_defaults(func=cmd_scan)
+
+
+# Each command's help line and arguments, in the order ``--help`` lists them.
+COMMANDS = {
+    "verify": ("run a registered claim check", _verify_arguments),
+    "classify": ("regular-subgroup classification", _classify_arguments),
+    "graph": ("analyze one circulant", _graph_arguments),
+    "scan": ("census scan of one modulus", _scan_arguments),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The ``holocirc`` parser.  Given the name of a command, only that
+    command's subparser is built, under the same top-level parser, so that
+    an invocation does not pay for the three it will not run; given None or
+    any other name, all four are.  Either way every help text, usage line
+    and error reads the same."""
     parser = argparse.ArgumentParser(
         prog="holocirc",
         description=(
@@ -367,45 +416,27 @@ def build_parser() -> argparse.ArgumentParser:
             "and normality scans for circulant graphs"
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_verify = sub.add_parser("verify", help="run a registered claim check")
-    p_verify.add_argument("claim", help="claim id, or 'all'")
-    p_verify.add_argument("--n", help="width or width range, e.g. 4 or 3..5")
-    p_verify.add_argument("--modulus", type=int, help="graph modulus for scan claims")
-    p_verify.add_argument("--samples", type=_at_least_one, help="randomized sample count")
-    p_verify.add_argument("--seed", type=int, help="randomized seed")
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_classify = sub.add_parser("classify", help="regular-subgroup classification")
-    p_classify.add_argument(
-        "--n", required=True, help=f"width or range, {rc.MIN_WIDTH}..{rc.ENUM_MAX_N}"
+    single = command in COMMANDS
+    # One command's parser still names all four in the usage line that an
+    # unrecognized argument prints; the full parser keeps argparse's own
+    # metavar, which also names the missing command in its error.
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar="{" + ",".join(COMMANDS) + "}" if single else None,
     )
-    p_classify.set_defaults(func=cmd_classify)
+    built = {}
+    for name in [command] if single else COMMANDS:
+        help_line, add_arguments = COMMANDS[name]
+        built[name] = sub.add_parser(name, help=help_line)
+        add_arguments(built[name])
 
-    p_graph = sub.add_parser("graph", help="analyze one circulant")
-    p_graph.add_argument("--modulus", type=int, required=True)
-    p_graph.add_argument(
-        "--set", required=True, help="comma-separated connection set, e.g. 1,3,13,15"
-    )
-    p_graph.add_argument("--edges", help="also write an edge list ('u v' lines) here")
-    p_graph.set_defaults(func=cmd_graph)
-
-    p_scan = sub.add_parser("scan", help="census scan of one modulus")
-    p_scan.add_argument("--modulus", type=int, required=True)
-    p_scan.add_argument(
-        "--shard", type=_shard, default=(0, 1), help="A/B: contiguous shard A of B"
-    )
-    p_scan.add_argument("--connected-only", action="store_true")
-    p_scan.set_defaults(func=cmd_scan)
-
-    p_scan.add_argument("--jobs", type=_at_least_one, default=1, help="worker processes")
-    for p in (p_verify, p_classify):
-        p.add_argument(
-            "--jobs", type=_at_least_one, default=1,
-            help="accepted for compatibility and ignored: this command runs in one process",
-        )
-    for p in (p_verify, p_classify, p_graph, p_scan):
+    for name in ("verify", "classify"):
+        if name in built:
+            built[name].add_argument(
+                "--jobs", type=_at_least_one, default=1,
+                help="accepted for compatibility and ignored: this command runs in one process",
+            )
+    for p in built.values():
         p.add_argument("--format", choices=("json", "ndjson", "text"), default="ndjson")
         p.add_argument("--out", help="write records to this path instead of stdout")
         p.add_argument(
@@ -415,7 +446,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

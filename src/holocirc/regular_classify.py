@@ -156,6 +156,7 @@ def is_normal_cyclic_regular_in_hol(rtype: RegularType, n: int) -> bool:
     """Normality in the full holomorph, for the cyclic families only:
     the translation group always, the twisted family exactly at the
     maximal twist n - 3."""
+    _check_n(n)
     if rtype.kind == "translations":
         return True
     if rtype.kind == "twisted_cyclic":

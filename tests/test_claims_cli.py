@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -12,7 +13,7 @@ import holocirc
 import holocirc.circulant as circulant
 import holocirc.regular_classify as rc
 from holocirc import claims
-from holocirc.cli import main
+from holocirc.cli import build_parser, main
 
 EXPECTED_CLAIMS = {
     "lem-3.1",
@@ -1122,6 +1123,77 @@ def test_cli_samples_below_1_is_usage_error(capsys, count):
     captured = capsys.readouterr()
     assert "argument --samples: expected an integer of at least 1" in captured.err
     assert captured.out == ""
+
+
+def _subparsers(parser):
+    """The {command: parser} map of ``parser``'s one subparsers action."""
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+def _declared(parser):
+    return [
+        (a.option_strings, a.dest, a.default, a.type, a.choices, a.required, a.help)
+        for a in parser._actions
+    ]
+
+
+COMMANDS = ("verify", "classify", "graph", "scan")
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_one_command_parser_declares_what_the_full_parser_does(command):
+    built = _subparsers(build_parser(command))
+    assert list(built) == [command]
+    assert _declared(built[command]) == _declared(_subparsers(build_parser())[command])
+
+
+def _full_parser_output(capsys, argv):
+    """Exit code, stdout and stderr of the parser that builds all four
+    commands, run on ``argv``."""
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["verify", "--help"], 0),
+        (["classify", "--help"], 0),
+        (["graph", "--help"], 0),
+        (["scan", "--help"], 0),
+        (["scan"], 2),
+        (["scan", "--shard", "1/x"], 2),
+        (["scan", "--modulus", "8", "extra"], 2),  # the top-level usage line
+        (["verify"], 2),
+        (["classify"], 2),
+        (["graph", "--modulus", "8"], 2),
+    ],
+)
+def test_one_command_parser_prints_what_the_full_parser_does(monkeypatch, capsys, argv, code):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == _full_parser_output(capsys, argv)
+    assert (captured.out if code == 0 else captured.err).startswith("usage: holocirc ")
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        ([], 2, "the following arguments are required: command"),
+        (["bogus"], 2, "argument command: invalid choice: 'bogus'"),
+        (["--help"], 0, "{verify,classify,graph,scan}"),
+    ],
+)
+def test_cli_without_a_command(capsys, argv, code, message):
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert message in (captured.out if code == 0 else captured.err)
+    if argv == ["--help"]:
+        assert all(f"    {name} " in captured.out for name in COMMANDS)
 
 
 # sha256 of the `verify <id> --format ndjson` stdout of the claims whose

@@ -485,6 +485,17 @@ def test_cyclic_normality_closed_form():
         is_normal_cyclic_regular_in_hol(RegularType("twisted_cyclic", 3), 5)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize(
+    "rtype", [RegularType("translations"), RegularType("twisted_cyclic", 0)],
+    ids=["translations", "twist-0"],
+)
+def test_cyclic_normality_rejects_widths_below_3(rtype, n):
+    # the width is checked before the family, as every other family reader does
+    with pytest.raises(ValueError, match=f"width must be >= 3, got {n}"):
+        is_normal_cyclic_regular_in_hol(rtype, n)
+
+
 def test_twist_beyond_range_collapses_to_translations():
     # the generator a*y^(2^(n-2)) is just a: y has order 2^(n-2)
     n = 5
