@@ -206,11 +206,13 @@ def _automorphism_group(circ: Circulant) -> AutResult:
 def _period(n: int, bits: int) -> int:
     """The least d dividing n such that the subset of Z_n with bitmask
     ``bits`` is fixed by adding d: its stabilizer is <d>."""
-    full = (1 << n) - 1
-    for d in range(1, n):
-        if n % d == 0 and (bits << d | bits >> (n - d)) & full == bits:
-            return d
-    return n
+    return next((d for d in range(1, n) if n % d == 0 and _fixed_by(n, bits, d)), n)
+
+
+def _fixed_by(n: int, bits: int, d: int) -> bool:
+    """Whether the subset of Z_n with bitmask ``bits`` is fixed by adding
+    d: rotating the mask by d bits leaves it as it is."""
+    return (bits << d | bits >> (n - d)) & ((1 << n) - 1) == bits
 
 
 def _affine_generators(n: int, mults: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -473,23 +475,16 @@ def nnn_verdict(circ: Circulant, aut: Optional[AutResult] = None) -> NnnVerdict:
 
 def w_subgroups(circ: Circulant) -> list[int]:
     """Divisors d (1 < d < n) whose subgroup <d> leaves S - <d> a union
-    of <d>-cosets; a nonempty answer certifies a lexicographic-product
+    of <d>-cosets, that is S - <d> fixed by adding d (``_fixed_by``, the
+    period's test); a nonempty answer certifies a lexicographic-product
     structure over that subgroup."""
     n = circ.n
-    out = []
-    for d in range(2, n):
-        if n % d:
-            continue
-        sub = set(range(0, n, d))
-        stable = all(
-            (s + h) % n in circ.conn
-            for s in circ.conn
-            if s not in sub
-            for h in sub
-        )
-        if stable:
-            out.append(d)
-    return out
+    bits = sum(1 << s for s in circ.conn)
+    # the mask of <d> is the n/d-term geometric series 1 + 2^d + 2^2d + ...
+    return [
+        d for d in range(2, n)
+        if n % d == 0 and _fixed_by(n, bits & ~(((1 << n) - 1) // ((1 << d) - 1)), d)
+    ]
 
 
 def lex_exponent(k: int, t: int) -> int:
@@ -612,9 +607,7 @@ def _abelian_regular_subgroups(
             if pairs.then(h1, h2) != pairs.then(h2, h1):
                 continue
             elems = pairs.closure([h1, h2], n)
-            if elems is None or len(elems) != n:
-                continue
-            if len({t * m % n for t, m in elems}) == n:
+            if elems is not None and pairs.is_regular(elems):
                 found.add(elems)
     return sorted(found, key=sorted)
 

@@ -377,7 +377,6 @@ def _run_regular_classification(params: dict) -> tuple[str, list, dict]:
     faults: list[Optional[dict]] = []  # one item per case, in order
     evidence = []
     reps: dict[int, tuple[rc.ClassificationRecord, ...]] = {}  # the widths that hold
-    coincidences: list[list[str]] = []
     for n in range(rc.MIN_WIDTH, rc.ENUM_MAX_N + 1):
         try:
             recs = rc.representatives(n)
@@ -385,12 +384,6 @@ def _run_regular_classification(params: dict) -> tuple[str, list, dict]:
             faults.append({"n": n, "why": str(exc)})
             continue
         reps[n] = recs
-        if n == 3:
-            coincidences = [
-                [t.label() for t in types]
-                for _, types in rc.canonical_classes(recs)
-                if len(types) > 1
-            ]
         evidence.append(
             {"n": n, "representatives": [r.rtype.label() for r in recs]}
         )
@@ -398,7 +391,11 @@ def _run_regular_classification(params: dict) -> tuple[str, list, dict]:
         if n not in reps:
             faults.append({"n": n, "why": "no checked representatives to match"})
             continue
-        records = rc.enumerate_regular_subgroups(n)
+        try:
+            records = rc.enumerate_regular_subgroups(n)
+        except RuntimeError as exc:  # a subgroup matched no representative, or two
+            faults.append({"n": n, "why": str(exc)})
+            continue
         in_rep = {rep.rtype: _regular_member(1 << n, rep.elements) for rep in reps[n]}
         per_type: dict[str, int] = {}
         for rec in records:
@@ -414,14 +411,19 @@ def _run_regular_classification(params: dict) -> tuple[str, list, dict]:
             holds = found == rc.normalizer_index(rep)
             faults.append(None if holds else {"n": n, "type": label, "subgroups": found})
         evidence.append({"n": n, "regular_subgroups": len(records), "classes": per_type})
-    evidence.append({"n": 3, "coinciding_representatives": coincidences})
+    evidence.append({"n": 3, "coinciding_representatives": rc.coincidences(reps.get(3, ()))})
     status, evidence = _tally([({}, faults)], "regular_subgroups", evidence)
     return status, evidence, {"n": (lo, hi), "rep_n_max": rc.ENUM_MAX_N}
 
 
 def _run_cyclic_normality(params: dict) -> tuple[str, list, dict]:
     def faults(n: int) -> Iterator[Optional[dict]]:
-        for rec in rc.enumerate_regular_subgroups(n):
+        try:
+            records = rc.enumerate_regular_subgroups(n)
+        except RuntimeError as exc:  # a subgroup matched no representative, or two
+            yield {"why": str(exc)}
+            return
+        for rec in records:
             if rec.iso.kind == "cyclic":
                 brute = _normal_in_hol(rec)
                 closed = rc.is_normal_cyclic_regular_in_hol(rec.rtype, n)

@@ -293,13 +293,8 @@ def _classification(lo: int, hi: int) -> Iterator[dict]:
         if n <= rc.FULL_ENUM_MAX_N:
             for r in rc.enumerate_regular_subgroups(n):
                 yield r.to_dict() | {"role": "enumerated"}
-        coincidences = [types for _, types in rc.canonical_classes(reps) if len(types) > 1]
-        if coincidences:
-            yield {
-                "role": "coincidence",
-                "n": n,
-                "types": [[t.label() for t in grp] for grp in coincidences],
-            }
+        if coincidences := rc.coincidences(reps):
+            yield {"role": "coincidence", "n": n, "types": coincidences}
 
 
 def cmd_graph(args: argparse.Namespace, out: TextIO) -> int:
@@ -463,8 +458,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(exc, file=sys.stderr)
         return EXIT_BOUND
     except circ_mod.DegreeBoundError as exc:
-        hint = "" if args.force else " (use --force)"  # --force lifts this bound
-        print(f"resource bound: {exc}{hint}", file=sys.stderr)
+        # never under --force: it lifts the degree bound to inf, in every worker too
+        print(f"resource bound: {exc} (use --force)", file=sys.stderr)
         return EXIT_BOUND
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from math import gcd
-from typing import Optional, Sequence
+from typing import Collection, Optional, Sequence
 
 from .numtheory import pow5, geom_series
 from .permgroup import Perm, PermSubgroup, _perm, closure, grow, least_generators
@@ -66,6 +66,12 @@ class PairArith:
         """The subgroup generated by ``gens`` (``permgroup.grow``); None as
         soon as it has more than ``bound`` elements."""
         return grow(gens, self.then, self.identity, bound)
+
+    def is_regular(self, elems: Collection[Pair]) -> bool:
+        """Whether a subgroup, given as its pairs, is regular: of order n,
+        with the orbit {t * m} of 0 all of Z_n."""
+        n = self.n
+        return len(elems) == n and len({t * m % n for t, m in elems}) == n
 
 
 class _Slots:

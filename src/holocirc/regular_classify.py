@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cache
 from math import gcd
-from typing import Collection, Optional, Sequence
+from typing import Optional, Sequence
 
 from .holomorph import HolElem2, Pair, PairArith, format_element, pair_perm, pow5
 from .permgroup import IsoType, Perm, PermSubgroup, from_elements, iso_type, least_generators
@@ -116,12 +116,6 @@ class ClassificationRecord:
             else list(pair_perm(1 << n, self.conjugator).images),
             "n": n,
         }
-
-
-def _is_regular(elems: Collection[Pair], mod: int) -> bool:
-    """Whether a subgroup of the holomorph of Z_mod, given as its pairs,
-    is regular: of order mod, with the orbit {t * m} of 0 all of Z_mod."""
-    return len(elems) == mod and len({t * m % mod for t, m in elems}) == mod
 
 
 def pair_from_perm(p: Perm) -> Pair:
@@ -233,7 +227,7 @@ def representative(rtype: RegularType, n: int) -> ClassificationRecord:
     arith = PairArith(mod)
     gens = tuple(HolElem2(n, *e).pair for e in exps)
     elems = arith.closure(gens)
-    if not _is_regular(elems, mod):
+    if not arith.is_regular(elems):
         raise RuntimeError(f"representative {rtype.label()} is not regular at n={n}")
 
     def order(h: Pair) -> int:
@@ -275,6 +269,12 @@ def canonical_classes(
     return list(seen.values())
 
 
+def coincidences(records: Sequence[ClassificationRecord]) -> list[list[str]]:
+    """The labels of the records that realize one subgroup, for each
+    subgroup that more than one of them realizes (``canonical_classes``)."""
+    return [[t.label() for t in tags] for _, tags in canonical_classes(records) if len(tags) > 1]
+
+
 def intersection_with_translations(sub: PermSubgroup) -> int:
     """The exponent d such that the translations inside the permutation
     group sub are <a^d>: the brute route for a record's exponent."""
@@ -311,7 +311,7 @@ def enumerate_regular_subgroups(n: int) -> tuple[ClassificationRecord, ...]:
             if (sols := _conjugators(arith, gens, rep))
         ]
         if len(matches) != 1:
-            raise RuntimeError(f"subgroup matched {len(matches)} canonical representatives")
+            raise RuntimeError(f"subgroup {list(gens)} matched {len(matches)} representatives")
         rep, w = matches[0]
         records.append(replace(rep, elements=sub, generators=gens, conjugator=w))
     return tuple(records)

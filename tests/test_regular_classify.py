@@ -341,6 +341,34 @@ def test_claims_pass_enumerates_each_width_once(monkeypatch, capsys, fresh_engin
     assert calls == [3, 4, 5, 6]
 
 
+def test_a_subgroup_the_matcher_cannot_place_fails_both_claims(monkeypatch, capsys, fresh_engine):
+    # with the dihedral class unmatchable, the first dihedral subgroup of
+    # each width matches no representative: that width's fault, named by
+    # the subgroup's generators, and no traceback
+    right = rc._conjugators
+    monkeypatch.setattr(
+        rc,
+        "_conjugators",
+        lambda arith, gens, rep: [] if rep.rtype.kind == "dihedral" else right(arith, gens, rep),
+    )
+    faults = {
+        3: "subgroup [(1, 7), (4, 1), (2, 1)] matched 0 representatives",
+        4: "subgroup [(1, 15), (8, 1), (4, 1), (2, 1)] matched 0 representatives",
+        5: "subgroup [(1, 31), (16, 1), (8, 1), (4, 1), (2, 1)] matched 0 representatives",
+    }
+    report = claims.run_claim("thm-1.4", {"n": (4, 4)})
+    assert (report.status, report.evidence) == ("fail", [{"n": 4, "why": faults[4]}])
+    report = claims.run_claim("thm-3.4-normality", {"n": (3, 5)})
+    assert (report.status, report.evidence) == (
+        "fail", [{"n": n, "why": why} for n, why in faults.items()]
+    )
+    assert cli.main(["verify", "thm-1.4", "--n", "4"]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["evidence"] == [{"n": 4, "why": faults[4]}]
+    assert captured.err.startswith("[fail] thm-1.4: ")
+    assert "Traceback" not in captured.err
+
+
 def _scan_conjugator(arith, gens, rep_set):
     # the reference matcher: the first w in (t, m) order, of all
     # 2^(2n-1) pairs, with w^-1 g w in the representative for each g
