@@ -581,7 +581,7 @@ def abelian_regular_scan(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]
     # a normal circulant's group is Z_n x| aut_G_S: the indices depend on
     # the multiplier group only, and few groups occur
     by_mults: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for record in scan_range(n, 0, census_size(n)):
+    for record in scan_range(n):
         if record["normal"]:
             conn = tuple(record["S"])
             mults = aut_G_S(Circulant(n, frozenset(conn)))
@@ -713,13 +713,14 @@ def _connected_mask(n: int) -> Callable[[int], bool]:
 
 def scan_range(
     n: int,
-    start: int,
-    stop: int,
+    start: int = 0,
+    stop: Optional[int] = None,
     connected_only: bool = False,
     jobs: int = 1,
 ) -> Iterator[dict]:
-    """Scan one contiguous mask range (a shard), yielding each record in
-    census order as soon as it is known.
+    """Scan one contiguous mask range (a shard), the whole census unless
+    a range is given, yielding each record in census order as soon as it
+    is known.
 
     Multiplying by a unit u maps Cay(Z_n, S) isomorphically onto
     Cay(Z_n, uS) and normalises the translations.  The complement
@@ -754,6 +755,8 @@ def scan_range(
     """
     if n < 2:
         raise ValueError(f"modulus must be >= 2, got {n}")
+    if stop is None:
+        stop = census_size(n)
     return _scan(n, start, stop, connected_only, jobs)
 
 

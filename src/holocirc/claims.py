@@ -24,7 +24,6 @@ from typing import Callable, Collection, Iterable, Iterator, Optional
 
 from . import circulant as circ_mod
 from . import holomorph as hol
-from . import numtheory as nt
 from . import regular_classify as rc
 from .permgroup import Perm, grow, orbits
 
@@ -179,13 +178,6 @@ def _normal_in_hol(rec: rc.ClassificationRecord) -> Optional[bool]:
     )
 
 
-def _census(n: int) -> Iterator[dict]:
-    """The full census of Z_n as a stream of records, one automorphism
-    search per class under units and complementation
-    (circulant.scan_range)."""
-    return circ_mod.scan_range(n, 0, circ_mod.census_size(n))
-
-
 def _range_param(params: dict, key: str, default: tuple[int, int]) -> tuple[int, int]:
     value = params.get(key)
     if value is None:
@@ -261,7 +253,7 @@ def _over_moduli(
 def _run_pow5_congruences(params: dict) -> tuple[str, list, dict]:
     def faults(n: int) -> Iterator[Optional[dict]]:
         for t in range(n - 2):
-            v = nt.pow5(1 << t, n)
+            v = hol.pow5(1 << t, n)
             holds = v % (1 << (t + 2)) == 1 and v % (1 << (t + 3)) != 1
             yield None if holds else {"t": t, "value": v}
 
@@ -282,10 +274,10 @@ def _run_sum_valuations(params: dict) -> tuple[str, list, dict]:
             j = rng.randint(1, SUM_LENGTH_MAX)
             q = ratios.get(j)
             if q is None:
-                q = ratios[j] = nt.pow5(-j, SUM_WIDTH)  # 5^(-kj) is q^k
-            m = nt.geom_series(q, k, mod)
+                q = ratios[j] = hol.pow5(-j, SUM_WIDTH)  # 5^(-kj) is q^k
+            m = hol.geom_series(q, k, mod)
             ke = k + (k & 1)  # the valuation of L holds at even lengths
-            alt = nt.geom_series(-q, ke, mod)
+            alt = hol.geom_series(-q, ke, mod)
             sums = ("M", m, k, k & -k), ("L", alt, ke, 2 * (ke & -ke) * (j & -j))
             for name, r, length, want in sums:
                 if r == 0:  # a zero residue only bounds the valuation from below
@@ -452,7 +444,7 @@ def _run_nnn_multiplier_corollary(params: dict) -> tuple[str, list, dict]:
     faults += [
         None if needed in circ_mod.aut_G_S(circ_mod.Circulant(n, frozenset(record["S"])))
         else {"S": record["S"]}
-        for record in _census(n)
+        for record in circ_mod.scan_range(n)
         if record["nnn"]
     ]
     summary = {
@@ -480,7 +472,7 @@ def _run_lex_bound(params: dict) -> tuple[str, list, dict]:
                 bad.append({"k": k, "t": t, "why": "equality off the boundary"})
     graph_checked = 0
     for n in params.get("moduli", (8, 16)):
-        for record in _census(n):
+        for record in circ_mod.scan_range(n):
             if record["w_subgroups"] and record["normal"]:
                 bad.append({"n": n, "S": record["S"], "why": "coset-stable but normal"})
             graph_checked += 1
@@ -608,7 +600,7 @@ def _run_unique_abelian(params: dict) -> tuple[str, list, dict]:
 
 def _run_no_nnn_below_8(params: dict) -> tuple[str, list, dict]:
     return _over_moduli(params, (9, 10, 12), "circulants", lambda n: (
-        {"S": record["S"]} if record["nnn"] else None for record in _census(n)
+        {"S": record["S"]} if record["nnn"] else None for record in circ_mod.scan_range(n)
     ), divisor=8)
 
 
@@ -616,7 +608,7 @@ def _run_nnn_scan(params: dict) -> tuple[str, list, dict]:
     n = params.get("modulus", 8)
     faults = (
         {"S": record["S"], "mask": record["mask"]} if record["nnn"] else None
-        for record in _census(n)
+        for record in circ_mod.scan_range(n)
     )
     evidence = [{"modulus": n, "census": circ_mod.census_size(n), "nnn_graphs": 0}]
     status, evidence = _tally([({"n": n}, faults)], "circulants", evidence)

@@ -52,12 +52,14 @@ class BoundExceeded(Exception):
 
 def _resolve_bounds(args: argparse.Namespace) -> None:
     """Resolve the invocation's bounds once, onto ``args``: the config
-    file and the settings are read and checked once, here, and then
+    file is read and its settings checked once, here, and then
     --force lifts the degree bound (``inf``) and raises the width bound
     to ``forced_hol_width``, the configured one or 64 if that is higher.
     Nothing else reads the environment."""
     config = _load_config()
-    args.max_degree = _max_degree(config)
+    args.max_degree = _integer_setting(
+        config.get("max_degree", circ_mod.DEFAULT_MAX_DEGREE), "config max_degree"
+    )
     args.max_hol_width = _integer_setting(
         config.get("max_hol_width", DEFAULT_MAX_HOL_WIDTH), "config max_hol_width"
     )
@@ -95,19 +97,8 @@ def _load_config() -> dict:
     return cfg
 
 
-def _max_degree(config: dict) -> int:
-    """The vertex-count bound: HOLOCIRC_MAX_DEGREE, else ``max_degree`` in
-    the config file (checked either way), else circulant.DEFAULT_MAX_DEGREE."""
-    value = os.environ.get("HOLOCIRC_MAX_DEGREE")
-    variable = _integer_setting(value, "HOLOCIRC_MAX_DEGREE") if value else None
-    configured = _integer_setting(
-        config.get("max_degree", circ_mod.DEFAULT_MAX_DEGREE), "config max_degree"
-    )
-    return variable or configured
-
-
 def _integer_setting(value: object, name: str) -> int:
-    """A bound read from the environment or the config file, as an int:
+    """A bound read from the config file, as an int:
     an int, or a string that spells one, of at least 1 (no graph or
     width meets a lower bound).  Anything else raises a ValueError that
     names the setting and the bad value."""

@@ -23,6 +23,7 @@ from holocirc.circulant import (
 )
 from holocirc.holomorph import (
     HolElem2,
+    geom_series,
     holomorph_group,
     order,
     pair_perm,
@@ -30,7 +31,6 @@ from holocirc.holomorph import (
     power,
     pow5,
 )
-from holocirc.numtheory import geom_series
 from holocirc.permgroup import closure, is_normal_in
 from holocirc.regular_classify import (
     canonical_classes,

@@ -710,6 +710,9 @@ def test_scan_range_equals_per_mask_records():
     for n in (18, 20):
         direct = [scan_record(n, mask) for mask in range(census_size(n))]
         assert list(scan_range(n, 0, census_size(n))) == direct, n
+    # with no range given the scan covers the whole census
+    for n in (8, 12, 16):
+        assert list(scan_range(n)) == list(scan_range(n, 0, census_size(n))), n
 
 
 def test_complement_keeps_the_class_fields():

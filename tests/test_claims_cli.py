@@ -113,7 +113,7 @@ def test_nnn_multiplier_corollary_claim(monkeypatch):
         {"census": 256, "nnn_graphs": 0, "multiplier_groups": 3, "antecedents": 1, "multiplier": 5}
     ]
     # the groups alone at width 32, with the 65,536-graph census left out
-    monkeypatch.setattr(claims, "_census", lambda n: iter(()))
+    monkeypatch.setattr(circulant, "scan_range", lambda n: iter(()))
     report = claims.run_claim("cor-3.4", {"modulus": 32})
     assert report.status == "pass"
     assert report.evidence == [
@@ -195,14 +195,16 @@ def test_cli_each_command_reports_its_bound_once(monkeypatch, capsys, tmp_path, 
 
 
 def test_cli_env_cap(tmp_path):
+    # the vertex bound comes from the config file alone: no environment
+    # variable sets it
     proc = run_cli(
         "scan",
         "--modulus",
         "12",
         env={"HOLOCIRC_MAX_DEGREE": "10", "PATH": "/usr/bin:/bin"},
     )
-    assert proc.returncode == 3
-    assert "exceeds bound 10" in proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.splitlines()) == 64
 
 
 def test_cli_config_file(tmp_path):
@@ -218,34 +220,37 @@ def test_cli_config_file(tmp_path):
     assert "exceeds bound 10" in proc.stderr
 
 
-def test_cli_force_overrides_env_cap():
+def test_cli_force_overrides_env_cap(tmp_path):
     # --force lifts the bound for the whole invocation, including the
     # library's own check inside the scan
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"max_degree": 10}))
     proc = run_cli(
-        "scan", "--modulus", "12", "--force", env={"HOLOCIRC_MAX_DEGREE": "10"}
+        "scan", "--modulus", "12", "--force", env={"HOLOCIRC_CONFIG": str(cfg)}
     )
     assert proc.returncode == 0, proc.stderr
     assert len(proc.stdout.splitlines()) == 64
     proc = run_cli(
-        "verify", "lem-y-nonnormal", "--force", env={"HOLOCIRC_MAX_DEGREE": "10"}
+        "verify", "lem-y-nonnormal", "--force", env={"HOLOCIRC_CONFIG": str(cfg)}
     )
     assert proc.returncode == 0, proc.stderr
 
 
 def test_cli_config_cap_reaches_claims(tmp_path):
     # lem-y-nonnormal builds 16-vertex graphs through the library, which
-    # must apply the config file's bound just as it applies the variable's
+    # must apply the config file's bound
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"max_degree": 10}))
-    for env in ({"HOLOCIRC_CONFIG": str(cfg)}, {"HOLOCIRC_MAX_DEGREE": "10"}):
-        proc = run_cli("verify", "lem-y-nonnormal", env=env)
-        assert proc.returncode == 3, (env, proc.stderr)
-        assert "16 vertices exceeds the bound 10" in proc.stderr
+    proc = run_cli("verify", "lem-y-nonnormal", env={"HOLOCIRC_CONFIG": str(cfg)})
+    assert proc.returncode == 3, proc.stderr
+    assert "16 vertices exceeds the bound 10" in proc.stderr
 
 
-def test_cli_bound_met_inside_a_claim_hints_at_force(monkeypatch, capsys):
+def test_cli_bound_met_inside_a_claim_hints_at_force(monkeypatch, capsys, tmp_path):
     # the library's own check stops the claim; --force would lift it
-    monkeypatch.setenv("HOLOCIRC_MAX_DEGREE", "10")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"max_degree": 10}))
+    monkeypatch.setenv("HOLOCIRC_CONFIG", str(cfg))
     assert main(["verify", "lem-y-nonnormal"]) == 3
     assert capsys.readouterr().err.splitlines() == [
         "resource bound: 16 vertices exceeds the bound 10 (use --force)"
@@ -516,12 +521,13 @@ def test_conj_normal_form_claim_counts_elements():
 
 
 def test_cli_non_integer_bound_names_its_source(tmp_path):
-    proc = run_cli("scan", "--modulus", "8", env={"HOLOCIRC_MAX_DEGREE": "abc"})
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"max_degree": "abc"}))
+    proc = run_cli("scan", "--modulus", "8", env={"HOLOCIRC_CONFIG": str(cfg)})
     assert proc.returncode == 2
     assert proc.stderr.splitlines() == [
-        "usage error: HOLOCIRC_MAX_DEGREE must be an integer, got 'abc'"
+        "usage error: config max_degree must be an integer, got 'abc'"
     ]
-    cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"max_degree": 3.5}))
     proc = run_cli("scan", "--modulus", "8", env={"HOLOCIRC_CONFIG": str(cfg)})
     assert proc.returncode == 2
@@ -529,10 +535,11 @@ def test_cli_non_integer_bound_names_its_source(tmp_path):
         "usage error: config max_degree must be an integer, got 3.5"
     ]
     # a bound below 1 admits no graph and no width: a usage error too
-    proc = run_cli("scan", "--modulus", "8", env={"HOLOCIRC_MAX_DEGREE": "0"})
+    cfg.write_text(json.dumps({"max_degree": 0}))
+    proc = run_cli("scan", "--modulus", "8", env={"HOLOCIRC_CONFIG": str(cfg)})
     assert proc.returncode == 2
     assert proc.stderr.splitlines() == [
-        "usage error: HOLOCIRC_MAX_DEGREE must be at least 1, got 0"
+        "usage error: config max_degree must be at least 1, got 0"
     ]
     for key, value in (("max_degree", -5), ("max_hol_width", -1)):
         cfg.write_text(json.dumps({key: value}))
@@ -543,10 +550,10 @@ def test_cli_non_integer_bound_names_its_source(tmp_path):
         ]
     # --force lifts the bounds only after every setting is read and checked
     for argv, setting, message in [
-        (("graph", "--modulus", "8", "--set", "1,7"), {"HOLOCIRC_MAX_DEGREE": "abc"},
-         "HOLOCIRC_MAX_DEGREE must be an integer, got 'abc'"),
-        (("scan", "--modulus", "8"), {"HOLOCIRC_MAX_DEGREE": "0"},
-         "HOLOCIRC_MAX_DEGREE must be at least 1, got 0"),
+        (("graph", "--modulus", "8", "--set", "1,7"), {"max_degree": "abc"},
+         "config max_degree must be an integer, got 'abc'"),
+        (("scan", "--modulus", "8"), {"max_degree": 0},
+         "config max_degree must be at least 1, got 0"),
         (("scan", "--modulus", "8"), {"max_degree": 3.5},
          "config max_degree must be an integer, got 3.5"),
         (("scan", "--modulus", "8"), {"max_degree": -5},
@@ -556,25 +563,11 @@ def test_cli_non_integer_bound_names_its_source(tmp_path):
         (("verify", "lem-3.1", "--n", "3..4"), {"max_hol_width": "x"},
          "config max_hol_width must be an integer, got 'x'"),
     ]:
-        env = setting
-        if "HOLOCIRC_MAX_DEGREE" not in setting:
-            cfg.write_text(json.dumps(setting))
-            env = {"HOLOCIRC_CONFIG": str(cfg)}
-        proc = run_cli(*argv, "--force", env=env)
+        cfg.write_text(json.dumps(setting))
+        proc = run_cli(*argv, "--force", env={"HOLOCIRC_CONFIG": str(cfg)})
         assert proc.returncode == 2, (argv, setting)
         assert proc.stderr.splitlines() == [f"usage error: {message}"]
         assert proc.stdout == ""
-    # the config's max_degree is checked also where the variable wins
-    cfg.write_text(json.dumps({"max_degree": "x"}))
-    for force in ((), ("--force",)):
-        proc = run_cli(
-            "scan", "--modulus", "8", *force,
-            env={"HOLOCIRC_MAX_DEGREE": "10", "HOLOCIRC_CONFIG": str(cfg)},
-        )
-        assert proc.returncode == 2, force
-        assert proc.stderr.splitlines() == [
-            "usage error: config max_degree must be an integer, got 'x'"
-        ]
 
 
 def test_cli_scan_ndjson_deterministic(tmp_path):
@@ -694,8 +687,10 @@ def test_cli_scan_flushes_each_record_before_the_next_search(monkeypatch):
 
 
 def test_cli_scan_stops_cleanly_when_the_reader_closes():
+    # the census of Z_20 (220,616 bytes) outgrows a 64 KiB pipe buffer, so
+    # the scan meets the closed pipe however fast it runs
     proc = subprocess.Popen(
-        [sys.executable, "-m", "holocirc.cli", "scan", "--modulus", "16", "--jobs", "2"],
+        [sys.executable, "-m", "holocirc.cli", "scan", "--modulus", "20", "--jobs", "2"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=cli_env(),
@@ -1027,9 +1022,9 @@ def test_sweep_counts_every_case_of_each_width(claim_id, widths, key, cases):
 
 def test_lem_3_1_fails_on_a_wrong_power_at_one_width(monkeypatch):
     # 5^(2^1) mod 2^5 given as 1: it is 1 mod 2^(t+3) too
-    pow5 = claims.nt.pow5
+    pow5 = claims.hol.pow5
     monkeypatch.setattr(
-        claims.nt, "pow5", lambda k, n: 1 if (k, n) == (2, 5) else pow5(k, n)
+        claims.hol, "pow5", lambda k, n: 1 if (k, n) == (2, 5) else pow5(k, n)
     )
     report = claims.run_claim("lem-3.1", {"n": (3, 6)})
     assert report.status == "fail"
@@ -1449,7 +1444,7 @@ def _doubled_sum(ratio, length):
 
         return series
 
-    return claims.nt, "geom_series", wrong
+    return claims.hol, "geom_series", wrong
 
 
 def _lex_exponent_at(k, t, value):
@@ -1533,7 +1528,7 @@ PLANTED_FAULTS = {
     # the one sample of seed 1 draws k = 276 and j = 130
     "lem-3.2": (
         {"samples": 1, "seed": 1},
-        _doubled_sum(-claims.nt.pow5(-130, claims.SUM_WIDTH), 276),
+        _doubled_sum(-claims.hol.pow5(-130, claims.SUM_WIDTH), 276),
         {"sum": "L", "k": 276, "j": 130, "two_part": 32},
         1,
     ),

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holocirc.numtheory import geom_series, pow5
+from holocirc.holomorph import geom_series, pow5
 
 
 def M(k, j, n):
